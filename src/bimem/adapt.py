@@ -47,7 +47,7 @@ class AdaptConfig:
     lr: float = 0.05
     gamma: float = 0.9
     gamma_prime: float = 0.99
-    top_n: int = 32
+    top_n: int | None = None  # None: batch_size
     queue_capacity: int = 256
     flows: FlowConfig = field(default_factory=FlowConfig)
     refresh_interval: int | None = None  # None: one epoch
@@ -62,7 +62,7 @@ class AdaptConfig:
             raise InvalidArgumentError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.iterations < 0:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
-        if not (1 <= self.top_n <= self.batch_size <= self.queue_capacity):
+        if not (1 <= _resolve_top_n(self) <= self.batch_size <= self.queue_capacity):
             raise InvalidArgumentError(
                 "expected 1 <= top_n <= batch_size <= queue_capacity, got "
                 f"top_n={self.top_n}, batch_size={self.batch_size}, "
@@ -276,6 +276,11 @@ def _resolve_warmup(cfg: AdaptConfig, n: int) -> int:
     return DEFAULT_WARMUP_EPOCHS * _epoch_length(n, cfg.batch_size)
 
 
+def _resolve_top_n(cfg: AdaptConfig) -> int:
+    """Rows the memory method enqueues per step; the default is the whole batch."""
+    return cfg.batch_size if cfg.top_n is None else cfg.top_n
+
+
 def denoise_labels(
     calibrated_probs: np.ndarray,
     calibrated: bool,
@@ -312,7 +317,7 @@ def run_bimem(
         n_categories=n_categories,
         feature_dim=student.layout.feature_dim,
         queue_capacity=cfg.queue_capacity,
-        top_n=cfg.top_n,
+        top_n=_resolve_top_n(cfg),
         centroid_momentum=cfg.gamma_prime,
         warmup=warmup,
     )
@@ -320,10 +325,7 @@ def run_bimem(
 
     def full_set_denoised() -> np.ndarray:
         feats, probs = model.forward_batch(mm.params, inputs.features)
-        lt_centroids, lt_mask, st_centroids, st_mask = state.backward_sources()
-        cal, applied = memory.sensory_calibration_probs(
-            feats, probs, lt_centroids, lt_mask, st_centroids, st_mask, flows, {}
-        )
+        cal, applied = state.calibrate(feats, probs, flows, {})
         return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
 
     rows = [evaluator.row(0, student, full_set_denoised())]
@@ -332,11 +334,7 @@ def run_bimem(
         idx = sampler.next_batch()
         x = inputs.features[idx]
         feats, probs = model.forward_batch(mm.params, x)
-        batch = [
-            memory.MemorySlot(int(inputs.ids[i]), feats[k], probs[k])
-            for k, i in enumerate(idx)
-        ]
-        calibrated_probs, applied = memory.bimem_step(state, batch, flows)
+        calibrated_probs, applied = memory.bimem_step(state, inputs.ids[idx], feats, probs, flows)
         labels = denoise_labels(
             calibrated_probs, applied, inputs.pred_yhat[idx], inputs.pred_probs[idx]
         )

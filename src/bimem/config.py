@@ -2,9 +2,9 @@
 
 One file drives the whole pipeline; a single ``seed`` key is the only source
 of randomness anywhere. ``target_shift`` defaults to magnitude 1.5 along the
-first feature axis and ``top_n`` to the batch size; ``refresh_interval``
+first feature axis. ``top_n`` (the batch size), ``refresh_interval``
 (baselines, one epoch) and ``warmup_iterations`` (twenty epochs) resolve at
-run time because they depend on the dataset size.
+run time in ``adapt``, the last two because they depend on the dataset size.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
             f"config key 'target_shift' must have length dim={resolved['dim']}, got {len(shift)}"
         )
     resolved["target_shift"] = [float(v) for v in shift]
-
-    if resolved["top_n"] is None:
-        resolved["top_n"] = resolved["batch_size"]
     return resolved
 
 

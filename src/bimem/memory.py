@@ -23,21 +23,45 @@ from .errors import InvalidArgumentError
 SNAPSHOT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemorySlot:
-    """One remembered sample: id, encoder feature, stored category probabilities.
-
-    ``prob`` holds the most recently calibrated prediction; calibration
-    replaces the array rather than mutating it, so slots can be shared
-    read-only.
-    """
+    """Read-only view of one stored row: id, encoder feature, category probabilities."""
 
     sample_id: int
     feature: np.ndarray
     prob: np.ndarray
 
-    def clone(self) -> "MemorySlot":
-        return MemorySlot(self.sample_id, self.feature, self.prob)
+
+@dataclass(eq=False)
+class Rows:
+    """Memory rows in FIFO order: ``ids (n,)``, ``features (n, D)``, ``probs (n, C)``.
+
+    Kept oldest first rather than as a ring buffer, so a per-category mean
+    adds its rows in arrival order wherever they are stored. Calibration
+    replaces ``probs`` rather than writing into it, so a view keeps its values.
+    """
+
+    ids: np.ndarray
+    features: np.ndarray
+    probs: np.ndarray
+
+    @classmethod
+    def empty(cls, feature_dim: int, n_categories: int) -> "Rows":
+        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, feature_dim)), np.zeros((0, n_categories)))
+
+    @classmethod
+    def concat(cls, parts: list["Rows"]) -> "Rows":
+        columns = zip(*((p.ids, p.features, p.probs) for p in parts))
+        return cls(*(np.concatenate(column) for column in columns))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index) -> "Rows":
+        return Rows(self.ids[index], self.features[index], self.probs[index])
+
+    def views(self) -> list[MemorySlot]:
+        return [MemorySlot(int(i), f, p) for i, f, p in zip(self.ids, self.features, self.probs)]
 
 
 @dataclass
@@ -70,52 +94,54 @@ class FlowConfig:
         }
 
 
-def _check_slot(slot: MemorySlot, feature_dim: int, n_categories: int) -> None:
-    if slot.feature.shape != (feature_dim,):
-        raise InvalidArgumentError(
-            f"slot {slot.sample_id}: feature shape {slot.feature.shape}, expected ({feature_dim},)"
-        )
-    if slot.prob.shape != (n_categories,):
-        raise InvalidArgumentError(
-            f"slot {slot.sample_id}: prob shape {slot.prob.shape}, expected ({n_categories},)"
-        )
-    numerics.check_prob_vector(slot.prob, f"slot {slot.sample_id} prob")
-
-
 @dataclass
 class SensoryMemory:
-    """Per-iteration buffer holding the current batch; fully replaced each step."""
+    """Per-iteration buffer holding the current batch; fully replaced each step.
+
+    ``refresh`` is the batch boundary: it validates every row once, and the
+    rows other memories take from the buffer are not checked again.
+    """
 
     feature_dim: int
     n_categories: int
-    slots: list[MemorySlot] = field(default_factory=list)
+    rows: Rows = field(init=False)
 
-    def refresh(self, batch: list[MemorySlot]) -> list[MemorySlot]:
-        """Replace contents with ``batch``; returns the previous contents."""
-        if not batch:
+    def __post_init__(self) -> None:
+        self.rows = Rows.empty(self.feature_dim, self.n_categories)
+
+    @property
+    def slots(self) -> list[MemorySlot]:
+        return self.rows.views()
+
+    def refresh(self, ids: np.ndarray, features: np.ndarray, probs: np.ndarray) -> Rows:
+        """Replace contents with the batch; returns the previous contents."""
+        ids = np.asarray(ids, dtype=np.int64)
+        features, probs = np.asarray(features, dtype=float), np.asarray(probs, dtype=float)
+        n, dims = ids.size, (self.feature_dim, self.n_categories)
+        if n == 0:
             raise InvalidArgumentError("sensory refresh requires a non-empty batch")
-        for slot in batch:
-            _check_slot(slot, self.feature_dim, self.n_categories)
-        evicted = self.slots
-        self.slots = list(batch)
+        if (ids.shape, features.shape, probs.shape) != ((n,), (n, dims[0]), (n, dims[1])):
+            raise InvalidArgumentError(f"batch shapes {ids.shape} {features.shape} {probs.shape}, "
+                                       f"expected {n} rows of (feature_dim, n_categories) {dims}")
+        # NaN and infinite entries fail one of these two comparisons.
+        sums_to_one = np.abs(probs.sum(axis=1) - 1.0) <= numerics.PROB_SUM_TOL
+        if not ((probs >= 0.0).all() and sums_to_one.all()):
+            raise InvalidArgumentError(f"batch probability rows must be non-negative and sum to 1 "
+                                       f"within {numerics.PROB_SUM_TOL}")
+        evicted, self.rows = self.rows, Rows(ids, features, probs)
         return evicted
 
 
-def select_hard(mem: SensoryMemory, n: int) -> list[MemorySlot]:
-    """The ``n`` buffered slots with the highest prediction entropy.
+def select_hard(mem: SensoryMemory, n: int) -> Rows:
+    """The ``n`` buffered rows with the highest prediction entropy.
 
     Returned in descending entropy order; exact ties go to the lower
     sample id.
     """
-    if n < 1 or n > len(mem.slots):
-        raise InvalidArgumentError(f"n={n} out of range for {len(mem.slots)} slots")
-    probs = np.stack([slot.prob for slot in mem.slots])
-    entropies = numerics.entropy_rows(probs)
-    order = sorted(
-        range(len(mem.slots)),
-        key=lambda i: (-entropies[i], mem.slots[i].sample_id),
-    )
-    return [mem.slots[i] for i in order[:n]]
+    rows = mem.rows
+    if n < 1 or n > len(rows):
+        raise InvalidArgumentError(f"n={n} out of range for {len(rows)} rows")
+    return rows[np.lexsort((rows.ids, -numerics.entropy_rows(rows.probs)))[:n]]
 
 
 @dataclass
@@ -125,41 +151,42 @@ class ShortTermMemory:
     capacity: int
     feature_dim: int
     n_categories: int
-    queue: list[MemorySlot] = field(default_factory=list)
+    rows: Rows = field(init=False)
 
-    def push(self, incoming: list[MemorySlot]) -> list[MemorySlot]:
+    def __post_init__(self) -> None:
+        self.rows = Rows.empty(self.feature_dim, self.n_categories)
+
+    @property
+    def queue(self) -> list[MemorySlot]:
+        return self.rows.views()
+
+    def push(self, incoming: Rows) -> Rows:
         """Append ``incoming``; evict from the front only once full.
 
-        Returns evicted slots in eviction order.
+        Returns the evicted rows in eviction order.
         """
         if len(incoming) > self.capacity:
             raise InvalidArgumentError(
-                f"cannot enqueue {len(incoming)} slots into capacity {self.capacity}"
+                f"cannot enqueue {len(incoming)} rows into capacity {self.capacity}"
             )
-        for slot in incoming:
-            _check_slot(slot, self.feature_dim, self.n_categories)
-        self.queue.extend(slot.clone() for slot in incoming)
-        overflow = len(self.queue) - self.capacity
-        if overflow <= 0:
-            return []
-        evicted = self.queue[:overflow]
-        del self.queue[:overflow]
-        return evicted
+        rows = Rows.concat([self.rows, incoming])
+        overflow = max(len(rows) - self.capacity, 0)
+        self.rows = rows[overflow:]
+        return rows[:overflow]
 
 
 def compute_centroids(
-    slots: list[MemorySlot], n_categories: int
+    features: np.ndarray, probs: np.ndarray, n_categories: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-category mean features, with category = argmax of the stored prob.
 
     Returns ``(centroids, counts)``; a category with no contributors keeps a
-    zero centroid and count 0.
+    zero centroid and count 0. Argmax ties go to the lowest category.
     """
-    if not slots:
-        raise InvalidArgumentError("cannot compute centroids of an empty slot set")
-    feature_dim = slots[0].feature.shape[0]
-    features = np.stack([slot.feature for slot in slots])
-    labels = np.array([numerics.argmax_label(slot.prob) for slot in slots])
+    if len(features) == 0:
+        raise InvalidArgumentError("cannot compute centroids of an empty row set")
+    feature_dim = features.shape[1]
+    labels = probs.argmax(axis=1)
     centroids = np.zeros((n_categories, feature_dim), dtype=np.float64)
     counts = np.zeros(n_categories, dtype=np.int64)
     for c in range(n_categories):
@@ -193,11 +220,11 @@ class LongTermCentroids:
         if self.initialized is None:
             self.initialized = np.zeros(self.n_categories, dtype=bool)
 
-    def consolidate(self, contributors: list[MemorySlot]) -> None:
+    def consolidate(self, features: np.ndarray, probs: np.ndarray) -> None:
         """Fold contributor centroids in; no-op on an empty contributor set."""
-        if not contributors:
+        if len(features) == 0:
             return
-        fresh, counts = compute_centroids(contributors, self.n_categories)
+        fresh, counts = compute_centroids(features, probs, self.n_categories)
         for c in range(self.n_categories):
             if counts[c] == 0:
                 continue
@@ -210,17 +237,16 @@ class LongTermCentroids:
 
 def long_term_consolidate(
     lt: LongTermCentroids,
-    evicted_sensory: list[MemorySlot],
-    evicted_short: list[MemorySlot],
+    evicted_sensory: Rows,
+    evicted_short: Rows,
     flows: FlowConfig,
 ) -> LongTermCentroids:
     """Consolidate the step's evictions, gated by the two forward flows into LT."""
-    contributors: list[MemorySlot] = []
-    if flows.sm_to_lt:
-        contributors.extend(evicted_sensory)
-    if flows.st_to_lt:
-        contributors.extend(evicted_short)
-    lt.consolidate(contributors)
+    flowing = ((evicted_sensory, flows.sm_to_lt), (evicted_short, flows.st_to_lt))
+    parts = [rows for rows, enabled in flowing if enabled]
+    if parts:
+        contributors = Rows.concat(parts)
+        lt.consolidate(contributors.features, contributors.probs)
     return lt
 
 
@@ -258,20 +284,19 @@ def _reweight_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
 def calibrate_short_term(
     mem: ShortTermMemory, lt: LongTermCentroids, warnings: dict[str, int]
 ) -> ShortTermMemory:
-    """Reweight every queued probability by long-term distance weights."""
-    if not mem.queue:
-        return mem
-    if not lt.initialized.any():
+    """Reweight every queued probability by long-term distance weights.
+
+    Skipped with a warning until long-term memory covers every category.
+    """
+    if not lt.initialized.all():
         warnings["short_term_calibration_skipped"] = warnings.get("short_term_calibration_skipped", 0) + 1
         return mem
-    features = np.stack([slot.feature for slot in mem.queue])
-    probs = np.stack([slot.prob for slot in mem.queue])
-    weights = centroid_weights(features, lt)
-    calibrated, n_degenerate = _reweight_rows(probs, weights)
+    if len(mem.rows) == 0:
+        return mem
+    weights = centroid_weights(mem.rows.features, lt)
+    mem.rows.probs, n_degenerate = _reweight_rows(mem.rows.probs, weights)
     if n_degenerate:
         warnings["degenerate_reweight"] = warnings.get("degenerate_reweight", 0) + n_degenerate
-    for slot, row in zip(mem.queue, calibrated):
-        slot.prob = row
     return mem
 
 
@@ -297,16 +322,11 @@ def sensory_calibration_probs(
     n, n_categories = probs.shape
     participating = np.zeros(n_categories, dtype=bool)
     scores = np.zeros((n, n_categories), dtype=np.float64)
-    if flows.sm_from_lt and lt_mask.any():
-        scores[:, lt_mask] -= np.abs(
-            features[:, None, :] - lt_centroids[None, lt_mask, :]
-        ).sum(axis=2)
-        participating |= lt_mask
-    if flows.sm_from_st and st_mask.any():
-        scores[:, st_mask] -= np.abs(
-            features[:, None, :] - st_centroids[None, st_mask, :]
-        ).sum(axis=2)
-        participating |= st_mask
+    for enabled, centroids, mask in ((flows.sm_from_lt, lt_centroids, lt_mask),
+                                     (flows.sm_from_st, st_centroids, st_mask)):
+        if enabled and mask.any():
+            scores[:, mask] -= np.abs(features[:, None, :] - centroids[None, mask, :]).sum(axis=2)
+            participating |= mask
     if not participating.any():
         if flows.sm_from_lt or flows.sm_from_st:
             warnings["sensory_calibration_skipped"] = warnings.get("sensory_calibration_skipped", 0) + 1
@@ -316,34 +336,11 @@ def sensory_calibration_probs(
     return out, True
 
 
-def calibrate_sensory(
-    mem: SensoryMemory,
-    lt: LongTermCentroids,
-    st_centroids: np.ndarray,
-    st_present: np.ndarray,
-    flows: FlowConfig,
-    warnings: dict[str, int],
-) -> tuple[np.ndarray, bool]:
-    """Write calibrated probabilities into the sensory buffer and return them."""
-    features = np.stack([slot.feature for slot in mem.slots])
-    probs = np.stack([slot.prob for slot in mem.slots])
-    calibrated, applied = sensory_calibration_probs(
-        features, probs, lt.centroids, lt.initialized, st_centroids, st_present, flows, warnings
-    )
-    if applied:
-        for slot, row in zip(mem.slots, calibrated):
-            slot.prob = row
-    return calibrated, applied
-
-
 def short_term_summary(mem: ShortTermMemory, n_categories: int) -> tuple[np.ndarray, np.ndarray]:
     """Queue centroids plus presence flags; all-absent when the queue is empty."""
-    if not mem.queue:
-        return (
-            np.zeros((n_categories, mem.feature_dim), dtype=np.float64),
-            np.zeros(n_categories, dtype=bool),
-        )
-    centroids, counts = compute_centroids(mem.queue, n_categories)
+    if len(mem.rows) == 0:
+        return np.zeros((n_categories, mem.feature_dim)), np.zeros(n_categories, dtype=bool)
+    centroids, counts = compute_centroids(mem.rows.features, mem.rows.probs, n_categories)
     return centroids, counts > 0
 
 
@@ -422,12 +419,13 @@ class BiMemState:
         """(lt_centroids, lt_mask, st_centroids, st_mask), gated for use.
 
         Masks are all-false while the warm-up is running or while a source
-        does not yet cover every category.
+        does not yet cover every category. The queue centroids are computed
+        only once the warm-up is over; until then they are zeros.
         """
-        st_centroids, st_present = short_term_summary(self.short_term, self.n_categories)
         if not self.backward_ready:
             zeros = np.zeros(self.n_categories, dtype=bool)
-            return self.long_term.centroids, zeros, st_centroids, zeros
+            return self.long_term.centroids, zeros, np.zeros_like(self.long_term.centroids), zeros
+        st_centroids, st_present = short_term_summary(self.short_term, self.n_categories)
         return (
             self.long_term.centroids,
             _full_coverage_mask(self.long_term.initialized),
@@ -435,9 +433,18 @@ class BiMemState:
             _full_coverage_mask(st_present),
         )
 
+    def calibrate(
+        self, features: np.ndarray, probs: np.ndarray, flows: FlowConfig, warnings: dict[str, int]
+    ) -> tuple[np.ndarray, bool]:
+        """``sensory_calibration_probs`` from the gated sources; steps and evaluations share it."""
+        lt_centroids, lt_mask, st_centroids, st_mask = self.backward_sources()
+        return sensory_calibration_probs(
+            features, probs, lt_centroids, lt_mask, st_centroids, st_mask, flows, warnings
+        )
+
 
 def bimem_step(
-    state: BiMemState, batch: list[MemorySlot], flows: FlowConfig
+    state: BiMemState, ids: np.ndarray, features: np.ndarray, probs: np.ndarray, flows: FlowConfig
 ) -> tuple[np.ndarray, bool]:
     """One full forward-memorization + backward-calibration pass.
 
@@ -451,29 +458,19 @@ def bimem_step(
     during warm-up or with backward flows disabled).
     """
     state.steps += 1
-    evicted_sensory = state.sensory.refresh(batch)
-    evicted_short: list[MemorySlot] = []
+    evicted_sensory = state.sensory.refresh(ids, features, probs)
+    batch = state.sensory.rows
     if flows.sm_to_st:
-        n_select = min(state.top_n, len(state.sensory.slots))
-        selected = select_hard(state.sensory, n_select)
+        selected = select_hard(state.sensory, min(state.top_n, len(batch)))
         evicted_short = state.short_term.push(selected)
+    else:
+        evicted_short = Rows.empty(state.feature_dim, state.n_categories)
     long_term_consolidate(state.long_term, evicted_sensory, evicted_short, flows)
     if flows.st_from_lt and state.backward_ready:
-        if state.long_term.initialized.all():
-            calibrate_short_term(state.short_term, state.long_term, state.warnings)
-        else:
-            state.warnings["short_term_calibration_skipped"] = (
-                state.warnings.get("short_term_calibration_skipped", 0) + 1
-            )
-    lt_centroids, lt_mask, st_centroids, st_mask = state.backward_sources()
-    features = np.stack([slot.feature for slot in state.sensory.slots])
-    probs = np.stack([slot.prob for slot in state.sensory.slots])
-    calibrated, applied = sensory_calibration_probs(
-        features, probs, lt_centroids, lt_mask, st_centroids, st_mask, flows, state.warnings
-    )
+        calibrate_short_term(state.short_term, state.long_term, state.warnings)
+    calibrated, applied = state.calibrate(batch.features, batch.probs, flows, state.warnings)
     if applied:
-        for slot, row in zip(state.sensory.slots, calibrated):
-            slot.prob = row
+        batch.probs = calibrated
     return calibrated, applied
 
 
@@ -485,11 +482,11 @@ def _slot_to_dict(slot: MemorySlot) -> dict:
     }
 
 
-def _slot_from_dict(entry: dict) -> MemorySlot:
-    return MemorySlot(
-        sample_id=int(entry["sample_id"]),
-        feature=np.asarray(entry["feature"], dtype=np.float64),
-        prob=np.asarray(entry["prob"], dtype=np.float64),
+def _rows_from_dicts(entries: list[dict], feature_dim: int, n_categories: int) -> Rows:
+    return Rows(
+        np.array([int(e["sample_id"]) for e in entries], dtype=np.int64),
+        np.array([e["feature"] for e in entries], dtype=np.float64).reshape(-1, feature_dim),
+        np.array([e["prob"] for e in entries], dtype=np.float64).reshape(-1, n_categories),
     )
 
 
@@ -526,8 +523,9 @@ def state_from_snapshot(snapshot: dict) -> BiMemState:
         warmup=int(snapshot["warmup"]),
     )
     state.steps = int(snapshot["steps"])
-    state.sensory.slots = [_slot_from_dict(e) for e in snapshot["sensory"]]
-    state.short_term.queue = [_slot_from_dict(e) for e in snapshot["short_term"]]
+    dims = (state.feature_dim, state.n_categories)
+    state.sensory.rows = _rows_from_dicts(snapshot["sensory"], *dims)
+    state.short_term.rows = _rows_from_dicts(snapshot["short_term"], *dims)
     state.long_term.centroids = np.asarray(snapshot["long_term"]["centroids"], dtype=np.float64)
     state.long_term.initialized = np.asarray(snapshot["long_term"]["initialized"], dtype=bool)
     state.warnings = {str(k): int(v) for k, v in snapshot.get("warnings", {}).items()}

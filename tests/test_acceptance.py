@@ -29,6 +29,12 @@ def random_prob_rows(rng, n, c):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
+def random_rows(rng, n, d, c):
+    """(features (n, d), probs (n, c)), drawn one row at a time."""
+    drawn = [(rng.normal(size=d), random_prob_rows(rng, 1, c)[0]) for _ in range(n)]
+    return np.stack([f for f, _ in drawn]), np.stack([p for _, p in drawn])
+
+
 def test_criterion_1_invariant_battery():
     """Every module-level invariant, exercised in one fast battery."""
     start = time.monotonic()
@@ -78,12 +84,10 @@ def test_criterion_1_invariant_battery():
     )
     pushed = evicted = 0
     for step in range(60):
-        batch = [
-            memory.MemorySlot(step * 8 + i, rng.normal(size=2), random_prob_rows(rng, 1, 3)[0])
-            for i in range(8)
-        ]
+        ids = np.arange(step * 8, step * 8 + 8)
+        feats, batch_probs = random_rows(rng, 8, 2, 3)
         before = len(state.short_term.queue)
-        probs, _ = memory.bimem_step(state, batch, FlowConfig.all_enabled())
+        probs, _ = memory.bimem_step(state, ids, feats, batch_probs, FlowConfig.all_enabled())
         after = len(state.short_term.queue)
         assert after <= state.short_term.capacity
         pushed += 3
@@ -103,16 +107,12 @@ def test_criterion_1_invariant_battery():
     assert np.all(weights[:, 1] == 0.0)
 
     # centroid permutation invariance and convex hull membership
-    slots = [
-        memory.MemorySlot(i, rng.normal(size=3), random_prob_rows(rng, 1, 3)[0])
-        for i in range(15)
-    ]
-    c1, n1 = memory.compute_centroids(slots, 3)
-    perm = [slots[i] for i in rng.permutation(15)]
-    c2, n2 = memory.compute_centroids(perm, 3)
+    feats, slot_probs = random_rows(rng, 15, 3, 3)
+    c1, n1 = memory.compute_centroids(feats, slot_probs, 3)
+    perm = rng.permutation(15)
+    c2, n2 = memory.compute_centroids(feats[perm], slot_probs[perm], 3)
     np.testing.assert_allclose(c1, c2, atol=1e-12)
-    feats = np.stack([s.feature for s in slots])
-    labels = np.array([numerics.argmax_label(s.prob) for s in slots])
+    labels = np.array([numerics.argmax_label(p) for p in slot_probs])
     for c in range(3):
         if n1[c]:
             group = feats[labels == c]
@@ -124,8 +124,8 @@ def test_criterion_1_invariant_battery():
     lt.centroids[:] = rng.normal(size=(3, 3))
     lt.initialized[:] = True
     old = lt.centroids.copy()
-    fresh, counts = memory.compute_centroids(slots, 3)
-    lt.consolidate(slots)
+    fresh, counts = memory.compute_centroids(feats, slot_probs, 3)
+    lt.consolidate(feats, slot_probs)
     for c in range(3):
         if counts[c]:
             lo = np.minimum(old[c], fresh[c]) - 1e-12
@@ -134,13 +134,10 @@ def test_criterion_1_invariant_battery():
 
     # all-flows-off step is an identity on memories and probabilities
     state = memory.BiMemState.create(3, 2, 8, 2, 0.9)
-    batch = [
-        memory.MemorySlot(i, rng.normal(size=2), random_prob_rows(rng, 1, 3)[0])
-        for i in range(4)
-    ]
-    probs, applied = memory.bimem_step(state, batch, FlowConfig.none())
+    feats, batch_probs = random_rows(rng, 4, 2, 3)
+    probs, applied = memory.bimem_step(state, np.arange(4), feats, batch_probs, FlowConfig.none())
     assert not applied
-    np.testing.assert_array_equal(probs, np.stack([s.prob for s in batch]))
+    np.testing.assert_array_equal(probs, batch_probs)
     assert state.short_term.queue == [] and not state.long_term.initialized.any()
 
     # label reweighting argmax is invariant to positive per-sample scaling
@@ -189,11 +186,9 @@ def test_criterion_1_invariant_battery():
         st = memory.BiMemState.create(3, 2, 8, 2, 0.9, warmup=1)
         r = np.random.default_rng(5)
         for step in range(10):
-            b = [
-                memory.MemorySlot(step * 4 + i, r.normal(size=2), random_prob_rows(r, 1, 3)[0])
-                for i in range(4)
-            ]
-            memory.bimem_step(st, b, FlowConfig.all_enabled())
+            feats, probs = random_rows(r, 4, 2, 3)
+            ids = np.arange(step * 4, step * 4 + 4)
+            memory.bimem_step(st, ids, feats, probs, FlowConfig.all_enabled())
         return json.dumps(memory.state_to_snapshot(st), sort_keys=True)
 
     assert snapshot_run() == snapshot_run()

@@ -1,6 +1,7 @@
 """Tests for the adaptation loops, baselines, traces, and the ablation grid."""
 
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from bimem.adapt import (
 from bimem.data import gen_shifted_gaussians
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
+
+GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_bimem_trace.csv"
 
 
 def tiny_instance(seed=0, n_per_class=20, c=3, d=2):
@@ -64,6 +67,16 @@ class TestAdaptConfigValidation:
             AdaptConfig(batch_size=512, queue_capacity=256).validate()
         with pytest.raises(InvalidArgumentError):
             AdaptConfig(top_n=0).validate()
+
+    def test_top_n_defaults_to_batch_size(self):
+        AdaptConfig(batch_size=16).validate()
+        target, preds = tiny_instance()
+        queued = []
+        run_bimem(
+            target, preds, tiny_cfg(batch_size=16, top_n=None, iterations=1),
+            step_hook=lambda t, state, *rest: queued.append(len(state.short_term.queue)),
+        )
+        assert queued == [16]
 
     def test_rate_ranges(self):
         for bad in (dict(lr=0.0), dict(gamma=1.0), dict(gamma_prime=-0.1),
@@ -187,6 +200,19 @@ class TestRunBimem:
         )
         with pytest.raises(DataError):
             run_bimem(target, partial, tiny_cfg())
+
+    def test_trace_matches_golden_bytes(self, tmp_path):
+        """The committed trace pins the bytes across commits, not just reruns.
+
+        The run fills the 16-slot queue after 4 steps, evicts from then on and
+        calibrates most steps after the 8-step warm-up. Seed 3 with 100 samples
+        per class gives a trace whose accuracies still move late in the run.
+        """
+        target, preds = tiny_instance(seed=3, n_per_class=100)
+        cfg = tiny_cfg(iterations=200, warmup_iterations=8, seed=3)
+        _, trace = run_bimem(target, preds, cfg)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == GOLDEN_TRACE.read_bytes()
 
 
 class TestVanilla:

@@ -12,7 +12,7 @@ from bimem.memory import (
     BiMemState,
     FlowConfig,
     LongTermCentroids,
-    MemorySlot,
+    Rows,
     SensoryMemory,
     ShortTermMemory,
     bimem_step,
@@ -26,78 +26,86 @@ from bimem.memory import (
 )
 
 
-def slot(sid, feature, prob):
-    return MemorySlot(sid, np.asarray(feature, dtype=float), np.asarray(prob, dtype=float))
+def rows(spec):
+    """Rows from ``(sample_id, feature, prob)`` triples."""
+    ids, features, probs = zip(*spec)
+    return Rows(np.array(ids), np.array(features, dtype=float), np.array(probs, dtype=float))
 
 
-def random_slots(rng, n, c=3, d=2, start_id=0):
-    out = []
+def random_rows(rng, n, c=3, d=2, start_id=0):
+    spec = []
     for i in range(n):
         raw = rng.random(c) + 1e-3
-        out.append(slot(start_id + i, rng.normal(size=d), raw / raw.sum()))
-    return out
+        spec.append((start_id + i, rng.normal(size=d), raw / raw.sum()))
+    return rows(spec)
+
+
+def refresh(mem, batch):
+    return mem.refresh(batch.ids, batch.features, batch.probs)
+
+
+def run_step(state, batch, flows):
+    return bimem_step(state, batch.ids, batch.features, batch.probs, flows)
 
 
 class TestSensoryRefresh:
     def test_first_iteration_evicts_nothing(self):
         mem = SensoryMemory(feature_dim=2, n_categories=2)
-        batch = [slot(i, [float(i), 0.0], [0.5, 0.5]) for i in range(4)]
-        assert mem.refresh(batch) == []
+        batch = rows([(i, [float(i), 0.0], [0.5, 0.5]) for i in range(4)])
+        assert len(refresh(mem, batch)) == 0
         assert len(mem.slots) == 4
 
     def test_swap_semantics(self):
         mem = SensoryMemory(feature_dim=1, n_categories=2)
-        a = [slot(0, [1.0], [1.0, 0.0])]
-        b = [slot(1, [2.0], [0.0, 1.0])]
-        mem.refresh(a)
-        evicted = mem.refresh(b)
-        assert evicted == a
-        assert mem.slots == b
+        a = rows([(0, [1.0], [1.0, 0.0])])
+        b = rows([(1, [2.0], [0.0, 1.0])])
+        refresh(mem, a)
+        evicted = refresh(mem, b)
+        assert evicted.ids.tolist() == [0] and evicted.probs.tolist() == [[1.0, 0.0]]
+        assert [(s.sample_id, s.prob.tolist()) for s in mem.slots] == [(1, [0.0, 1.0])]
 
     def test_empty_batch_rejected(self):
         mem = SensoryMemory(feature_dim=1, n_categories=2)
         with pytest.raises(InvalidArgumentError):
-            mem.refresh([])
+            mem.refresh(np.zeros(0, dtype=int), np.zeros((0, 1)), np.zeros((0, 2)))
 
     def test_dimension_mismatch_rejected(self):
+        """Wrong shapes and rows off the simplex are both rejected at the batch boundary."""
         mem = SensoryMemory(feature_dim=2, n_categories=2)
-        with pytest.raises(InvalidArgumentError):
-            mem.refresh([slot(0, [1.0], [0.5, 0.5])])
+        feature = [[1.0, 0.0]]
+        for ids, features, probs in [
+            ([0], [[1.0]], [[0.5, 0.5]]),  # feature dimension
+            ([0, 1], feature, [[0.5, 0.5]]),  # ids longer than the rows
+            ([0], feature, [[0.6, 0.6]]),  # off the simplex
+            ([0], feature, [[1.5, -0.5]]),  # negative probability
+            ([0], feature, [[np.nan, 1.0]]),  # NaN probability
+        ]:
+            with pytest.raises(InvalidArgumentError):
+                mem.refresh(np.array(ids), np.array(features), np.array(probs))
+        assert len(mem.slots) == 0
 
 
 class TestSelectHard:
     def test_uniform_maximizes_entropy(self):
         mem = SensoryMemory(1, 2)
-        mem.refresh(
-            [
-                slot(0, [0.0], [0.9, 0.1]),
-                slot(1, [0.0], [0.5, 0.5]),
-                slot(2, [0.0], [0.7, 0.3]),
-            ]
-        )
+        refresh(mem, rows([(0, [0.0], [0.9, 0.1]), (1, [0.0], [0.5, 0.5]), (2, [0.0], [0.7, 0.3])]))
         picked = select_hard(mem, 1)
-        assert picked[0].sample_id == 1
+        assert picked.ids.tolist() == [1]
 
     def test_all_slots_entropy_sorted(self):
         mem = SensoryMemory(1, 2)
-        mem.refresh(
-            [
-                slot(0, [0.0], [0.9, 0.1]),
-                slot(1, [0.0], [0.5, 0.5]),
-                slot(2, [0.0], [0.7, 0.3]),
-            ]
-        )
+        refresh(mem, rows([(0, [0.0], [0.9, 0.1]), (1, [0.0], [0.5, 0.5]), (2, [0.0], [0.7, 0.3])]))
         picked = select_hard(mem, 3)
-        assert [s.sample_id for s in picked] == [1, 2, 0]
+        assert picked.ids.tolist() == [1, 2, 0]
 
     def test_tie_breaks_to_lower_sample_id(self):
         mem = SensoryMemory(1, 2)
-        mem.refresh([slot(5, [0.0], [0.6, 0.4]), slot(2, [1.0], [0.6, 0.4])])
-        assert select_hard(mem, 1)[0].sample_id == 2
+        refresh(mem, rows([(5, [0.0], [0.6, 0.4]), (2, [1.0], [0.6, 0.4])]))
+        assert select_hard(mem, 1).ids.tolist() == [2]
 
     def test_out_of_range_rejected(self):
         mem = SensoryMemory(1, 2)
-        mem.refresh([slot(0, [0.0], [0.5, 0.5])])
+        refresh(mem, rows([(0, [0.0], [0.5, 0.5])]))
         with pytest.raises(InvalidArgumentError):
             select_hard(mem, 0)
         with pytest.raises(InvalidArgumentError):
@@ -107,29 +115,29 @@ class TestSelectHard:
 class TestShortTermQueue:
     def test_fifo_eviction(self):
         st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
-        a, b, c, d = (slot(i, [float(i)], [0.5, 0.5]) for i in range(4))
-        st.push([a, b, c])
-        evicted = st.push([d])
-        assert [s.sample_id for s in evicted] == [a.sample_id]
+        a, b, c, d = (rows([(i, [float(i)], [0.5, 0.5])]) for i in range(4))
+        st.push(Rows.concat([a, b, c]))
+        evicted = st.push(d)
+        assert evicted.ids.tolist() == a.ids.tolist()
         assert [s.sample_id for s in st.queue] == [1, 2, 3]
 
     def test_warmup_no_eviction_until_full(self):
         st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
-        st.push([slot(0, [0.0], [0.5, 0.5])])
-        evicted = st.push([slot(1, [1.0], [0.5, 0.5]), slot(2, [2.0], [0.5, 0.5])])
-        assert evicted == []
+        st.push(rows([(0, [0.0], [0.5, 0.5])]))
+        evicted = st.push(rows([(1, [1.0], [0.5, 0.5]), (2, [2.0], [0.5, 0.5])]))
+        assert len(evicted) == 0
         assert len(st.queue) == 3
 
     def test_multi_eviction_order(self):
         st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
-        st.push([slot(i, [float(i)], [0.5, 0.5]) for i in range(3)])
-        evicted = st.push([slot(3, [3.0], [0.5, 0.5]), slot(4, [4.0], [0.5, 0.5])])
-        assert [s.sample_id for s in evicted] == [0, 1]
+        st.push(rows([(i, [float(i)], [0.5, 0.5]) for i in range(3)]))
+        evicted = st.push(rows([(3, [3.0], [0.5, 0.5]), (4, [4.0], [0.5, 0.5])]))
+        assert evicted.ids.tolist() == [0, 1]
 
     def test_oversized_push_rejected(self):
         st = ShortTermMemory(capacity=1, feature_dim=1, n_categories=2)
         with pytest.raises(InvalidArgumentError):
-            st.push([slot(0, [0.0], [0.5, 0.5]), slot(1, [1.0], [0.5, 0.5])])
+            st.push(rows([(0, [0.0], [0.5, 0.5]), (1, [1.0], [0.5, 0.5])]))
 
     def test_enqueued_minus_evicted_equals_queue_length(self):
         rng = np.random.default_rng(0)
@@ -138,7 +146,7 @@ class TestShortTermQueue:
         sid = 0
         for _ in range(50):
             n = int(rng.integers(1, 5))
-            batch = random_slots(rng, n, start_id=sid)
+            batch = random_rows(rng, n, start_id=sid)
             sid += n
             evicted = st.push(batch)
             pushed += n
@@ -149,41 +157,41 @@ class TestShortTermQueue:
 
 class TestComputeCentroids:
     def test_arithmetic_mean(self):
-        slots = [
-            slot(0, [1.0, 0.0], [0.9, 0.1]),
-            slot(1, [3.0, 0.0], [0.8, 0.2]),
-            slot(2, [0.0, 2.0], [0.1, 0.9]),
-        ]
-        centroids, counts = compute_centroids(slots, 2)
+        batch = rows([
+            (0, [1.0, 0.0], [0.9, 0.1]),
+            (1, [3.0, 0.0], [0.8, 0.2]),
+            (2, [0.0, 2.0], [0.1, 0.9]),
+        ])
+        centroids, counts = compute_centroids(batch.features, batch.probs, 2)
         np.testing.assert_allclose(centroids[0], [2.0, 0.0])
         np.testing.assert_allclose(centroids[1], [0.0, 2.0])
         assert counts.tolist() == [2, 1]
 
     def test_single_slot(self):
-        centroids, counts = compute_centroids([slot(0, [1.5], [0.2, 0.8])], 2)
+        centroids, counts = compute_centroids(np.array([[1.5]]), np.array([[0.2, 0.8]]), 2)
         np.testing.assert_allclose(centroids[1], [1.5])
         assert counts.tolist() == [0, 1]
 
     def test_empty_class_flagged_absent(self):
-        centroids, counts = compute_centroids([slot(0, [1.0], [0.9, 0.1, 0.0])], 3)
+        centroids, counts = compute_centroids(np.array([[1.0]]), np.array([[0.9, 0.1, 0.0]]), 3)
         assert counts[2] == 0
         np.testing.assert_array_equal(centroids[2], [0.0])
 
     def test_empty_slots_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            compute_centroids([], 2)
+            compute_centroids(np.zeros((0, 1)), np.zeros((0, 2)), 2)
 
     def test_permutation_invariance_and_convex_hull(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            slots = random_slots(rng, 12, c=3, d=4)
-            c1, n1 = compute_centroids(slots, 3)
-            perm = [slots[i] for i in rng.permutation(12)]
-            c2, n2 = compute_centroids(perm, 3)
+            batch = random_rows(rng, 12, c=3, d=4)
+            features = batch.features
+            c1, n1 = compute_centroids(features, batch.probs, 3)
+            perm = rng.permutation(12)
+            c2, n2 = compute_centroids(features[perm], batch.probs[perm], 3)
             np.testing.assert_allclose(c1, c2, atol=1e-12)
             assert n1.tolist() == n2.tolist()
-            features = np.stack([s.feature for s in slots])
-            labels = np.array([numerics.argmax_label(s.prob) for s in slots])
+            labels = np.array([numerics.argmax_label(p) for p in batch.probs])
             for c in range(3):
                 if n1[c] == 0:
                     continue
@@ -197,12 +205,12 @@ class TestLongTermConsolidate:
         lt = LongTermCentroids(1, 2, momentum=0.5)
         lt.centroids[0] = [1.0, 1.0]
         lt.initialized[0] = True
-        lt.consolidate([slot(0, [3.0, 3.0], [1.0])])
+        lt.consolidate(np.array([[3.0, 3.0]]), np.array([[1.0]]))
         np.testing.assert_allclose(lt.centroids[0], [2.0, 2.0])
 
     def test_first_write_sets_flag(self):
         lt = LongTermCentroids(2, 1, momentum=0.5)
-        lt.consolidate([slot(0, [5.0], [1.0, 0.0])])
+        lt.consolidate(np.array([[5.0]]), np.array([[1.0, 0.0]]))
         assert lt.initialized[0]
         assert not lt.initialized[1]
         np.testing.assert_allclose(lt.centroids[0], [5.0])
@@ -212,13 +220,13 @@ class TestLongTermConsolidate:
         lt = LongTermCentroids(1, 1, momentum=0.9)
         lt.centroids[0] = [0.0]
         lt.initialized[0] = True
-        lt.consolidate([slot(0, [10.0], [1.0])])
+        lt.consolidate(np.array([[10.0]]), np.array([[1.0]]))
         np.testing.assert_allclose(lt.centroids[0], [1.0], atol=1e-12)
 
     def test_flow_gating(self):
         lt = LongTermCentroids(2, 1, momentum=0.5)
-        sens = [slot(0, [1.0], [1.0, 0.0])]
-        short = [slot(1, [2.0], [0.0, 1.0])]
+        sens = rows([(0, [1.0], [1.0, 0.0])])
+        short = rows([(1, [2.0], [0.0, 1.0])])
         long_term_consolidate(lt, sens, short, FlowConfig(sm_to_lt=True, st_to_lt=False))
         assert lt.initialized[0] and not lt.initialized[1]
         long_term_consolidate(lt, sens, short, FlowConfig(sm_to_lt=False, st_to_lt=True))
@@ -226,7 +234,7 @@ class TestLongTermConsolidate:
 
     def test_empty_contributors_noop(self):
         lt = LongTermCentroids(2, 1, momentum=0.5)
-        long_term_consolidate(lt, [], [], FlowConfig.all_enabled())
+        long_term_consolidate(lt, Rows.empty(1, 2), Rows.empty(1, 2), FlowConfig.all_enabled())
         assert not lt.initialized.any()
 
     def test_update_is_componentwise_convex_combination(self):
@@ -237,9 +245,9 @@ class TestLongTermConsolidate:
             lt.centroids[:] = rng.normal(size=(2, 3))
             lt.initialized[:] = True
             old = lt.centroids.copy()
-            contributors = random_slots(rng, 6, c=2, d=3)
-            fresh, counts = compute_centroids(contributors, 2)
-            lt.consolidate(contributors)
+            contributors = random_rows(rng, 6, c=2, d=3)
+            fresh, counts = compute_centroids(contributors.features, contributors.probs, 2)
+            lt.consolidate(contributors.features, contributors.probs)
             for c in range(2):
                 if counts[c] == 0:
                     np.testing.assert_array_equal(lt.centroids[c], old[c])
@@ -253,7 +261,7 @@ class TestCalibrateShortTerm:
     def test_uniform_prob_passes_weights_through(self):
         # softmax(-1, -2) by independent computation
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
-        st.push([slot(0, [1.0], [0.5, 0.5])])
+        st.push(rows([(0, [1.0], [0.5, 0.5])]))
         lt = LongTermCentroids(2, 1, momentum=0.5)
         lt.centroids[:] = [[0.0], [3.0]]
         lt.initialized[:] = True
@@ -271,7 +279,7 @@ class TestCalibrateShortTerm:
 
     def test_equidistant_prob_unchanged(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
-        st.push([slot(0, [1.5], [0.3, 0.7])])
+        st.push(rows([(0, [1.5], [0.3, 0.7])]))
         lt = LongTermCentroids(2, 1, momentum=0.5)
         lt.centroids[:] = [[0.0], [3.0]]
         lt.initialized[:] = True
@@ -280,19 +288,25 @@ class TestCalibrateShortTerm:
 
     def test_no_initialized_centroid_skips_with_warning(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
-        st.push([slot(0, [1.0], [0.4, 0.6])])
+        st.push(rows([(0, [1.0], [0.4, 0.6])]))
         lt = LongTermCentroids(2, 1, momentum=0.5)
         warnings = {}
         calibrate_short_term(st, lt, warnings)
         np.testing.assert_array_equal(st.queue[0].prob, [0.4, 0.6])
         assert warnings["short_term_calibration_skipped"] == 1
+        # One category short of full coverage still skips.
+        lt.initialized[0] = True
+        calibrate_short_term(st, lt, warnings)
+        np.testing.assert_array_equal(st.queue[0].prob, [0.4, 0.6])
+        assert warnings["short_term_calibration_skipped"] == 2
 
     def test_degenerate_product_falls_back_to_uniform(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
-        st.push([slot(0, [0.0], [0.0, 1.0])])
+        st.push(rows([(0, [0.0], [0.0, 1.0])]))
         lt = LongTermCentroids(2, 1, momentum=0.5)
-        lt.centroids[:] = [[0.0], [3.0]]
-        lt.initialized[0] = True  # class 1 uninitialized: weight 0 where prob mass is
+        # exp(-800) underflows: weight 0 where the prob mass is.
+        lt.centroids[:] = [[0.0], [800.0]]
+        lt.initialized[:] = True
         warnings = {}
         calibrate_short_term(st, lt, warnings)
         np.testing.assert_allclose(st.queue[0].prob, [0.5, 0.5])
@@ -388,20 +402,16 @@ class TestCalibrateSensory:
         assert warnings["sensory_calibration_skipped"] == 1
 
     def test_buffer_op_writes_calibrated_probs_back(self):
-        from bimem.memory import calibrate_sensory
-
-        mem = SensoryMemory(1, 2)
-        mem.refresh([slot(0, [0.0], [0.5, 0.5]), slot(1, [2.0], [0.9, 0.1])])
-        lt = self._lt([[0.0], [2.0]])
-        probs, applied = calibrate_sensory(
-            mem, lt, lt.centroids.copy(), np.array([True, True]),
-            FlowConfig.all_enabled(), {},
-        )
+        # scores (0, -2) -> softmax by independent computation
+        state = make_state()
+        state.long_term = self._lt([[0.0], [2.0]])
+        flows = FlowConfig(False, False, False, False, True, False)  # SM<-LT only
+        probs, applied = run_step(state, rows([(0, [0.0], [0.5, 0.5]), (1, [2.0], [0.9, 0.1])]), flows)
         assert applied
         np.testing.assert_allclose(
-            probs[0], [0.9820137900379085, 0.017986209962091555], atol=1e-12
+            probs[0], [0.8807970779778823, 0.11920292202211755], atol=1e-12
         )
-        for s, row in zip(mem.slots, probs):
+        for s, row in zip(state.sensory.slots, probs):
             np.testing.assert_array_equal(s.prob, row)
 
     def test_partial_masks_zero_missing_categories(self):
@@ -469,15 +479,15 @@ BATCH_TWO = [
 ]
 
 
-def as_slots(spec_rows):
-    return [slot(sid, [f], list(p)) for sid, f, p in spec_rows]
+def as_rows(spec_rows):
+    return rows([(sid, [f], list(p)) for sid, f, p in spec_rows])
 
 
 class TestBimemStep:
     def test_all_flows_off_is_identity_on_memories_and_probs(self):
         state = make_state()
-        batch = as_slots(BATCH_ONE)
-        probs, applied = bimem_step(state, batch, FlowConfig.none())
+        batch = as_rows(BATCH_ONE)
+        probs, applied = run_step(state, batch, FlowConfig.none())
         assert not applied
         np.testing.assert_array_equal(probs, np.array([p for _, _, p in BATCH_ONE]))
         assert state.short_term.queue == []
@@ -486,23 +496,24 @@ class TestBimemStep:
 
     def test_first_iteration_warmup_trace(self):
         state = make_state(capacity=8, top_n=2)
-        bimem_step(state, as_slots(BATCH_ONE), FlowConfig.all_enabled())
+        run_step(state, as_rows(BATCH_ONE), FlowConfig.all_enabled())
         # Top-2 entropies: id 1 (uniform), then id 3.
         assert [s.sample_id for s in state.short_term.queue] == [1, 3]
         # Nothing evicted yet, so long-term is still empty.
         assert not state.long_term.initialized.any()
-        bimem_step(state, as_slots(BATCH_TWO), FlowConfig.all_enabled())
+        run_step(state, as_rows(BATCH_TWO), FlowConfig.all_enabled())
         # Second step consolidates the evicted sensory batch only (queue has
         # not reached capacity).
         assert state.long_term.initialized.all()
-        expected, _ = compute_centroids(as_slots(BATCH_ONE), 2)
+        batch_one = as_rows(BATCH_ONE)
+        expected, _ = compute_centroids(batch_one.features, batch_one.probs, 2)
         np.testing.assert_allclose(state.long_term.centroids, expected, atol=1e-12)
 
     def test_two_scripted_iterations_match_straight_line_reference(self):
         state = make_state(capacity=3, top_n=2, momentum=0.5, warmup=0)
         flows = FlowConfig.all_enabled()
-        bimem_step(state, as_slots(BATCH_ONE), flows)
-        probs, applied = bimem_step(state, as_slots(BATCH_TWO), flows)
+        run_step(state, as_rows(BATCH_ONE), flows)
+        probs, applied = run_step(state, as_rows(BATCH_TWO), flows)
         assert applied
 
         ref = _straight_line_two_steps()
@@ -518,8 +529,8 @@ class TestBimemStep:
             state = make_state(c=3, d=2, capacity=5, top_n=2)
             rng = np.random.default_rng(42)
             for step in range(6):
-                batch = random_slots(rng, 4, c=3, d=2, start_id=step * 4)
-                bimem_step(state, batch, FlowConfig.all_enabled())
+                batch = random_rows(rng, 4, c=3, d=2, start_id=step * 4)
+                run_step(state, batch, FlowConfig.all_enabled())
             return json.dumps(memory.state_to_snapshot(state), sort_keys=True)
 
         assert run() == run()
@@ -528,8 +539,8 @@ class TestBimemStep:
         rng = np.random.default_rng(5)
         state = make_state(c=3, d=2, capacity=6, top_n=2)
         for step in range(30):
-            batch = random_slots(rng, 4, c=3, d=2, start_id=step * 4)
-            probs, _ = bimem_step(state, batch, FlowConfig.all_enabled())
+            batch = random_rows(rng, 4, c=3, d=2, start_id=step * 4)
+            probs, _ = run_step(state, batch, FlowConfig.all_enabled())
             for row in probs:
                 numerics.check_prob_vector(row)
             for s in state.sensory.slots + state.short_term.queue:
@@ -540,11 +551,11 @@ class TestBimemStep:
         flows = FlowConfig.all_enabled()
         for i, batch in enumerate([BATCH_ONE, BATCH_TWO, BATCH_ONE]):
             shifted = [(sid + 10 * i, f, p) for sid, f, p in batch]
-            probs, applied = bimem_step(state, as_slots(shifted), flows)
+            probs, applied = run_step(state, as_rows(shifted), flows)
             assert not applied
             np.testing.assert_array_equal(probs, [p for _, _, p in shifted])
         assert state.long_term.initialized.all()
-        _, applied = bimem_step(state, as_slots(BATCH_TWO), flows)
+        _, applied = run_step(state, as_rows(BATCH_TWO), flows)
         assert applied
 
 
@@ -616,8 +627,8 @@ class TestSnapshotRoundTrip:
         rng = np.random.default_rng(6)
         state = make_state(c=3, d=2, capacity=5, top_n=2, momentum=0.9, warmup=4)
         for step in range(8):
-            batch = random_slots(rng, 4, c=3, d=2, start_id=step * 4)
-            bimem_step(state, batch, FlowConfig.all_enabled())
+            batch = random_rows(rng, 4, c=3, d=2, start_id=step * 4)
+            run_step(state, batch, FlowConfig.all_enabled())
         snap = memory.state_to_snapshot(state)
         restored = memory.state_from_snapshot(json.loads(json.dumps(snap)))
         assert memory.state_to_snapshot(restored) == snap
@@ -634,7 +645,7 @@ class TestSnapshotRoundTrip:
 
     def test_save_and_load_file(self, tmp_path):
         state = make_state()
-        bimem_step(state, as_slots(BATCH_ONE), FlowConfig.all_enabled())
+        run_step(state, as_rows(BATCH_ONE), FlowConfig.all_enabled())
         path = tmp_path / "memory.json"
         memory.save_snapshot(state, path)
         restored = memory.load_snapshot(path)

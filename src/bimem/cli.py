@@ -81,6 +81,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _read_adaptation_inputs(args, n_categories: int):
+    """Target set and black-box predictions, both checked against ``n_categories``."""
+    target = data.read_dataset(args.target, n_categories=n_categories)
+    preds = blackbox.read_predictions(args.preds)
+    if preds.n_categories != n_categories:
+        raise DataError(
+            f"{args.preds} has {preds.n_categories} probability columns, "
+            f"config n_categories is {n_categories}"
+        )
+    return target, preds
+
+
 def cmd_adapt(args) -> int:
     overrides = {}
     if args.method is not None:
@@ -88,8 +100,7 @@ def cmd_adapt(args) -> int:
     resolved = config.resolve(args.config, overrides)
     _print_resolved(resolved)
     cfg = config.adapt_config(resolved)
-    target = data.read_dataset(args.target, n_categories=resolved["n_categories"])
-    preds = blackbox.read_predictions(args.preds)
+    target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     _, trace = adapt.run(target, preds, cfg)
     trace.to_csv(args.out)
     final = trace.rows[-1]
@@ -111,8 +122,7 @@ def cmd_ablate(args) -> int:
     if not seeds:
         raise ConfigError("--seeds must contain at least one seed")
     base_cfg = config.adapt_config({**resolved, "method": "bimem"})
-    target = data.read_dataset(args.target, n_categories=resolved["n_categories"])
-    preds = blackbox.read_predictions(args.preds)
+    target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     rows = adapt.run_ablation_suite(target, preds, base_cfg, seeds)
     adapt.write_ablation_table(rows, args.out)
     for row in rows:

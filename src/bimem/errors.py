@@ -9,13 +9,6 @@ class InvalidArgumentError(BimemError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class DegenerateCalibrationError(BimemError, ArithmeticError):
-    """Reweighting produced an all-zero probability vector.
-
-    Callers fall back to the uniform vector and count the event.
-    """
-
-
 class DataError(BimemError, ValueError):
     """A data file is malformed or inconsistent.
 

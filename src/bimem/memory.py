@@ -260,7 +260,7 @@ def centroid_weights(features: np.ndarray, lt: LongTermCentroids) -> np.ndarray:
     init = lt.initialized
     if not init.any():
         raise InvalidArgumentError("no initialized long-term centroid")
-    dists = np.abs(features[:, None, :] - lt.centroids[None, init, :]).sum(axis=2)
+    dists = numerics.l1_distances(features, lt.centroids[init])
     weights = np.zeros((features.shape[0], lt.n_categories), dtype=np.float64)
     weights[:, init] = numerics.softmax_rows(-dists)
     return weights
@@ -325,7 +325,7 @@ def sensory_calibration_probs(
     for enabled, centroids, mask in ((flows.sm_from_lt, lt_centroids, lt_mask),
                                      (flows.sm_from_st, st_centroids, st_mask)):
         if enabled and mask.any():
-            scores[:, mask] -= np.abs(features[:, None, :] - centroids[None, mask, :]).sum(axis=2)
+            scores[:, mask] -= numerics.l1_distances(features, centroids[mask])
             participating |= mask
     if not participating.any():
         if flows.sm_from_lt or flows.sm_from_st:

@@ -1,4 +1,4 @@
-"""Accuracy metrics, subset decomposition, degradation statistics, reports."""
+"""Accuracy metrics, the subset partition identity, degradation statistics, reports."""
 
 from __future__ import annotations
 
@@ -24,23 +24,6 @@ def accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
     if pred.shape[0] == 0:
         raise InvalidArgumentError("accuracy of empty sequences is undefined")
     return float((pred == true).mean())
-
-
-def subset_accuracy(
-    predictions: np.ndarray,
-    truth: np.ndarray,
-    ids: np.ndarray,
-    subset_ids: np.ndarray,
-) -> float | None:
-    """Accuracy restricted to ``subset_ids``; None marks an empty subset."""
-    ids = np.asarray(ids)
-    subset = np.asarray(subset_ids)
-    if subset.shape[0] == 0:
-        return None
-    mask = np.isin(ids, subset)
-    if mask.sum() != subset.shape[0]:
-        raise InvalidArgumentError("subset ids must be a subset of evaluated ids")
-    return accuracy(np.asarray(predictions)[mask], np.asarray(truth)[mask])
 
 
 def peak_final_drop(trace, column: str) -> float:

@@ -109,25 +109,6 @@ def forward_batch(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, 
     return features, probs
 
 
-def forward(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass; returns (feature, prob)."""
-    xv = numerics.as_float_array(x, "x")
-    if xv.shape[0] != params.layout.input_dim:
-        raise InvalidArgumentError(
-            f"input dimension {xv.shape[0]} != layout input_dim {params.layout.input_dim}"
-        )
-    features, probs = forward_batch(params, xv[None, :])
-    return features[0], probs[0]
-
-
-def cross_entropy_loss(prob: np.ndarray, label: int) -> float:
-    """Negative log probability of ``label``, floored at 1e-12."""
-    p = numerics.check_prob_vector(prob)
-    if not (0 <= label < p.shape[0]):
-        raise InvalidArgumentError(f"label {label} out of range for {p.shape[0]} categories")
-    return float(-np.log(max(float(p[label]), PROB_FLOOR)))
-
-
 def batch_loss(params: ClassifierParams, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the current parameters."""
     _, probs = forward_batch(params, x)
@@ -215,15 +196,15 @@ def save_params(params: ClassifierParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> ClassifierParams:
     payload = json.loads(Path(path).read_text())
     layout = Layout(**payload["layout"])
-    out_w = np.asarray(payload["out_w"], dtype=np.float64)
-    out_b = np.asarray(payload["out_b"], dtype=np.float64)
-    hidden_w = hidden_b = None
-    if layout.hidden_dim > 0:
-        hidden_w = np.asarray(payload["hidden_w"], dtype=np.float64)
-        hidden_b = np.asarray(payload["hidden_b"], dtype=np.float64)
-        if hidden_w.shape != (layout.hidden_dim, layout.input_dim):
-            raise InvalidArgumentError(f"checkpoint hidden_w shape {hidden_w.shape} inconsistent")
-    expected_out = (layout.n_categories, layout.feature_dim)
-    if out_w.shape != expected_out:
-        raise InvalidArgumentError(f"checkpoint out_w shape {out_w.shape} != {expected_out}")
-    return ClassifierParams(layout, hidden_w, hidden_b, out_w, out_b)
+    h, c = layout.hidden_dim, layout.n_categories
+    expected = {"out_w": (c, layout.feature_dim), "out_b": (c,)}
+    if h > 0:
+        expected.update(hidden_w=(h, layout.input_dim), hidden_b=(h,))
+    arrays = {}
+    for name, shape in expected.items():
+        arrays[name] = np.asarray(payload[name], dtype=np.float64)
+        if arrays[name].shape != shape:
+            raise InvalidArgumentError(f"checkpoint {name} shape {arrays[name].shape} != {shape}")
+    return ClassifierParams(
+        layout, arrays.get("hidden_w"), arrays.get("hidden_b"), arrays["out_w"], arrays["out_b"]
+    )

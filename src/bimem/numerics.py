@@ -11,7 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCalibrationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 # Default equality tolerance for float comparisons throughout the package.
 DEFAULT_TOL = 1e-9
@@ -19,25 +19,15 @@ DEFAULT_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
 
 
-def as_float_array(values: Sequence[float] | np.ndarray, name: str = "values") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidArgumentError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
-
-
-def check_finite(arr: np.ndarray, name: str = "values") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return arr
-
-
 def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.ndarray:
     """Validate and return ``p`` as a probability vector (float64 copy-free)."""
-    arr = as_float_array(p, name)
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InvalidArgumentError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidArgumentError(f"{name} must have at least one category")
-    check_finite(arr, name)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{name} contains non-finite entries")
     if np.any(arr < 0.0):
         raise InvalidArgumentError(f"{name} has negative entries")
     total = float(arr.sum())
@@ -46,74 +36,20 @@ def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.nd
     return arr
 
 
-def softmax(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Normalized exponentials of ``scores``, stabilized by max subtraction."""
-    arr = as_float_array(scores, "scores")
-    if arr.size == 0:
-        raise InvalidArgumentError("scores must not be empty")
-    check_finite(arr, "scores")
-    shifted = arr - arr.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for a 2-D score matrix (internal hot-path variant)."""
+    """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction."""
     shifted = scores - scores.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def entropy(p: Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy of a probability vector in nats, with 0·log 0 = 0."""
-    arr = check_prob_vector(p)
-    positive = arr[arr > 0.0]
-    value = float(-(positive * np.log(positive)).sum())
-    return max(0.0, value)
-
-
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-wise entropy in nats for a matrix of probability vectors."""
+    """Row-wise entropy in nats for a matrix of probability vectors, 0·log 0 = 0."""
     safe = np.where(probs > 0.0, probs, 1.0)
     values = -(probs * np.log(safe)).sum(axis=1)
     return np.maximum(values, 0.0)
 
 
-def l1_distance(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Sum of absolute coordinate differences."""
-    av = as_float_array(a, "a")
-    bv = as_float_array(b, "b")
-    if av.shape != bv.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.abs(av - bv).sum())
-
-
-def argmax_label(p: Sequence[float] | np.ndarray) -> int:
-    """Index of the largest entry; ties break to the lowest index."""
-    arr = as_float_array(p, "p")
-    if arr.size == 0:
-        raise InvalidArgumentError("cannot take argmax of an empty vector")
-    check_finite(arr, "p")
-    return int(np.argmax(arr))
-
-
-def reweight_normalize(
-    p: Sequence[float] | np.ndarray, w: Sequence[float] | np.ndarray
-) -> np.ndarray:
-    """Elementwise product of ``p`` and ``w``, rescaled onto the simplex.
-
-    Raises DegenerateCalibrationError when every product is zero; callers
-    substitute the uniform vector and count the event.
-    """
-    pv = check_prob_vector(p)
-    wv = as_float_array(w, "w")
-    check_finite(wv, "w")
-    if wv.shape != pv.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {pv.shape} vs {wv.shape}")
-    if np.any(wv < 0.0):
-        raise InvalidArgumentError("weights must be nonnegative")
-    raw = pv * wv
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise DegenerateCalibrationError("all reweighted probabilities are zero")
-    return raw / total
+def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(n, k)`` sums of absolute coordinate differences, row ``i`` to centroid ``j``."""
+    return np.abs(features[:, None, :] - centroids[None, :, :]).sum(axis=2)

@@ -1,12 +1,19 @@
-"""Session fixtures shared by the acceptance criteria (expensive runs cached)."""
+"""Session fixtures shared by the acceptance criteria (expensive runs cached), and
+the Hypothesis profile every property test runs under."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import bimem
 from bimem.adapt import AdaptConfig
+
+# Property tests draw the same examples on every run and read no saved
+# examples, so a stored failure from another checkout cannot change a verdict.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_SHIFT = np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])

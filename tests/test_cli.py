@@ -178,6 +178,34 @@ class TestExitCodes:
         ) == 2
         capsys.readouterr()
 
+    def test_prediction_category_count_mismatch_exit_2(self, workdir, capsys):
+        tmp, cfg = workdir
+        out = tmp / "run"
+        run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
+        run_cli("train-source", str(out / "source.csv"), "--config", cfg,
+                "--out", str(out / "model.json"))
+        run_cli("predict", str(out / "model.json"), str(out / "target.csv"),
+                "--config", cfg, "--out", str(out / "preds.csv"))
+        five_class = tmp / "five.json"
+        five_class.write_text(json.dumps({**TINY_CONFIG, "n_categories": 5}))
+        # The 3-class predictions padded with two zero-probability columns.
+        lines = (out / "preds.csv").read_text().splitlines()
+        padded = [lines[0] + ",p3,p4"] + [line + ",0,0" for line in lines[1:]]
+        (out / "preds5.csv").write_text("\n".join(padded) + "\n")
+        capsys.readouterr()
+        for command, config, preds in (
+            ("adapt", str(five_class), "preds.csv"),
+            ("adapt", cfg, "preds5.csv"),
+            ("ablate", str(five_class), "preds.csv"),
+            ("ablate", cfg, "preds5.csv"),
+        ):
+            assert run_cli(
+                command, str(out / "target.csv"), str(out / preds),
+                "--config", config, "--out", str(tmp / "x.csv"),
+            ) == 2
+            assert "n_categories" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
     def test_report_empty_input_exit_1(self, capsys):
         assert run_cli("report", "--out", "s.csv") == 1
         capsys.readouterr()

@@ -191,7 +191,7 @@ class TestComputeCentroids:
             c2, n2 = compute_centroids(features[perm], batch.probs[perm], 3)
             np.testing.assert_allclose(c1, c2, atol=1e-12)
             assert n1.tolist() == n2.tolist()
-            labels = np.array([numerics.argmax_label(p) for p in batch.probs])
+            labels = batch.probs.argmax(axis=1)
             for c in range(3):
                 if n1[c] == 0:
                     continue

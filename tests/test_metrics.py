@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from bimem import metrics
-from bimem.adapt import RunTrace, TraceRow
+from bimem import metrics, model
+from bimem.adapt import RunTrace, TraceRow, _TraceEvaluator
+from bimem.blackbox import PredictionSet
+from bimem.data import LabeledDataset
 from bimem.errors import DataError, InvalidArgumentError
 
 
@@ -43,48 +45,51 @@ class TestAccuracy:
             metrics.accuracy(np.array([]), np.array([]))
 
 
+def evaluator_row(pred, truth, yhat):
+    """``_TraceEvaluator.row`` for a student that predicts ``pred``.
+
+    The student is linear with identity weights on one-hot features of
+    ``pred``. The black-box labels ``yhat`` split the samples into the
+    initially correct and incorrect subsets.
+    """
+    pred, truth, yhat = (np.asarray(v) for v in (pred, truth, yhat))
+    c = int(max(pred.max(), truth.max(), yhat.max())) + 1
+    ids = np.arange(5, 5 + len(pred))
+    target = LabeledDataset(ids, np.eye(c)[pred], truth)
+    preds = PredictionSet(ids, yhat, np.eye(c)[yhat])
+    student = model.init_params(model.Layout(c, 0, c), np.random.default_rng(0))
+    student.out_w[:] = np.eye(c)
+    student.out_b[:] = 0.0
+    return _TraceEvaluator(target, preds).row(0, student, yhat)
+
+
 class TestSubsetAccuracy:
     def test_full_subset_equals_overall(self):
-        ids = np.array([5, 6, 7, 8])
-        pred = np.array([0, 1, 0, 1])
-        truth = np.array([0, 1, 1, 1])
-        assert metrics.subset_accuracy(pred, truth, ids, ids) == metrics.accuracy(
-            pred, truth
+        pred, truth = [0, 1, 0, 1], [0, 1, 1, 1]
+        row = evaluator_row(pred, truth, yhat=truth)
+        assert row.acc_init_correct == row.acc_all == metrics.accuracy(
+            np.array(pred), np.array(truth)
         )
 
     def test_singleton(self):
-        ids = np.array([5, 6])
-        assert metrics.subset_accuracy(
-            np.array([0, 1]), np.array([0, 0]), ids, np.array([5])
-        ) == 1.0
-        assert metrics.subset_accuracy(
-            np.array([0, 1]), np.array([0, 0]), ids, np.array([6])
-        ) == 0.0
+        # Sample 0 is initially correct and predicted right, sample 1 the opposite.
+        row = evaluator_row([0, 1], [0, 0], yhat=[0, 1])
+        assert row.acc_init_correct == 1.0
+        assert row.acc_init_incorrect == 0.0
 
     def test_empty_subset_is_none_not_exception(self):
-        out = metrics.subset_accuracy(
-            np.array([0]), np.array([0]), np.array([5]), np.array([], dtype=int)
-        )
-        assert out is None
+        assert evaluator_row([0], [0], yhat=[0]).acc_init_incorrect is None
+        assert evaluator_row([0], [0], yhat=[1]).acc_init_correct is None
 
     def test_partition_identity(self):
         rng = np.random.default_rng(0)
-        ids = np.arange(40)
         pred = rng.integers(0, 3, size=40)
         truth = rng.integers(0, 3, size=40)
-        sub_a = ids[:15]
-        sub_b = ids[15:]
-        acc_a = metrics.subset_accuracy(pred, truth, ids, sub_a)
-        acc_b = metrics.subset_accuracy(pred, truth, ids, sub_b)
-        overall = metrics.accuracy(pred, truth)
-        combined = (15 * acc_a + 25 * acc_b) / 40
-        assert combined == pytest.approx(overall, abs=1e-9)
-
-    def test_non_subset_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            metrics.subset_accuracy(
-                np.array([0]), np.array([0]), np.array([5]), np.array([99])
-            )
+        # The first 15 black-box labels are right, the other 25 wrong.
+        yhat = np.where(np.arange(40) < 15, truth, (truth + 1) % 3)
+        row = evaluator_row(pred, truth, yhat)
+        combined = (15 * row.acc_init_correct + 25 * row.acc_init_incorrect) / 40
+        assert combined == pytest.approx(row.acc_all, abs=1e-9)
 
 
 class TestPeakFinalDrop:

@@ -1,5 +1,6 @@
 """Tests for the classifier, loss, analytic gradients, and EMA updates."""
 
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from bimem.model import (
     Layout,
     MomentumModel,
     batch_loss,
-    cross_entropy_loss,
-    forward,
+    forward_batch,
     init_params,
     load_params,
     loss_gradients,
@@ -49,28 +49,39 @@ def finite_difference_gradients(params, x, labels, step=1e-5):
     return grads
 
 
+def one_row(x):
+    return np.asarray(x, dtype=float)[None, :]
+
+
+def identity_loss(logits, label):
+    """``batch_loss`` of one sample whose logits are ``logits``: a linear model with W = I."""
+    params = zero_params(Layout(len(logits), 0, len(logits)))
+    params.out_w[:] = np.eye(len(logits))
+    return batch_loss(params, one_row(logits), np.array([label]))
+
+
 class TestForward:
     def test_zero_weights_give_uniform(self):
         for hidden in (0, 8):
             params = zero_params(Layout(3, hidden, 4))
-            _, prob = forward(params, [1.0, -2.0, 0.5])
-            np.testing.assert_allclose(prob, [0.25] * 4)
+            _, prob = forward_batch(params, one_row([1.0, -2.0, 0.5]))
+            np.testing.assert_allclose(prob[0], [0.25] * 4)
 
     def test_linear_feature_is_input(self):
         params = zero_params(Layout(2, 0, 3))
-        feature, _ = forward(params, [1.5, -0.5])
-        np.testing.assert_array_equal(feature, [1.5, -0.5])
+        feature, _ = forward_batch(params, one_row([1.5, -0.5]))
+        np.testing.assert_array_equal(feature[0], [1.5, -0.5])
 
     def test_identity_weight_logits(self):
         params = zero_params(Layout(2, 0, 2))
         params.out_w[:] = np.eye(2)
-        _, prob = forward(params, [0.0, -4.0])
-        np.testing.assert_allclose(prob, SOFTMAX_0_4, atol=1e-12)
+        _, prob = forward_batch(params, one_row([0.0, -4.0]))
+        np.testing.assert_allclose(prob[0], SOFTMAX_0_4, atol=1e-12)
 
     def test_dimension_mismatch(self):
         params = zero_params(Layout(2, 0, 2))
         with pytest.raises(InvalidArgumentError):
-            forward(params, [1.0, 2.0, 3.0])
+            forward_batch(params, one_row([1.0, 2.0, 3.0]))
 
     def test_forward_always_emits_valid_prob(self):
         from bimem import numerics
@@ -80,45 +91,41 @@ class TestForward:
             layout = Layout(int(rng.integers(1, 5)), int(rng.choice([0, 6])), int(rng.integers(2, 5)))
             params = init_params(layout, rng)
             x = rng.normal(size=layout.input_dim) * 10
-            _, prob = forward(params, x)
-            numerics.check_prob_vector(prob)
+            _, prob = forward_batch(params, one_row(x))
+            numerics.check_prob_vector(prob[0])
 
     def test_hidden_feature_is_tanh_activation(self):
         rng = np.random.default_rng(2)
         layout = Layout(3, 5, 2)
         params = init_params(layout, rng)
         x = rng.normal(size=3)
-        feature, _ = forward(params, x)
+        feature, _ = forward_batch(params, one_row(x))
         np.testing.assert_allclose(
-            feature, np.tanh(params.hidden_w @ x + params.hidden_b), atol=1e-12
+            feature[0], np.tanh(params.hidden_w @ x + params.hidden_b), atol=1e-12
         )
 
 
 class TestCrossEntropyLoss:
     def test_one_hot_is_zero(self):
-        assert cross_entropy_loss(np.array([0.0, 1.0]), 1) == 0.0
+        # exp(-1000) underflows, so the label's probability is exactly 1.
+        assert identity_loss([-1000.0, 0.0], 1) == 0.0
 
     def test_uniform_is_ln2(self):
-        assert cross_entropy_loss(np.array([0.5, 0.5]), 0) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+        assert identity_loss([0.0, 0.0], 0) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_derived_value(self):
         # -ln(0.9820137900379085) by independent computation
-        assert cross_entropy_loss(np.array(SOFTMAX_0_4), 0) == pytest.approx(
-            0.01814992791780973, abs=1e-12
-        )
+        assert identity_loss([0.0, -4.0], 0) == pytest.approx(0.01814992791780973, abs=1e-12)
 
     def test_probability_floor(self):
-        assert cross_entropy_loss(np.array([1.0, 0.0]), 1) == pytest.approx(
-            -math.log(1e-12)
-        )
+        # The label's probability underflows to 0 and is floored at 1e-12.
+        assert identity_loss([0.0, -1000.0], 1) == pytest.approx(-math.log(1e-12))
 
     def test_invalid_label(self):
-        with pytest.raises(InvalidArgumentError):
-            cross_entropy_loss(np.array([0.5, 0.5]), 2)
-        with pytest.raises(InvalidArgumentError):
-            cross_entropy_loss(np.array([0.5, 0.5]), -1)
+        params = zero_params(Layout(2, 0, 2))
+        for label in (2, -1):
+            with pytest.raises(InvalidArgumentError):
+                loss_gradients(params, one_row([0.5, 0.5]), np.array([label]))
 
 
 class TestSgdStep:
@@ -249,6 +256,23 @@ class TestCheckpoint:
         assert loaded.hidden_w is None
         for a, b in zip(loaded.arrays(), params.arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_bias_shape_mismatch_rejected(self, tmp_path):
+        # Length-1 biases would broadcast silently; a length-2 out_b with 3
+        # classes would fail later inside numpy.
+        rng = np.random.default_rng(12)
+        path = tmp_path / "model.json"
+        for layout, key, bias in (
+            (Layout(3, 7, 4), "hidden_b", [0.0]),
+            (Layout(3, 7, 4), "out_b", [0.0]),
+            (Layout(3, 0, 3), "out_b", [0.0, 0.0]),
+        ):
+            save_params(init_params(layout, rng), path)
+            payload = json.loads(path.read_text())
+            payload[key] = bias
+            path.write_text(json.dumps(payload))
+            with pytest.raises(InvalidArgumentError, match=key):
+                load_params(path)
 
     def test_initialization_is_deterministic_and_bounded(self):
         a = init_params(Layout(4, 5, 3), np.random.default_rng([7, 0]))

@@ -325,7 +325,7 @@ def run_bimem(
 
     def full_set_denoised() -> np.ndarray:
         feats, probs = model.forward_batch(mm.params, inputs.features)
-        cal, applied = state.calibrate(feats, probs, flows, {})
+        cal, applied = state.calibrate(feats, probs, flows)
         return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
 
     rows = [evaluator.row(0, student, full_set_denoised())]

@@ -202,8 +202,8 @@ class LongTermCentroids:
     """Per-category feature centroids accumulated by momentum averaging.
 
     ``momentum`` weights the old centroid; a category's first contribution is
-    written through unchanged. Uninitialized categories hold a zero vector
-    and are excluded from every calibration distance.
+    written through unchanged. Uninitialized categories hold a zero vector;
+    calibration reads the centroids only once every category is initialized.
     """
 
     n_categories: int
@@ -250,20 +250,17 @@ def long_term_consolidate(
     return lt
 
 
-def centroid_weights(features: np.ndarray, lt: LongTermCentroids) -> np.ndarray:
-    """Distance-softmax calibration weights against the long-term centroids.
+def centroid_weights(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Distance-softmax calibration weights against ``centroids``.
 
-    Row ``i`` holds softmax over initialized categories of the negative L1
-    distance between ``features[i]`` and each centroid; uninitialized
-    categories get weight 0, so every row sums to 1 over initialized ones.
+    Row ``i`` is the softmax of the negative L1 distances between
+    ``features[i]`` and each centroid.
     """
-    init = lt.initialized
-    if not init.any():
-        raise InvalidArgumentError("no initialized long-term centroid")
-    dists = numerics.l1_distances(features, lt.centroids[init])
-    weights = np.zeros((features.shape[0], lt.n_categories), dtype=np.float64)
-    weights[:, init] = numerics.softmax_rows(-dists)
-    return weights
+    return numerics.softmax_rows(-numerics.l1_distances(features, centroids))
+
+
+def _count(warnings: dict[str, int], key: str, n: int = 1) -> None:
+    warnings[key] = warnings.get(key, 0) + n
 
 
 def _reweight_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
@@ -282,80 +279,46 @@ def _reweight_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
 
 
 def calibrate_short_term(
-    mem: ShortTermMemory, lt: LongTermCentroids, warnings: dict[str, int]
+    mem: ShortTermMemory, lt_centroids: np.ndarray | None, warnings: dict[str, int]
 ) -> ShortTermMemory:
     """Reweight every queued probability by long-term distance weights.
 
-    Skipped with a warning until long-term memory covers every category.
+    Skipped with a warning when the long-term source is not usable (None).
     """
-    if not lt.initialized.all():
-        warnings["short_term_calibration_skipped"] = warnings.get("short_term_calibration_skipped", 0) + 1
+    if lt_centroids is None:
+        _count(warnings, "short_term_calibration_skipped")
         return mem
     if len(mem.rows) == 0:
         return mem
-    weights = centroid_weights(mem.rows.features, lt)
+    weights = centroid_weights(mem.rows.features, lt_centroids)
     mem.rows.probs, n_degenerate = _reweight_rows(mem.rows.probs, weights)
     if n_degenerate:
-        warnings["degenerate_reweight"] = warnings.get("degenerate_reweight", 0) + n_degenerate
+        _count(warnings, "degenerate_reweight", n_degenerate)
     return mem
 
 
 def sensory_calibration_probs(
-    features: np.ndarray,
-    probs: np.ndarray,
-    lt_centroids: np.ndarray,
-    lt_mask: np.ndarray,
-    st_centroids: np.ndarray,
-    st_mask: np.ndarray,
-    flows: FlowConfig,
-    warnings: dict[str, int],
+    features: np.ndarray, probs: np.ndarray, sources: list[np.ndarray]
 ) -> tuple[np.ndarray, bool]:
     """New category probabilities for sensory features from centroid distances.
 
-    Each enabled backward source contributes the negative L1 distance to its
-    centroid for the categories its mask marks present; the scores are
-    softmaxed over the categories that received at least one term, and the
-    rest get probability 0. Returns ``(probs, calibrated)`` where
-    ``calibrated`` is False when no source was available and the inputs pass
-    through unchanged.
+    Category ``c`` scores the negative L1 distance to centroid ``c`` summed
+    over ``sources``, and each row is softmaxed. Returns ``(probs,
+    calibrated)`` where ``calibrated`` is False when no source was given and
+    the inputs pass through unchanged.
     """
-    n, n_categories = probs.shape
-    participating = np.zeros(n_categories, dtype=bool)
-    scores = np.zeros((n, n_categories), dtype=np.float64)
-    for enabled, centroids, mask in ((flows.sm_from_lt, lt_centroids, lt_mask),
-                                     (flows.sm_from_st, st_centroids, st_mask)):
-        if enabled and mask.any():
-            scores[:, mask] -= numerics.l1_distances(features, centroids[mask])
-            participating |= mask
-    if not participating.any():
-        if flows.sm_from_lt or flows.sm_from_st:
-            warnings["sensory_calibration_skipped"] = warnings.get("sensory_calibration_skipped", 0) + 1
+    if not sources:
         return probs.copy(), False
-    out = np.zeros_like(probs)
-    out[:, participating] = numerics.softmax_rows(scores[:, participating])
-    return out, True
+    scores = -sum(numerics.l1_distances(features, centroids) for centroids in sources)
+    return numerics.softmax_rows(scores), True
 
 
-def short_term_summary(mem: ShortTermMemory, n_categories: int) -> tuple[np.ndarray, np.ndarray]:
-    """Queue centroids plus presence flags; all-absent when the queue is empty."""
+def short_term_summary(mem: ShortTermMemory, n_categories: int) -> np.ndarray | None:
+    """Queue centroids, or None while the queue does not hold every category."""
     if len(mem.rows) == 0:
-        return np.zeros((n_categories, mem.feature_dim)), np.zeros(n_categories, dtype=bool)
+        return None
     centroids, counts = compute_centroids(mem.rows.features, mem.rows.probs, n_categories)
-    return centroids, counts > 0
-
-
-def _full_coverage_mask(mask: np.ndarray) -> np.ndarray:
-    """A backward source is usable only once it represents every category.
-
-    Calibrating from a partial source zeroes the missing categories out of
-    every stored probability; since consolidation categories come from those
-    stored probabilities, a category absent at the first calibration could
-    never be remembered again. Gating on full coverage makes the warm-up
-    phase train on the raw black-box labels instead.
-    """
-    if mask.all():
-        return mask
-    return np.zeros_like(mask)
+    return centroids if counts.all() else None
 
 
 @dataclass
@@ -415,32 +378,48 @@ class BiMemState:
     def backward_ready(self) -> bool:
         return self.steps > self.warmup
 
-    def backward_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lt_centroids, lt_mask, st_centroids, st_mask), gated for use.
+    def backward_sources(
+        self, rectify_queue: bool = False
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(long-term centroids, queue centroids), each None while it cannot be used.
 
-        Masks are all-false while the warm-up is running or while a source
-        does not yet cover every category. The queue centroids are computed
-        only once the warm-up is over; until then they are zeros.
+        This is the one readiness gate of the backward flows. A source is
+        None during the warm-up and while it does not represent every
+        category. Calibrating from a partial source would zero the missing
+        categories out of every stored probability; since consolidation
+        categories come from those stored probabilities, a category absent at
+        the first calibration could never be remembered again. Gating on full
+        coverage makes the warm-up phase train on the raw black-box labels
+        instead.
+
+        With ``rectify_queue`` the long-term source first reweights the queue
+        (``calibrate_short_term``), so the queue centroids are taken from the
+        rectified probabilities. Nothing is computed during the warm-up.
         """
         if not self.backward_ready:
-            zeros = np.zeros(self.n_categories, dtype=bool)
-            return self.long_term.centroids, zeros, np.zeros_like(self.long_term.centroids), zeros
-        st_centroids, st_present = short_term_summary(self.short_term, self.n_categories)
-        return (
-            self.long_term.centroids,
-            _full_coverage_mask(self.long_term.initialized),
-            st_centroids,
-            _full_coverage_mask(st_present),
-        )
+            return None, None
+        lt_centroids = self.long_term.centroids if self.long_term.initialized.all() else None
+        if rectify_queue:
+            calibrate_short_term(self.short_term, lt_centroids, self.warnings)
+        return lt_centroids, short_term_summary(self.short_term, self.n_categories)
 
     def calibrate(
-        self, features: np.ndarray, probs: np.ndarray, flows: FlowConfig, warnings: dict[str, int]
+        self, features: np.ndarray, probs: np.ndarray, flows: FlowConfig, step: bool = False
     ) -> tuple[np.ndarray, bool]:
-        """``sensory_calibration_probs`` from the gated sources; steps and evaluations share it."""
-        lt_centroids, lt_mask, st_centroids, st_mask = self.backward_sources()
-        return sensory_calibration_probs(
-            features, probs, lt_centroids, lt_mask, st_centroids, st_mask, flows, warnings
-        )
+        """``sensory_calibration_probs`` from the enabled, usable sources.
+
+        Steps and evaluations share it. A step (``step=True``) also lets the
+        long-term source rectify the queue first when ``flows.st_from_lt`` is
+        on, and counts ``sensory_calibration_skipped`` when it is past the
+        warm-up with sensory flows enabled but no usable source. An
+        evaluation changes no state.
+        """
+        lt_centroids, st_centroids = self.backward_sources(step and flows.st_from_lt)
+        enabled = ((flows.sm_from_lt, lt_centroids), (flows.sm_from_st, st_centroids))
+        sources = [centroids for on, centroids in enabled if on and centroids is not None]
+        if step and not sources and self.backward_ready and (flows.sm_from_lt or flows.sm_from_st):
+            _count(self.warnings, "sensory_calibration_skipped")
+        return sensory_calibration_probs(features, probs, sources)
 
 
 def bimem_step(
@@ -452,7 +431,8 @@ def bimem_step(
     queue, consolidation of this step's evictions into the long-term
     centroids, queue calibration by the long-term memory, and sensory
     calibration by queue and long-term centroids. Backward flows engage only
-    once their source covers every category (see ``_full_coverage_mask``).
+    past the warm-up and once their source covers every category (see
+    ``BiMemState.backward_sources``).
     Returns the sensory buffer's probabilities after calibration and whether
     any backward flow actually touched them (False means pass-through, e.g.
     during warm-up or with backward flows disabled).
@@ -466,9 +446,7 @@ def bimem_step(
     else:
         evicted_short = Rows.empty(state.feature_dim, state.n_categories)
     long_term_consolidate(state.long_term, evicted_sensory, evicted_short, flows)
-    if flows.st_from_lt and state.backward_ready:
-        calibrate_short_term(state.short_term, state.long_term, state.warnings)
-    calibrated, applied = state.calibrate(batch.features, batch.probs, flows, state.warnings)
+    calibrated, applied = state.calibrate(batch.features, batch.probs, flows, step=True)
     if applied:
         batch.probs = calibrated
     return calibrated, applied

@@ -127,26 +127,14 @@ def loss_gradients(
         raise InvalidArgumentError("cannot compute gradients of an empty batch")
     if np.any(labels < 0) or np.any(labels >= params.layout.n_categories):
         raise InvalidArgumentError("labels out of range")
-    if params.layout.hidden_dim > 0:
-        hidden = np.tanh(x @ params.hidden_w.T + params.hidden_b)
-        logits = hidden @ params.out_w.T + params.out_b
-        probs = numerics.softmax_rows(logits)
-        dlogits = probs.copy()
-        dlogits[np.arange(n), labels] -= 1.0
-        dlogits /= n
-        g_out_w = dlogits.T @ hidden
-        g_out_b = dlogits.sum(axis=0)
-        dhidden = dlogits @ params.out_w
-        dpre = dhidden * (1.0 - hidden * hidden)
-        g_hidden_w = dpre.T @ x
-        g_hidden_b = dpre.sum(axis=0)
-        return [g_hidden_w, g_hidden_b, g_out_w, g_out_b]
-    logits = x @ params.out_w.T + params.out_b
-    probs = numerics.softmax_rows(logits)
-    dlogits = probs.copy()
+    features, dlogits = forward_batch(params, x)  # probabilities, made dL/dlogits in place
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    return [dlogits.T @ x, dlogits.sum(axis=0)]
+    g_out = [dlogits.T @ features, dlogits.sum(axis=0)]
+    if params.layout.hidden_dim == 0:
+        return g_out
+    dpre = (dlogits @ params.out_w) * (1.0 - features * features)
+    return [dpre.T @ x, dpre.sum(axis=0), *g_out]
 
 
 def sgd_step(

@@ -105,13 +105,10 @@ def test_criterion_1_invariant_battery():
         for s in state.sensory.slots + state.short_term.queue:
             numerics.check_prob_vector(s.prob)
 
-    # calibration weight rows sum to 1 over initialized categories
-    lt = memory.LongTermCentroids(4, 3, momentum=0.5)
-    lt.centroids[:] = rng.normal(size=(4, 3))
-    lt.initialized[:] = [True, False, True, True]
-    weights = memory.centroid_weights(rng.normal(size=(10, 3)), lt)
+    # calibration weight rows sum to 1 over a full centroid matrix
+    centroids = rng.normal(size=(4, 3))
+    weights = memory.centroid_weights(rng.normal(size=(10, 3)), centroids)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(weights[:, 1] == 0.0)
 
     # centroid permutation invariance and convex hull membership
     feats, slot_probs = random_rows(rng, 15, 3, 3)
@@ -163,15 +160,9 @@ def test_criterion_1_invariant_battery():
         probs = random_prob_rows(rng, 6, 4)
         ltc = rng.normal(size=(4, 3))
         stc = rng.normal(size=(4, 3))
-        masks = np.ones(4, dtype=bool)
         shift = rng.normal(size=3) * 5
-        base, _ = memory.sensory_calibration_probs(
-            feats, probs, ltc, masks, stc, masks, FlowConfig.all_enabled(), {}
-        )
-        moved, _ = memory.sensory_calibration_probs(
-            feats + shift, probs, ltc + shift, masks, stc + shift, masks,
-            FlowConfig.all_enabled(), {},
-        )
+        base, _ = memory.sensory_calibration_probs(feats, probs, [ltc, stc])
+        moved, _ = memory.sensory_calibration_probs(feats + shift, probs, [ltc + shift, stc + shift])
         np.testing.assert_allclose(base, moved, atol=1e-9)
 
     # trace partition identity at 1e-9 on a real run

@@ -25,7 +25,7 @@ from bimem.data import gen_shifted_gaussians
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
 
-GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_bimem_trace.csv"
+GOLDEN_DIR = Path(__file__).parent / "data"
 
 
 def tiny_instance(seed=0, n_per_class=20, c=3, d=2):
@@ -201,18 +201,28 @@ class TestRunBimem:
         with pytest.raises(DataError):
             run_bimem(target, partial, tiny_cfg())
 
-    def test_trace_matches_golden_bytes(self, tmp_path):
-        """The committed trace pins the bytes across commits, not just reruns.
+    @pytest.mark.parametrize(
+        "golden, classes, n_per_class",
+        [
+            pytest.param("golden_bimem_trace.csv", 3, 100, id="3c"),
+            pytest.param("golden_bimem_trace_8c.csv", 8, 40, id="8c"),
+        ],
+    )
+    def test_trace_matches_golden_bytes(self, tmp_path, golden, classes, n_per_class):
+        """The committed traces pin the bytes across commits, not just reruns.
 
-        The run fills the 16-slot queue after 4 steps, evicts from then on and
-        calibrates most steps after the 8-step warm-up. Seed 3 with 100 samples
-        per class gives a trace whose accuracies still move late in the run.
+        Both runs fill the 16-slot queue after 4 steps, evict from then on and
+        calibrate most steps after the 8-step warm-up (191 of 200 at 3
+        classes, 157 at 8). Seed 3 gives traces whose accuracies still move
+        late in the run. At 8 classes numpy sums each calibration softmax row
+        pairwise, a path the 3-class run never takes; the bytes are
+        accuracies, so a last-bit change that flips no label is not seen.
         """
-        target, preds = tiny_instance(seed=3, n_per_class=100)
+        target, preds = tiny_instance(seed=3, n_per_class=n_per_class, c=classes)
         cfg = tiny_cfg(iterations=200, warmup_iterations=8, seed=3)
         _, trace = run_bimem(target, preds, cfg)
         trace.to_csv(tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert (tmp_path / "trace.csv").read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 class TestVanilla:

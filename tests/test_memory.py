@@ -262,69 +262,53 @@ class TestCalibrateShortTerm:
         # softmax(-1, -2) by independent computation
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
         st.push(rows([(0, [1.0], [0.5, 0.5])]))
-        lt = LongTermCentroids(2, 1, momentum=0.5)
-        lt.centroids[:] = [[0.0], [3.0]]
-        lt.initialized[:] = True
-        calibrate_short_term(st, lt, {})
+        calibrate_short_term(st, np.array([[0.0], [3.0]]), {})
         np.testing.assert_allclose(
             st.queue[0].prob, [0.7310585786300049, 0.2689414213699951], atol=1e-12
         )
 
     def test_on_centroid_weight_dominates_with_gap(self):
-        lt = LongTermCentroids(2, 1, momentum=0.5)
-        lt.centroids[:] = [[0.0], [3.0]]
-        lt.initialized[:] = True
-        weights = centroid_weights(np.array([[0.0]]), lt)
+        weights = centroid_weights(np.array([[0.0]]), np.array([[0.0], [3.0]]))
         assert weights[0, 0] >= 0.9525741268224334 - 1e-12
 
     def test_equidistant_prob_unchanged(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
         st.push(rows([(0, [1.5], [0.3, 0.7])]))
-        lt = LongTermCentroids(2, 1, momentum=0.5)
-        lt.centroids[:] = [[0.0], [3.0]]
-        lt.initialized[:] = True
-        calibrate_short_term(st, lt, {})
+        calibrate_short_term(st, np.array([[0.0], [3.0]]), {})
         np.testing.assert_allclose(st.queue[0].prob, [0.3, 0.7], atol=1e-12)
 
     def test_no_initialized_centroid_skips_with_warning(self):
-        st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
-        st.push(rows([(0, [1.0], [0.4, 0.6])]))
-        lt = LongTermCentroids(2, 1, momentum=0.5)
-        warnings = {}
-        calibrate_short_term(st, lt, warnings)
-        np.testing.assert_array_equal(st.queue[0].prob, [0.4, 0.6])
-        assert warnings["short_term_calibration_skipped"] == 1
+        state = make_state(capacity=4)
+        state.short_term.push(rows([(0, [1.0], [0.4, 0.6])]))
+        state.steps = 1
+        lt_centroids, _ = state.backward_sources(rectify_queue=True)
+        assert lt_centroids is None
+        np.testing.assert_array_equal(state.short_term.queue[0].prob, [0.4, 0.6])
+        assert state.warnings["short_term_calibration_skipped"] == 1
         # One category short of full coverage still skips.
-        lt.initialized[0] = True
-        calibrate_short_term(st, lt, warnings)
-        np.testing.assert_array_equal(st.queue[0].prob, [0.4, 0.6])
-        assert warnings["short_term_calibration_skipped"] == 2
+        state.long_term.initialized[0] = True
+        lt_centroids, _ = state.backward_sources(rectify_queue=True)
+        assert lt_centroids is None
+        np.testing.assert_array_equal(state.short_term.queue[0].prob, [0.4, 0.6])
+        assert state.warnings["short_term_calibration_skipped"] == 2
 
     def test_degenerate_product_falls_back_to_uniform(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
         st.push(rows([(0, [0.0], [0.0, 1.0])]))
-        lt = LongTermCentroids(2, 1, momentum=0.5)
         # exp(-800) underflows: weight 0 where the prob mass is.
-        lt.centroids[:] = [[0.0], [800.0]]
-        lt.initialized[:] = True
         warnings = {}
-        calibrate_short_term(st, lt, warnings)
+        calibrate_short_term(st, np.array([[0.0], [800.0]]), warnings)
         np.testing.assert_allclose(st.queue[0].prob, [0.5, 0.5])
         assert warnings["degenerate_reweight"] == 1
 
     def test_weight_rows_sum_to_one_over_initialized(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            c, d = 5, 3
-            lt = LongTermCentroids(c, d, momentum=0.5)
-            lt.centroids[:] = rng.normal(size=(c, d))
-            lt.initialized[:] = rng.random(c) < 0.7
-            if not lt.initialized.any():
-                lt.initialized[0] = True
+            c, d = rng.integers(1, 7), 3
             features = rng.normal(size=(8, d))
-            weights = centroid_weights(features, lt)
+            weights = centroid_weights(features, rng.normal(size=(c, d)))
+            assert weights.shape == (8, c) and np.all(weights >= 0.0)
             np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(weights[:, ~lt.initialized] == 0.0)
 
 
 class TestCalibrateSensory:
@@ -336,16 +320,9 @@ class TestCalibrateSensory:
 
     def test_summed_distance_scores(self):
         # scores (0, -4) -> softmax by independent computation
-        lt = self._lt([[0.0], [2.0]])
+        centroids = np.array([[0.0], [2.0]])
         probs, applied = sensory_calibration_probs(
-            np.array([[0.0]]),
-            np.array([[0.5, 0.5]]),
-            lt.centroids,
-            lt.initialized,
-            lt.centroids.copy(),
-            np.array([True, True]),
-            FlowConfig.all_enabled(),
-            {},
+            np.array([[0.0]]), np.array([[0.5, 0.5]]), [centroids, centroids.copy()]
         )
         assert applied
         np.testing.assert_allclose(
@@ -353,53 +330,37 @@ class TestCalibrateSensory:
         )
 
     def test_equidistant_gives_uniform(self):
-        lt = self._lt([[-1.0], [1.0]])
+        centroids = np.array([[-1.0], [1.0]])
         probs, applied = sensory_calibration_probs(
-            np.array([[0.0]]),
-            np.array([[0.9, 0.1]]),
-            lt.centroids,
-            lt.initialized,
-            lt.centroids.copy(),
-            np.array([True, True]),
-            FlowConfig.all_enabled(),
-            {},
+            np.array([[0.0]]), np.array([[0.9, 0.1]]), [centroids, centroids.copy()]
         )
         assert applied
         np.testing.assert_allclose(probs[0], [0.5, 0.5], atol=1e-12)
 
     def test_disabled_backward_flows_identity(self):
-        lt = self._lt([[0.0], [2.0]])
+        state = make_state()
+        state.long_term = self._lt([[0.0], [2.0]])
+        state.steps = 1
         original = np.array([[0.3, 0.7]])
-        probs, applied = sensory_calibration_probs(
-            np.array([[0.0]]),
-            original,
-            lt.centroids,
-            lt.initialized,
-            lt.centroids.copy(),
-            np.array([True, True]),
-            FlowConfig(sm_from_lt=False, sm_from_st=False),
-            {},
-        )
+        flows = FlowConfig(sm_from_lt=False, sm_from_st=False)
+        probs, applied = state.calibrate(np.array([[0.0]]), original, flows, step=True)
         assert not applied
         np.testing.assert_array_equal(probs, original)
+        assert state.warnings == {}
 
     def test_no_present_centroid_warns_and_passes_through(self):
-        lt = LongTermCentroids(2, 1, momentum=0.5)
-        warnings = {}
+        state = make_state()
+        state.steps = 1
         original = np.array([[0.3, 0.7]])
-        probs, applied = sensory_calibration_probs(
-            np.array([[0.0]]),
-            original,
-            lt.centroids,
-            lt.initialized,
-            np.zeros((2, 1)),
-            np.array([False, False]),
-            FlowConfig.all_enabled(),
-            warnings,
+        probs, applied = state.calibrate(
+            np.array([[0.0]]), original, FlowConfig.all_enabled(), step=True
         )
         assert not applied
         np.testing.assert_array_equal(probs, original)
-        assert warnings["sensory_calibration_skipped"] == 1
+        assert state.warnings["sensory_calibration_skipped"] == 1
+        # An evaluation reads the same sources but counts nothing.
+        state.calibrate(np.array([[0.0]]), original, FlowConfig.all_enabled())
+        assert state.warnings["sensory_calibration_skipped"] == 1
 
     def test_buffer_op_writes_calibrated_probs_back(self):
         # scores (0, -2) -> softmax by independent computation
@@ -414,24 +375,6 @@ class TestCalibrateSensory:
         for s, row in zip(state.sensory.slots, probs):
             np.testing.assert_array_equal(s.prob, row)
 
-    def test_partial_masks_zero_missing_categories(self):
-        lt = LongTermCentroids(3, 1, momentum=0.5)
-        lt.centroids[:2] = [[0.0], [2.0]]
-        lt.initialized[:] = [True, True, False]
-        probs, applied = sensory_calibration_probs(
-            np.array([[0.0]]),
-            np.array([[0.2, 0.2, 0.6]]),
-            lt.centroids,
-            lt.initialized,
-            np.zeros((3, 1)),
-            np.zeros(3, dtype=bool),
-            FlowConfig.all_enabled(),
-            {},
-        )
-        assert applied
-        assert probs[0, 2] == 0.0
-        np.testing.assert_allclose(probs[0, :2].sum(), 1.0, atol=1e-12)
-
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -441,15 +384,10 @@ class TestCalibrateSensory:
             probs = raw / raw.sum(axis=1, keepdims=True)
             lt_centroids = rng.normal(size=(c, d))
             st_centroids = rng.normal(size=(c, d))
-            masks = np.ones(c, dtype=bool)
             shift = rng.normal(size=d) * 5
-            base, _ = sensory_calibration_probs(
-                features, probs, lt_centroids, masks, st_centroids, masks,
-                FlowConfig.all_enabled(), {},
-            )
+            base, _ = sensory_calibration_probs(features, probs, [lt_centroids, st_centroids])
             moved, _ = sensory_calibration_probs(
-                features + shift, probs, lt_centroids + shift, masks,
-                st_centroids + shift, masks, FlowConfig.all_enabled(), {},
+                features + shift, probs, [lt_centroids + shift, st_centroids + shift]
             )
             np.testing.assert_allclose(base, moved, atol=1e-9)
 
@@ -558,6 +496,18 @@ class TestBimemStep:
         _, applied = run_step(state, as_rows(BATCH_TWO), flows)
         assert applied
 
+    def test_warmup_steps_are_not_counted_as_skips(self):
+        flows = FlowConfig.all_enabled()
+        state = make_state(capacity=8, top_n=2, warmup=3)
+        for i, batch in enumerate([BATCH_ONE, BATCH_TWO, BATCH_ONE]):
+            run_step(state, as_rows([(sid + 10 * i, f, p) for sid, f, p in batch]), flows)
+        assert state.warnings == {}
+        # Without a warm-up the first step has no long-term source yet: a skip.
+        state = make_state(capacity=8, top_n=2, warmup=0)
+        _, applied = run_step(state, as_rows(BATCH_ONE), flows)
+        assert not applied
+        assert state.warnings == {"short_term_calibration_skipped": 1, "sensory_calibration_skipped": 1}
+
 
 def _softmax2(a, b):
     m = max(a, b)
@@ -659,6 +609,11 @@ class TestSnapshotRoundTrip:
 class TestShortTermSummary:
     def test_empty_queue_all_absent(self):
         st = ShortTermMemory(capacity=3, feature_dim=2, n_categories=3)
-        centroids, present = short_term_summary(st, 3)
-        assert not present.any()
-        np.testing.assert_array_equal(centroids, np.zeros((3, 2)))
+        assert short_term_summary(st, 3) is None
+
+    def test_partial_queue_is_none_full_queue_gives_centroids(self):
+        st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
+        st.push(rows([(0, [1.0], [0.9, 0.1]), (1, [3.0], [0.8, 0.2])]))
+        assert short_term_summary(st, 2) is None
+        st.push(rows([(2, [5.0], [0.1, 0.9])]))
+        np.testing.assert_array_equal(short_term_summary(st, 2), [[2.0], [5.0]])

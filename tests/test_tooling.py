@@ -1,0 +1,45 @@
+"""Checks on the shape of the source tree itself."""
+
+import ast
+from pathlib import Path
+
+import bimem
+
+SRC = Path(bimem.__file__).parent
+
+# Entry points reached from outside ``src``: the console script, the memory
+# snapshot files and the loss that the gradient checks differentiate.
+EXTERNAL = {
+    ("cli", "entry_point"),
+    ("memory", "save_snapshot"),
+    ("memory", "load_snapshot"),
+    ("model", "batch_loss"),
+}
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_module_level_definition_is_referenced_in_src():
+    """A function or class that no code in ``src`` names is dead or test-only."""
+    statements = []  # (module, top-level statement, names it references)
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append((path.stem, stmt, _referenced_names(stmt)))
+
+    unreferenced = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name in bimem.__all__ or (module, stmt.name) in EXTERNAL:
+            continue
+        if not any(stmt.name in names for _, other, names in statements if other is not stmt):
+            unreferenced.append(f"{module}.{stmt.name}")
+    assert unreferenced == []

@@ -90,6 +90,8 @@ class AdaptConfig:
             )
         if self.hidden_dim < 0:
             raise InvalidArgumentError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

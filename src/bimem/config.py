@@ -104,6 +104,8 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
                 "source_epochs", "source_batch_size", "iterations", "batch_size",
                 "queue_capacity", "eval_interval"):
         _require_int(resolved, key)
+    if resolved["seed"] < 0:
+        raise ConfigError(f"config key 'seed' must be >= 0, got {resolved['seed']}")
     _require_int(resolved, "top_n", allow_none=True)
     _require_int(resolved, "refresh_interval", allow_none=True)
     _require_int(resolved, "warmup_iterations", allow_none=True)

@@ -181,19 +181,19 @@ def compute_centroids(
     """Per-category mean features, with category = argmax of the stored prob.
 
     Returns ``(centroids, counts)``; a category with no contributors keeps a
-    zero centroid and count 0. Argmax ties go to the lowest category.
+    zero centroid and count 0. Argmax ties go to the lowest category. A
+    stable sort groups each category's rows in their stored order, so every
+    mean adds the same rows in the same order as a masked ``mean(axis=0)``.
     """
     if len(features) == 0:
         raise InvalidArgumentError("cannot compute centroids of an empty row set")
-    feature_dim = features.shape[1]
     labels = probs.argmax(axis=1)
-    centroids = np.zeros((n_categories, feature_dim), dtype=np.float64)
-    counts = np.zeros(n_categories, dtype=np.int64)
-    for c in range(n_categories):
-        mask = labels == c
-        counts[c] = int(mask.sum())
-        if counts[c] > 0:
-            centroids[c] = features[mask].mean(axis=0)
+    counts = np.bincount(labels, minlength=n_categories)
+    grouped = features[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(counts)
+    centroids = np.zeros((n_categories, features.shape[1]), dtype=np.float64)
+    for c in np.flatnonzero(counts):
+        centroids[c] = grouped[ends[c] - counts[c]:ends[c]].sum(axis=0) / counts[c]
     return centroids, counts
 
 
@@ -225,14 +225,12 @@ class LongTermCentroids:
         if len(features) == 0:
             return
         fresh, counts = compute_centroids(features, probs, self.n_categories)
-        for c in range(self.n_categories):
-            if counts[c] == 0:
-                continue
-            if self.initialized[c]:
-                self.centroids[c] = (1.0 - self.momentum) * fresh[c] + self.momentum * self.centroids[c]
-            else:
-                self.centroids[c] = fresh[c]
-                self.initialized[c] = True
+        present, m = counts > 0, self.momentum
+        blend = present & self.initialized
+        self.centroids[blend] = (1.0 - m) * fresh[blend] + m * self.centroids[blend]
+        first = present & ~self.initialized
+        self.centroids[first] = fresh[first]
+        self.initialized |= present
 
 
 def long_term_consolidate(
@@ -268,13 +266,12 @@ def _reweight_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
 
     Returns the calibrated rows and the number of degenerate fallbacks.
     """
-    raw = probs * weights
-    totals = raw.sum(axis=1)
+    out = probs * weights
+    totals = out.sum(axis=1)
     degenerate = totals <= 0.0
-    safe_totals = np.where(degenerate, 1.0, totals)
-    out = raw / safe_totals[:, None]
-    n_categories = probs.shape[1]
-    out[degenerate] = 1.0 / n_categories
+    totals[degenerate] = 1.0
+    out /= totals[:, None]
+    out[degenerate] = 1.0 / probs.shape[1]
     return out, int(degenerate.sum())
 
 

@@ -38,9 +38,10 @@ def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.nd
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    exps = scores - scores.max(axis=1, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=1, keepdims=True)
+    return exps
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -51,5 +52,12 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``(n, k)`` sums of absolute coordinate differences, row ``i`` to centroid ``j``."""
-    return np.abs(features[:, None, :] - centroids[None, :, :]).sum(axis=2)
+    """``(n, k)`` sums of absolute coordinate differences, row ``i`` to centroid ``j``.
+
+    The absolute value is taken in place in the one ``(n, k, D)`` temporary.
+    Summing its contiguous last axis keeps numpy's pairwise order, which the
+    traces depend on; other layouts or a matrix form round differently.
+    """
+    diffs = features[:, None, :] - centroids[None, :, :]
+    np.abs(diffs, out=diffs)
+    return diffs.sum(axis=2)

@@ -28,11 +28,13 @@ from bimem.memory import FlowConfig
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 
-def tiny_instance(seed=0, n_per_class=20, c=3, d=2):
+def tiny_instance(seed=0, n_per_class=20, c=3, d=2, separation=4.0, rotation_deg=20.0,
+                  source_epochs=20, source_hidden=8):
     source, target = gen_shifted_gaussians(
-        c, d, n_per_class, 4.0, np.array([1.0] + [0.0] * (d - 1)), 20.0, 1.0, seed
+        c, d, n_per_class, separation, np.array([1.0] + [0.0] * (d - 1)), rotation_deg, 1.0, seed
     )
-    params = blackbox.train_source(source, epochs=20, lr=0.05, seed=seed, hidden_dim=8)
+    params = blackbox.train_source(source, epochs=source_epochs, lr=0.05, seed=seed,
+                                   hidden_dim=source_hidden)
     return target, blackbox.predict(params, target)
 
 
@@ -82,7 +84,7 @@ class TestAdaptConfigValidation:
         for bad in (dict(lr=0.0), dict(gamma=1.0), dict(gamma_prime=-0.1),
                     dict(confidence_quantile=1.5), dict(eval_interval=0),
                     dict(refresh_interval=0), dict(iterations=-1),
-                    dict(warmup_iterations=-1)):
+                    dict(warmup_iterations=-1), dict(seed=-1)):
             with pytest.raises(InvalidArgumentError):
                 AdaptConfig(**bad).validate()
 
@@ -202,24 +204,35 @@ class TestRunBimem:
             run_bimem(target, partial, tiny_cfg())
 
     @pytest.mark.parametrize(
-        "golden, classes, n_per_class",
+        "golden, instance, overrides",
         [
-            pytest.param("golden_bimem_trace.csv", 3, 100, id="3c"),
-            pytest.param("golden_bimem_trace_8c.csv", 8, 40, id="8c"),
+            pytest.param("golden_bimem_trace.csv", dict(n_per_class=100, c=3), {}, id="3c"),
+            pytest.param("golden_bimem_trace_8c.csv", dict(n_per_class=40, c=8), {}, id="8c"),
+            pytest.param(
+                "golden_bimem_trace_20c.csv",
+                dict(n_per_class=20, c=20, d=8, separation=16.0, rotation_deg=6.25,
+                     source_epochs=50, source_hidden=32),
+                dict(batch_size=16, top_n=8, queue_capacity=128, hidden_dim=20, lr=0.2),
+                id="20c",
+            ),
         ],
     )
-    def test_trace_matches_golden_bytes(self, tmp_path, golden, classes, n_per_class):
+    def test_trace_matches_golden_bytes(self, tmp_path, golden, instance, overrides):
         """The committed traces pin the bytes across commits, not just reruns.
 
-        Both runs fill the 16-slot queue after 4 steps, evict from then on and
-        calibrate most steps after the 8-step warm-up (191 of 200 at 3
-        classes, 157 at 8). Seed 3 gives traces whose accuracies still move
-        late in the run. At 8 classes numpy sums each calibration softmax row
-        pairwise, a path the 3-class run never takes; the bytes are
-        accuracies, so a last-bit change that flips no label is not seen.
+        The 3- and 8-class runs fill the 16-slot queue after 4 steps, evict
+        from then on and calibrate most steps after the 8-step warm-up (191
+        of 200 at 3 classes, 157 at 8). Seed 3 gives traces whose accuracies
+        still move late in the run. At 8 classes numpy sums each calibration
+        softmax row pairwise, a path the 3-class run never takes; the bytes
+        are accuracies, so a last-bit change that flips no label is not seen.
+        The 20-class run keeps a 128-row queue, eight batches, so every
+        queue calibration measures L1 distances over 128 x 20 x 20 feature
+        differences (the feature width 20 is not a multiple of 8); calibration
+        first engages at step 58 and runs on 143 of the 200 steps.
         """
-        target, preds = tiny_instance(seed=3, n_per_class=n_per_class, c=classes)
-        cfg = tiny_cfg(iterations=200, warmup_iterations=8, seed=3)
+        target, preds = tiny_instance(seed=3, **instance)
+        cfg = tiny_cfg(iterations=200, warmup_iterations=8, seed=3, **overrides)
         _, trace = run_bimem(target, preds, cfg)
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (GOLDEN_DIR / golden).read_bytes()

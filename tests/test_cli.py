@@ -37,6 +37,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def prepared_run(tmp, cfg):
+    """Generate data, train the source model and export predictions under ``tmp/run``."""
+    out = tmp / "run"
+    run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
+    run_cli("train-source", str(out / "source.csv"), "--config", cfg,
+            "--out", str(out / "model.json"))
+    run_cli("predict", str(out / "model.json"), str(out / "target.csv"),
+            "--config", cfg, "--out", str(out / "preds.csv"))
+    return out
+
+
 class TestPipeline:
     def test_full_pipeline(self, workdir, capsys):
         tmp, cfg = workdir
@@ -118,12 +129,7 @@ class TestPipeline:
 class TestAblateCommand:
     def test_ablate_emits_seven_rows(self, workdir):
         tmp, cfg = workdir
-        out = tmp / "run"
-        run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
-        run_cli("train-source", str(out / "source.csv"), "--config", cfg,
-                "--out", str(out / "model.json"))
-        run_cli("predict", str(out / "model.json"), str(out / "target.csv"),
-                "--config", cfg, "--out", str(out / "preds.csv"))
+        out = prepared_run(tmp, cfg)
         assert run_cli(
             "ablate", str(out / "target.csv"), str(out / "preds.csv"),
             "--config", cfg, "--seeds", "0", "--out", str(out / "table.csv"),
@@ -180,12 +186,7 @@ class TestExitCodes:
 
     def test_prediction_category_count_mismatch_exit_2(self, workdir, capsys):
         tmp, cfg = workdir
-        out = tmp / "run"
-        run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
-        run_cli("train-source", str(out / "source.csv"), "--config", cfg,
-                "--out", str(out / "model.json"))
-        run_cli("predict", str(out / "model.json"), str(out / "target.csv"),
-                "--config", cfg, "--out", str(out / "preds.csv"))
+        out = prepared_run(tmp, cfg)
         five_class = tmp / "five.json"
         five_class.write_text(json.dumps({**TINY_CONFIG, "n_categories": 5}))
         # The 3-class predictions padded with two zero-probability columns.
@@ -204,6 +205,38 @@ class TestExitCodes:
                 "--config", config, "--out", str(tmp / "x.csv"),
             ) == 2
             assert "n_categories" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+    def test_negative_seed_gen_data_exit_1(self, workdir, capsys):
+        tmp, _ = workdir
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "seed": -1}))
+        assert run_cli("gen-data", "--config", str(bad), "--out-dir", str(tmp / "d")) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp / "d" / "target.csv").exists()
+
+    def test_negative_seed_adapt_exit_1(self, workdir, capsys):
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "seed": -1}))
+        capsys.readouterr()
+        assert run_cli(
+            "adapt", str(out / "target.csv"), str(out / "preds.csv"),
+            "--config", str(bad), "--out", str(tmp / "x.csv"),
+        ) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+    def test_negative_seed_ablate_exit_1(self, workdir, capsys):
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        capsys.readouterr()
+        assert run_cli(
+            "ablate", str(out / "target.csv"), str(out / "preds.csv"),
+            "--config", cfg, "--seeds=-1", "--out", str(tmp / "x.csv"),
+        ) == 1
+        assert "config error" in capsys.readouterr().err
         assert not (tmp / "x.csv").exists()
 
     def test_report_empty_input_exit_1(self, capsys):

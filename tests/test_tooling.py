@@ -1,11 +1,14 @@
 """Checks on the shape of the source tree itself."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import bimem
 
 SRC = Path(bimem.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # Entry points reached from outside ``src``: the console script, the memory
 # snapshot files and the loss that the gradient checks differentiate.
@@ -43,3 +46,14 @@ def test_every_module_level_definition_is_referenced_in_src():
         if not any(stmt.name in names for _, other, names in statements if other is not stmt):
             unreferenced.append(f"{module}.{stmt.name}")
     assert unreferenced == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """A renamed or moved function would turn its per-layer metric into an absent phase."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while the file runs.
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [path for _, path in tracing.TARGETS if tracing.resolve(path) is None]
+    assert tracing.TARGETS and missing == []

@@ -9,7 +9,9 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,29 +38,79 @@ class Layout:
         """Dimension of the feature handed to the memories."""
         return self.hidden_dim if self.hidden_dim > 0 else self.input_dim
 
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter array by name, in ``arrays()`` order."""
+        h, d, c = self.hidden_dim, self.input_dim, self.n_categories
+        if h > 0:
+            return {"hidden_w": (h, d), "hidden_b": (h,), "out_w": (c, h), "out_b": (c,)}
+        return {"out_w": (c, d), "out_b": (c,)}
 
-@dataclass
+    @cached_property
+    def _segments(self) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+        segments, stop = [], 0
+        for shape in self.shapes.values():
+            start, stop = stop, stop + math.prod(shape)
+            segments.append((slice(start, stop), shape))
+        return tuple(segments)
+
+    @property
+    def n_params(self) -> int:
+        return self._segments[-1][0].stop
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Reshaped views of a flat buffer, one per parameter array in ``arrays()`` order."""
+        return [flat[where].reshape(shape) for where, shape in self._segments]
+
+
 class ClassifierParams:
-    layout: Layout
-    hidden_w: np.ndarray | None  # (H, D) or None when linear
-    hidden_b: np.ndarray | None  # (H,) or None when linear
-    out_w: np.ndarray  # (C, H) or (C, D)
-    out_b: np.ndarray  # (C,)
+    """Classifier weights held in one contiguous float64 buffer, ``flat``.
+
+    ``flat`` holds the arrays in ``arrays()`` order, and ``hidden_w`` (H, D),
+    ``hidden_b`` (H,), ``out_w`` (C, H) or (C, D) and ``out_b`` (C,) are
+    reshaped views of it; the hidden pair is None for a linear model. A write
+    into either side is seen by the other, so a whole-model update is one
+    operation on ``flat``. Write into the arrays in place: rebinding an
+    attribute detaches it from ``flat``.
+    """
+
+    def __init__(self, layout: Layout, hidden_w: np.ndarray | None,
+                 hidden_b: np.ndarray | None, out_w: np.ndarray, out_b: np.ndarray):
+        given = {"hidden_w": hidden_w, "hidden_b": hidden_b, "out_w": out_w, "out_b": out_b}
+        flat = np.empty(layout.n_params)
+        for (name, shape), view in zip(layout.shapes.items(), layout.views(flat)):
+            array = np.asarray(given[name], dtype=np.float64)
+            if array.shape != shape:
+                raise InvalidArgumentError(f"{name} shape {array.shape} != {shape}")
+            view[...] = array
+        self._bind(layout, flat)
+
+    @classmethod
+    def from_flat(cls, layout: Layout, flat: np.ndarray) -> "ClassifierParams":
+        """Parameters that view ``flat`` itself, a float64 buffer of ``layout.n_params``."""
+        if flat.dtype != np.float64 or flat.shape != (layout.n_params,):
+            raise InvalidArgumentError(
+                f"flat buffer {flat.dtype} {flat.shape} != float64 ({layout.n_params},)"
+            )
+        params = cls.__new__(cls)
+        params._bind(layout, flat)
+        return params
+
+    def _bind(self, layout: Layout, flat: np.ndarray) -> None:
+        self.layout = layout
+        self.flat = flat
+        views = dict(zip(layout.shapes, layout.views(flat)))
+        self.hidden_w = views.get("hidden_w")
+        self.hidden_b = views.get("hidden_b")
+        self.out_w = views["out_w"]
+        self.out_b = views["out_b"]
 
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams(
-            layout=self.layout,
-            hidden_w=None if self.hidden_w is None else self.hidden_w.copy(),
-            hidden_b=None if self.hidden_b is None else self.hidden_b.copy(),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-        )
+        return ClassifierParams.from_flat(self.layout, self.flat.copy())
 
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order (hidden first when present)."""
-        if self.layout.hidden_dim > 0:
-            return [self.hidden_w, self.hidden_b, self.out_w, self.out_b]
-        return [self.out_w, self.out_b]
+        return self.layout.views(self.flat)
 
 
 @dataclass
@@ -74,17 +126,14 @@ class MomentumModel:
 
 
 def init_params(layout: Layout, rng: np.random.Generator) -> ClassifierParams:
-    """Uniform [-0.1, 0.1] initialization; draw order is part of the contract."""
-    h, d, c = layout.hidden_dim, layout.input_dim, layout.n_categories
-    if h > 0:
-        hidden_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(h, d))
-        hidden_b = rng.uniform(-INIT_SCALE, INIT_SCALE, size=h)
-        out_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(c, h))
-        out_b = rng.uniform(-INIT_SCALE, INIT_SCALE, size=c)
-        return ClassifierParams(layout, hidden_w, hidden_b, out_w, out_b)
-    out_w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(c, d))
-    out_b = rng.uniform(-INIT_SCALE, INIT_SCALE, size=c)
-    return ClassifierParams(layout, None, None, out_w, out_b)
+    """Uniform [-0.1, 0.1] initialization; draw order is part of the contract.
+
+    The arrays are drawn in ``arrays()`` order, each row-major. One draw of
+    the whole flat buffer takes the same values from the stream as one draw
+    per array would.
+    """
+    flat = rng.uniform(-INIT_SCALE, INIT_SCALE, size=layout.n_params)
+    return ClassifierParams.from_flat(layout, flat)
 
 
 def forward_batch(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,10 +165,12 @@ def batch_loss(params: ClassifierParams, x: np.ndarray, labels: np.ndarray) -> f
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def loss_gradients(
-    params: ClassifierParams, x: np.ndarray, labels: np.ndarray
-) -> list[np.ndarray]:
-    """Analytic gradients of the mean cross-entropy, ordered like ``arrays()``."""
+def loss_gradients(params: ClassifierParams, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the mean cross-entropy, one buffer laid out like ``flat``.
+
+    ``params.layout.views`` splits it into per-array gradients ordered like
+    ``arrays()``.
+    """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     n = x.shape[0]
@@ -130,11 +181,15 @@ def loss_gradients(
     features, dlogits = forward_batch(params, x)  # probabilities, made dL/dlogits in place
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    g_out = [dlogits.T @ features, dlogits.sum(axis=0)]
-    if params.layout.hidden_dim == 0:
-        return g_out
-    dpre = (dlogits @ params.out_w) * (1.0 - features * features)
-    return [dpre.T @ x, dpre.sum(axis=0), *g_out]
+    grad = np.empty_like(params.flat)
+    *g_hidden, g_out_w, g_out_b = params.layout.views(grad)
+    np.matmul(dlogits.T, features, out=g_out_w)
+    dlogits.sum(axis=0, out=g_out_b)
+    if g_hidden:
+        dpre = (dlogits @ params.out_w) * (1.0 - features * features)
+        np.matmul(dpre.T, x, out=g_hidden[0])
+        dpre.sum(axis=0, out=g_hidden[1])
+    return grad
 
 
 def sgd_step(
@@ -143,12 +198,10 @@ def sgd_step(
     """In-place gradient step on the mean cross-entropy; returns ``params``."""
     if not np.isfinite(lr) or lr < 0.0:
         raise InvalidArgumentError(f"learning rate must be finite and >= 0, got {lr}")
-    grads = loss_gradients(params, x, labels)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericFailureError("non-finite gradient")
-    for p, g in zip(params.arrays(), grads):
-        p -= lr * g
+    grad = loss_gradients(params, x, labels)
+    if not np.isfinite(grad).all():
+        raise NumericFailureError("non-finite gradient")
+    params.flat -= lr * grad
     return params
 
 
@@ -159,9 +212,8 @@ def momentum_update(mm: MomentumModel, student: ClassifierParams) -> MomentumMod
             f"layout mismatch: {mm.params.layout} vs {student.layout}"
         )
     g = mm.gamma
-    for pm, ps in zip(mm.params.arrays(), student.arrays()):
-        pm *= g
-        pm += (1.0 - g) * ps
+    mm.params.flat *= g
+    mm.params.flat += (1.0 - g) * student.flat
     return mm
 
 
@@ -184,15 +236,6 @@ def save_params(params: ClassifierParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> ClassifierParams:
     payload = json.loads(Path(path).read_text())
     layout = Layout(**payload["layout"])
-    h, c = layout.hidden_dim, layout.n_categories
-    expected = {"out_w": (c, layout.feature_dim), "out_b": (c,)}
-    if h > 0:
-        expected.update(hidden_w=(h, layout.input_dim), hidden_b=(h,))
-    arrays = {}
-    for name, shape in expected.items():
-        arrays[name] = np.asarray(payload[name], dtype=np.float64)
-        if arrays[name].shape != shape:
-            raise InvalidArgumentError(f"checkpoint {name} shape {arrays[name].shape} != {shape}")
     return ClassifierParams(
-        layout, arrays.get("hidden_w"), arrays.get("hidden_b"), arrays["out_w"], arrays["out_b"]
+        layout, payload.get("hidden_w"), payload.get("hidden_b"), payload["out_w"], payload["out_b"]
     )

@@ -290,7 +290,7 @@ def test_criterion_3_gradient_correctness():
         n = int(rng.integers(1, 6))
         x = rng.normal(size=(n, d))
         labels = rng.integers(0, c, size=n)
-        analytic = model.loss_gradients(params, x, labels)
+        analytic = params.layout.views(model.loss_gradients(params, x, labels))
         for arr, ga in zip(params.arrays(), analytic):
             gn = np.zeros_like(arr)
             flat, gflat = arr.ravel(), gn.ravel()

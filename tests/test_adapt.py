@@ -1,12 +1,13 @@
 """Tests for the adaptation loops, baselines, traces, and the ablation grid."""
 
+import hashlib
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bimem import blackbox, model
+from bimem import adapt, blackbox, model
 from bimem.adapt import (
     ABLATION_ROWS,
     AdaptConfig,
@@ -204,20 +205,38 @@ class TestRunBimem:
             run_bimem(target, partial, tiny_cfg())
 
     @pytest.mark.parametrize(
-        "golden, instance, overrides",
+        "golden, instance, overrides, params_sha256",
         [
-            pytest.param("golden_bimem_trace.csv", dict(n_per_class=100, c=3), {}, id="3c"),
-            pytest.param("golden_bimem_trace_8c.csv", dict(n_per_class=40, c=8), {}, id="8c"),
+            pytest.param("golden_bimem_trace.csv", dict(n_per_class=100, c=3), {},
+                         "277f2b78c1478e547d115a1cfee1805acdce780084abba437569d7badec42468",
+                         id="3c"),
+            pytest.param("golden_bimem_trace_8c.csv", dict(n_per_class=40, c=8), {},
+                         "cfb586aa6cd119137008ee404a2beb3fbd95c4cf41f0a222143400acdb2f420a",
+                         id="8c"),
             pytest.param(
                 "golden_bimem_trace_20c.csv",
                 dict(n_per_class=20, c=20, d=8, separation=16.0, rotation_deg=6.25,
                      source_epochs=50, source_hidden=32),
                 dict(batch_size=16, top_n=8, queue_capacity=128, hidden_dim=20, lr=0.2),
+                "29e338c416d18dcb5274783f687be77b069e4325043ebfb8caf6e67aa78fb3e3",
                 id="20c",
             ),
+            pytest.param("golden_bimem_trace_linear.csv", dict(n_per_class=40, c=8),
+                         dict(hidden_dim=0),
+                         "d5dd993df74c28753c2470dda9bdaccfd469575d2c3f1d2350c79df7188c9f6d",
+                         id="linear"),
+            pytest.param("golden_vanilla_st_trace.csv", dict(n_per_class=40, c=8),
+                         dict(method="vanilla_st"),
+                         "2141274108b6b6d07e612a2d2d0a6a66912c8a0bf3026c6debcf4c72315e14b3",
+                         id="vanilla_st"),
+            pytest.param("golden_confidence_st_trace.csv", dict(n_per_class=40, c=8),
+                         dict(method="confidence_st"),
+                         "83bae07b2ef9f22b27bfb570e5139053e16aa643c2d398868550a34a7b67a39a",
+                         id="confidence_st"),
         ],
     )
-    def test_trace_matches_golden_bytes(self, tmp_path, golden, instance, overrides):
+    def test_trace_matches_golden_bytes(self, tmp_path, monkeypatch, golden, instance,
+                                        overrides, params_sha256):
         """The committed traces pin the bytes across commits, not just reruns.
 
         The 3- and 8-class runs fill the 16-slot queue after 4 steps, evict
@@ -229,13 +248,30 @@ class TestRunBimem:
         The 20-class run keeps a 128-row queue, eight batches, so every
         queue calibration measures L1 distances over 128 x 20 x 20 feature
         differences (the feature width 20 is not a multiple of 8); calibration
-        first engages at step 58 and runs on 143 of the 200 steps.
+        first engages at step 58 and runs on 143 of the 200 steps. The linear
+        8-class run feeds the raw inputs to the memories. The two 8-class
+        self-training runs refresh their labels from the momentum model every
+        40-step epoch and part ways at the first refresh. The digest over the
+        final student's and momentum model's ``arrays()`` bytes catches the
+        last-bit moves that the accuracies miss.
         """
+        models = []
+        init_models = adapt._init_models
+
+        def keep_models(*args):
+            models.append(init_models(*args))
+            return models[-1]
+
+        monkeypatch.setattr(adapt, "_init_models", keep_models)
         target, preds = tiny_instance(seed=3, **instance)
         cfg = tiny_cfg(iterations=200, warmup_iterations=8, seed=3, **overrides)
-        _, trace = run_bimem(target, preds, cfg)
+        student, trace = run(target, preds, cfg)
         trace.to_csv(tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+        [(kept, mm, _)] = models
+        assert kept is student
+        final = b"".join(a.tobytes() for a in [*student.arrays(), *mm.params.arrays()])
+        assert hashlib.sha256(final).hexdigest() == params_sha256
 
 
 class TestVanilla:

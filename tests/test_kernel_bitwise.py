@@ -1,16 +1,17 @@
-"""Bit-for-bit checks of the queue kernels against straight-line references.
+"""Bit-for-bit checks of the queue and model kernels against straight-line references.
 
 ``numerics.l1_distances`` and ``memory.compute_centroids`` are written to
-allocate little; the references below are the plain forms they replace.
-Every output must equal its reference bit for bit, signs of zeros included,
-so traces keep their bytes whichever form runs.
+allocate little, and ``model.sgd_step`` and ``model.momentum_update`` update
+the whole flat parameter buffer in one operation; the references below are
+the plain forms they replace. Every output must equal its reference bit for
+bit, signs of zeros included, so traces keep their bytes whichever form runs.
 """
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bimem import numerics
+from bimem import model, numerics
 from bimem.memory import compute_centroids
 
 
@@ -28,6 +29,30 @@ def reference_centroids(features, probs, n_categories):
         if counts[c] > 0:
             centroids[c] = features[mask].mean(axis=0)
     return centroids, counts
+
+
+def reference_sgd_step(weights, x, labels, lr):
+    """One SGD step on (w1, b1, w2, b2) of a tanh classifier, or (w, b) of a linear one."""
+    n = len(labels)
+    *hidden, w, b = weights
+    features = np.tanh(x @ hidden[0].T + hidden[1]) if hidden else x
+    logits = features @ w.T + b
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dlogits = exps / exps.sum(axis=1, keepdims=True)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    grads = [dlogits.T @ features, dlogits.sum(axis=0)]
+    if hidden:
+        dpre = (dlogits @ w) * (1.0 - features * features)
+        grads = [dpre.T @ x, dpre.sum(axis=0), *grads]
+    for array, grad in zip(weights, grads):
+        array -= lr * grad
+
+
+def reference_momentum_update(tracked, student, gamma):
+    for pm, ps in zip(tracked, student):
+        pm *= gamma
+        pm += (1.0 - gamma) * ps
 
 
 def assert_bitwise_equal(actual, expected):
@@ -86,3 +111,37 @@ def test_compute_centroids_match_masked_mean_reference(n, k, d, seed, zeros, spr
     expected_centroids, expected_counts = reference_centroids(features, probs, k)
     assert_bitwise_equal(centroids, expected_centroids)
     assert np.array_equal(counts, expected_counts)
+
+
+@given(
+    input_dim=st.integers(1, 10),
+    hidden_dim=st.sampled_from([0, 1, 7, 32]),
+    n_categories=st.integers(1, 8),
+    batch=st.integers(1, 64),
+    lr=st.floats(1e-4, 2.0),
+    gamma=st.floats(0.0, 0.999),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(input_dim=8, hidden_dim=32, n_categories=5, batch=32, lr=0.05, gamma=0.9, steps=6,
+         seed=0)
+@example(input_dim=1, hidden_dim=0, n_categories=1, batch=1, lr=2.0, gamma=0.0, steps=1,
+         seed=1)
+def test_flat_updates_match_per_array_reference(input_dim, hidden_dim, n_categories, batch,
+                                                lr, gamma, steps, seed):
+    rng = np.random.default_rng(seed)
+    layout = model.Layout(input_dim, hidden_dim, n_categories)
+    student = model.init_params(layout, rng)
+    mm = model.MomentumModel(model.init_params(layout, rng), gamma)
+    ref_student = [a.copy() for a in student.arrays()]
+    ref_tracked = [a.copy() for a in mm.params.arrays()]
+    for _ in range(steps):
+        model.momentum_update(mm, student)
+        reference_momentum_update(ref_tracked, ref_student, gamma)
+        x = rng.normal(size=(batch, input_dim)) * 3.0
+        labels = rng.integers(0, n_categories, size=batch)
+        model.sgd_step(student, x, labels, lr)
+        reference_sgd_step(ref_student, x, labels, lr)
+    for actual, expected in zip([*student.arrays(), *mm.params.arrays()],
+                                [*ref_student, *ref_tracked]):
+        assert_bitwise_equal(actual, expected)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from bimem import model
-from bimem.errors import InvalidArgumentError
+from bimem.errors import InvalidArgumentError, NumericFailureError
 from bimem.model import (
+    ClassifierParams,
     Layout,
     MomentumModel,
     batch_loss,
@@ -137,6 +138,21 @@ class TestSgdStep:
         for a, b in zip(params.arrays(), before):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_non_finite_gradient_raises_and_changes_nothing(self, hidden):
+        # An infinite input saturates every tanh unit (0 * inf in the hidden
+        # weight gradient) or makes the linear logits non-finite.
+        rng = np.random.default_rng(13)
+        params = init_params(Layout(2, hidden, 3), rng)
+        before = params.flat.copy()
+        x = rng.normal(size=(5, 2))
+        x[2, 1] = np.inf
+        labels = rng.integers(0, 3, size=5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericFailureError, match="non-finite gradient"):
+                sgd_step(params, x, labels, lr=0.1)
+        assert params.flat.tobytes() == before.tobytes()
+
     def test_negative_lr_rejected(self):
         params = zero_params(Layout(2, 0, 2))
         with pytest.raises(InvalidArgumentError):
@@ -168,7 +184,7 @@ class TestSgdStep:
             n = int(rng.integers(1, 7))
             x = rng.normal(size=(n, d))
             labels = rng.integers(0, c, size=n)
-            analytic = loss_gradients(params, x, labels)
+            analytic = layout.views(loss_gradients(params, x, labels))
             numeric = finite_difference_gradients(params, x, labels)
             for ga, gn in zip(analytic, numeric):
                 scale = max(np.abs(gn).max(), np.abs(ga).max(), 1e-8)
@@ -280,3 +296,81 @@ class TestCheckpoint:
         for x, y in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y)
             assert np.abs(x).max() <= model.INIT_SCALE
+
+
+LAYOUTS = [Layout(3, 7, 4), Layout(3, 0, 2)]
+
+
+def assert_flat_layout(params):
+    """``flat`` is one contiguous buffer that the named arrays tile in ``arrays()`` order."""
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    assert flat.shape == (params.layout.n_params,)
+    named = [getattr(params, name) for name in params.layout.shapes]
+    assert [a.shape for a in named] == [a.shape for a in params.arrays()]
+    assert all(np.shares_memory(a, flat) for a in [*named, *params.arrays()])
+    saved = flat.copy()
+    flat[:] = np.arange(flat.size)
+    start = 0
+    for array, listed in zip(named, params.arrays()):
+        expected = np.arange(start, start + array.size).reshape(array.shape)
+        np.testing.assert_array_equal(array, expected)
+        np.testing.assert_array_equal(listed, expected)
+        start += array.size
+    flat[:] = saved
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["hidden", "linear"])
+    def test_init_and_load_give_flat_layout(self, layout, tmp_path):
+        params = init_params(layout, np.random.default_rng(14))
+        assert_flat_layout(params)
+        save_params(params, tmp_path / "model.json")
+        loaded = load_params(tmp_path / "model.json")
+        assert_flat_layout(loaded)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert (loaded.hidden_w is None) == (layout.hidden_dim == 0)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["hidden", "linear"])
+    def test_init_draws_each_array_in_order(self, layout):
+        params = init_params(layout, np.random.default_rng(15))
+        rng = np.random.default_rng(15)
+        for array in params.arrays():
+            drawn = rng.uniform(-model.INIT_SCALE, model.INIT_SCALE, size=array.shape)
+            assert array.tobytes() == drawn.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["hidden", "linear"])
+    def test_copies_share_no_memory(self, layout):
+        student = init_params(layout, np.random.default_rng(16))
+        for other in (student.copy(), MomentumModel(student.copy(), gamma=0.9).params):
+            assert_flat_layout(other)
+            assert not np.shares_memory(other.flat, student.flat)
+            assert other.flat.tobytes() == student.flat.tobytes()
+            other.flat += 1.0
+            assert not np.any(other.flat == student.flat)
+
+    def test_in_place_writes_are_seen_through_flat(self):
+        params = zero_params(Layout(2, 3, 2))
+        params.out_w[:] = np.eye(2, 3)
+        params.hidden_b[1] = 5.0
+        params.out_b += 2.0
+        _, hidden_b, out_w, out_b = params.layout.views(params.flat)
+        np.testing.assert_array_equal(out_w, np.eye(2, 3))
+        np.testing.assert_array_equal(hidden_b, [0.0, 5.0, 0.0])
+        np.testing.assert_array_equal(out_b, [2.0, 2.0])
+        assert params.flat.sum() == 2.0 + 5.0 + 4.0
+        params.flat[:] = 0.0
+        assert not params.out_w.any()
+
+    def test_constructor_copies_into_one_buffer(self):
+        rng = np.random.default_rng(17)
+        out_w, out_b = rng.normal(size=(2, 3)), rng.normal(size=2)
+        params = ClassifierParams(Layout(3, 0, 2), None, None, out_w, out_b)
+        assert_flat_layout(params)
+        assert not np.shares_memory(params.out_w, out_w)
+        np.testing.assert_array_equal(params.out_w, out_w)
+        with pytest.raises(InvalidArgumentError, match="out_b"):
+            ClassifierParams(Layout(3, 0, 2), None, None, out_w, out_b[:1])
+        for flat in (np.zeros(7), np.zeros(8, dtype=np.float32)):
+            with pytest.raises(InvalidArgumentError, match="flat buffer"):
+                ClassifierParams.from_flat(Layout(3, 0, 2), flat)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from bimem import config
+from bimem.adapt import AdaptConfig
 from bimem.cli import main, trace_identity
 
 TINY_CONFIG = {
@@ -153,6 +155,30 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"batch_sizes": 16}))
         assert run_cli("gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)) == 1
         assert "batch_sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("text", "named"),
+        [
+            ('{"iterations": 2000.0}', "iterations"),
+            ('{"top_n": true}', "top_n"),
+            ('{"flow_sm_to_st": 1}', "flow_sm_to_st"),
+            ('{"lr": "0.1"}', "lr"),
+            ('{"lr": NaN}', "lr"),
+            ('{"target_shift": [1, 2]}', "target_shift"),
+            ("[1]", "JSON object"),
+            ('{"lr": ', "not valid JSON"),
+        ],
+    )
+    def test_rejected_config_exit_1_names_key(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run_cli("gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "d").exists()
+
+    def test_default_config_is_adapt_config_defaults(self):
+        assert config.adapt_config(config.resolve()) == AdaptConfig()
 
     def test_unknown_method_exit_1(self, workdir, capsys):
         tmp, cfg = workdir

@@ -158,6 +158,8 @@ class RunTrace:
                     )
                 except ValueError as exc:
                     raise DataError(f"unparseable trace value ({exc})", line=line_no) from None
+        if not rows:
+            raise DataError("trace has no data rows", line=2)
         return cls(rows)
 
 

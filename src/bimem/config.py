@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .adapt import AdaptConfig, METHODS
 from .errors import ConfigError
 from .memory import FlowConfig
 
-FLOW_KEYS = (
-    "flow_sm_to_st",
-    "flow_sm_to_lt",
-    "flow_st_to_lt",
-    "flow_sm_from_st",
-    "flow_sm_from_lt",
-    "flow_st_from_lt",
-)
+# Adaptation keys are AdaptConfig's fields, its flows spelled ``flow_<name>``.
+ADAPT_KEYS = tuple(f.name for f in fields(AdaptConfig) if f.name != "flows")
+FLOW_KEYS = tuple(f"flow_{f.name}" for f in fields(FlowConfig))
 
 DEFAULTS: dict = {
-    "seed": 0,
     # synthetic benchmark
     "n_categories": 5,
     "dim": 8,
@@ -36,30 +31,13 @@ DEFAULTS: dict = {
     "target_shift": None,  # null: [1.5, 0, ..., 0]
     "target_rotation_deg": 25.0,
     "noise_sigma": 1.0,
-    # source model
-    "hidden_dim": 32,
+    # source model; hidden_dim, shared with the student, is an adaptation key
     "source_epochs": 50,
     "source_lr": 0.05,
     "source_batch_size": 32,
-    # adaptation
-    "method": "bimem",
-    "iterations": 2000,
-    "batch_size": 32,
-    "lr": 0.05,
-    "gamma": 0.9,
-    "gamma_prime": 0.99,
-    "top_n": None,  # null: batch_size
-    "queue_capacity": 256,
-    "flow_sm_to_st": True,
-    "flow_sm_to_lt": True,
-    "flow_st_to_lt": True,
-    "flow_sm_from_st": True,
-    "flow_sm_from_lt": True,
-    "flow_st_from_lt": True,
-    "refresh_interval": None,  # null: one epoch
-    "warmup_iterations": None,  # null: twenty epochs
-    "confidence_quantile": 0.5,
-    "eval_interval": 50,
+    # adaptation, including seed and hidden_dim: AdaptConfig's defaults
+    **{key: getattr(AdaptConfig, key) for key in ADAPT_KEYS},
+    **{f"flow_{f.name}": f.default for f in fields(FlowConfig)},
 }
 
 
@@ -138,28 +116,11 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
     return resolved
 
 
-def flow_config(resolved: dict) -> FlowConfig:
-    return FlowConfig(*(resolved[key] for key in FLOW_KEYS))
-
-
 def adapt_config(resolved: dict) -> AdaptConfig:
     """Build and validate the adaptation config from a resolved dict."""
     cfg = AdaptConfig(
-        method=resolved["method"],
-        iterations=resolved["iterations"],
-        batch_size=resolved["batch_size"],
-        lr=resolved["lr"],
-        gamma=resolved["gamma"],
-        gamma_prime=resolved["gamma_prime"],
-        top_n=resolved["top_n"],
-        queue_capacity=resolved["queue_capacity"],
-        flows=flow_config(resolved),
-        refresh_interval=resolved["refresh_interval"],
-        warmup_iterations=resolved["warmup_iterations"],
-        confidence_quantile=resolved["confidence_quantile"],
-        eval_interval=resolved["eval_interval"],
-        seed=resolved["seed"],
-        hidden_dim=resolved["hidden_dim"],
+        **{key: resolved[key] for key in ADAPT_KEYS},
+        flows=FlowConfig(*(resolved[key] for key in FLOW_KEYS)),
     )
     cfg.validate()
     return cfg

@@ -11,16 +11,12 @@ switch so any subset can be run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import numerics
 from .errors import InvalidArgumentError
-
-SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -209,16 +205,14 @@ class LongTermCentroids:
     n_categories: int
     feature_dim: int
     momentum: float
-    centroids: np.ndarray = field(default=None)  # type: ignore[assignment]
-    initialized: np.ndarray = field(default=None)  # type: ignore[assignment]
+    centroids: np.ndarray = field(init=False)
+    initialized: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.momentum < 1.0):
             raise InvalidArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.centroids is None:
-            self.centroids = np.zeros((self.n_categories, self.feature_dim), dtype=np.float64)
-        if self.initialized is None:
-            self.initialized = np.zeros(self.n_categories, dtype=bool)
+        self.centroids = np.zeros((self.n_categories, self.feature_dim), dtype=np.float64)
+        self.initialized = np.zeros(self.n_categories, dtype=bool)
 
     def consolidate(self, features: np.ndarray, probs: np.ndarray) -> None:
         """Fold contributor centroids in; no-op on an empty contributor set."""
@@ -447,69 +441,3 @@ def bimem_step(
     if applied:
         batch.probs = calibrated
     return calibrated, applied
-
-
-def _slot_to_dict(slot: MemorySlot) -> dict:
-    return {
-        "sample_id": int(slot.sample_id),
-        "feature": [float(v) for v in slot.feature],
-        "prob": [float(v) for v in slot.prob],
-    }
-
-
-def _rows_from_dicts(entries: list[dict], feature_dim: int, n_categories: int) -> Rows:
-    return Rows(
-        np.array([int(e["sample_id"]) for e in entries], dtype=np.int64),
-        np.array([e["feature"] for e in entries], dtype=np.float64).reshape(-1, feature_dim),
-        np.array([e["prob"] for e in entries], dtype=np.float64).reshape(-1, n_categories),
-    )
-
-
-def state_to_snapshot(state: BiMemState) -> dict:
-    """JSON-ready dict capturing the full memory state losslessly."""
-    return {
-        "version": SNAPSHOT_VERSION,
-        "n_categories": state.n_categories,
-        "feature_dim": state.feature_dim,
-        "top_n": state.top_n,
-        "warmup": state.warmup,
-        "steps": state.steps,
-        "centroid_momentum": state.long_term.momentum,
-        "queue_capacity": state.short_term.capacity,
-        "sensory": [_slot_to_dict(s) for s in state.sensory.slots],
-        "short_term": [_slot_to_dict(s) for s in state.short_term.queue],
-        "long_term": {
-            "centroids": [[float(v) for v in row] for row in state.long_term.centroids],
-            "initialized": [bool(v) for v in state.long_term.initialized],
-        },
-        "warnings": dict(state.warnings),
-    }
-
-
-def state_from_snapshot(snapshot: dict) -> BiMemState:
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise InvalidArgumentError(f"unsupported snapshot version: {snapshot.get('version')!r}")
-    state = BiMemState.create(
-        n_categories=int(snapshot["n_categories"]),
-        feature_dim=int(snapshot["feature_dim"]),
-        queue_capacity=int(snapshot["queue_capacity"]),
-        top_n=int(snapshot["top_n"]),
-        centroid_momentum=float(snapshot["centroid_momentum"]),
-        warmup=int(snapshot["warmup"]),
-    )
-    state.steps = int(snapshot["steps"])
-    dims = (state.feature_dim, state.n_categories)
-    state.sensory.rows = _rows_from_dicts(snapshot["sensory"], *dims)
-    state.short_term.rows = _rows_from_dicts(snapshot["short_term"], *dims)
-    state.long_term.centroids = np.asarray(snapshot["long_term"]["centroids"], dtype=np.float64)
-    state.long_term.initialized = np.asarray(snapshot["long_term"]["initialized"], dtype=bool)
-    state.warnings = {str(k): int(v) for k, v in snapshot.get("warnings", {}).items()}
-    return state
-
-
-def save_snapshot(state: BiMemState, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_snapshot(state)))
-
-
-def load_snapshot(path: str | Path) -> BiMemState:
-    return state_from_snapshot(json.loads(Path(path).read_text()))

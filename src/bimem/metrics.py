@@ -26,16 +26,15 @@ def accuracy(predictions: np.ndarray, truth: np.ndarray) -> float:
     return float((pred == true).mean())
 
 
-def peak_final_drop(trace, column: str) -> float:
+def peak_final_drop(trace, column: str) -> float | None:
     """Highest value of a trace column minus its final value (>= 0).
 
     Undefined-metric entries (None) are skipped; the final value is the last
-    defined one.
+    defined one. None when the column has no defined value, as the
+    initially-incorrect subset has none when the black box is never wrong.
     """
     values = [v for v in trace.column(column) if v is not None]
-    if not values:
-        raise InvalidArgumentError(f"column {column!r} has no defined values")
-    return max(values) - values[-1]
+    return max(values) - values[-1] if values else None
 
 
 def validate_partition_identity(trace, tol: float = PARTITION_IDENTITY_TOL) -> None:
@@ -76,16 +75,18 @@ def summary_rows(entries: Iterable[tuple[str, int | str, object]]) -> list[dict]
 
 
 def write_summary(rows: list[dict], path: str | Path) -> None:
+    """One CSV line per summary row; an undefined drop is an empty cell, as in traces."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         for row in rows:
+            drop = row["drop_incorrect_subset"]
             writer.writerow(
                 [
                     row["method"],
                     row["seed"],
                     repr(float(row["final_acc"])),
                     repr(float(row["peak_acc"])),
-                    repr(float(row["drop_incorrect_subset"])),
+                    "" if drop is None else repr(float(drop)),
                 ]
             )

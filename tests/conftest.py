@@ -1,5 +1,6 @@
-"""Session fixtures shared by the acceptance criteria (expensive runs cached), and
-the Hypothesis profile every property test runs under."""
+"""Session fixtures shared by the acceptance criteria (expensive runs cached), the
+memory-state digest the determinism checks compare, and the Hypothesis profile
+every property test runs under."""
 
 import time
 
@@ -17,6 +18,24 @@ settings.load_profile("deterministic")
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_SHIFT = np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def _memory_state_bytes(state) -> tuple:
+    """Dtype, shape and raw bytes of every array the memories hold, plus steps and warnings.
+
+    Raw bytes are stricter than any printed form: they also tell NaN payloads
+    and signed zeros apart.
+    """
+    arrays = [getattr(rows, name) for rows in (state.sensory.rows, state.short_term.rows)
+              for name in ("ids", "features", "probs")]
+    arrays += [state.long_term.centroids, state.long_term.initialized]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], state.steps, dict(state.warnings)
+
+
+@pytest.fixture(scope="session")
+def memory_state_bytes():
+    """``_memory_state_bytes``: equal digests mean bit-identical memory states."""
+    return _memory_state_bytes
 
 
 @pytest.fixture(scope="session")

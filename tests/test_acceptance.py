@@ -35,7 +35,7 @@ def random_rows(rng, n, d, c):
     return np.stack([f for f, _ in drawn]), np.stack([p for _, p in drawn])
 
 
-def test_criterion_1_invariant_battery():
+def test_criterion_1_invariant_battery(memory_state_bytes):
     """Every module-level invariant, exercised in one fast battery."""
     start = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -180,16 +180,16 @@ def test_criterion_1_invariant_battery():
     assert len(set(trace.column("pl_acc_blackbox"))) == 1
 
     # determinism: bit-identical repeated memory trajectories
-    def snapshot_run():
+    def state_run():
         st = memory.BiMemState.create(3, 2, 8, 2, 0.9, warmup=1)
         r = np.random.default_rng(5)
         for step in range(10):
             feats, probs = random_rows(r, 4, 2, 3)
             ids = np.arange(step * 4, step * 4 + 4)
             memory.bimem_step(st, ids, feats, probs, FlowConfig.all_enabled())
-        return json.dumps(memory.state_to_snapshot(st), sort_keys=True)
+        return memory_state_bytes(st)
 
-    assert snapshot_run() == snapshot_run()
+    assert state_run() == state_run()
 
     elapsed = time.monotonic() - start
     report("criterion 1 (invariant battery)", elapsed < 30, f"all invariants hold, {elapsed:.1f}s < 30s")

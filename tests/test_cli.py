@@ -87,6 +87,20 @@ class TestPipeline:
         assert summary[1].startswith("bimem,0,")
         capsys.readouterr()
 
+    def test_report_on_perfect_black_box_leaves_drop_empty(self, tmp_path, capsys):
+        # Every target sample starts correct, so acc_init_incorrect is never defined.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"class_separation": 20.0, "target_rotation_deg": 0.0,
+                                   "iterations": 100, "source_epochs": 10}))
+        out = prepared_run(tmp_path, str(cfg))
+        trace = out / "bimem_seed0.csv"
+        assert run_cli("adapt", str(out / "target.csv"), str(out / "preds.csv"),
+                       "--config", str(cfg), "--out", str(trace)) == 0
+        assert all(line.split(",")[3] == "" for line in trace.read_text().splitlines()[1:])
+        assert run_cli("report", str(trace), "--out", str(out / "summary.csv")) == 0
+        assert (out / "summary.csv").read_text().splitlines()[1].endswith(",")
+        capsys.readouterr()
+
     def test_resolved_config_printed_before_running(self, workdir, capsys):
         tmp, cfg = workdir
         run_cli("gen-data", "--config", cfg, "--out-dir", str(tmp / "d"))
@@ -268,6 +282,15 @@ class TestExitCodes:
     def test_report_empty_input_exit_1(self, capsys):
         assert run_cli("report", "--out", "s.csv") == 1
         capsys.readouterr()
+
+    def test_report_header_only_trace_exit_2(self, tmp_path, capsys):
+        trace = tmp_path / "bimem_seed0.csv"
+        trace.write_text(
+            "iter,acc_all,acc_init_correct,acc_init_incorrect,pl_acc_denoised,pl_acc_blackbox\n"
+        )
+        assert run_cli("report", str(trace), "--out", str(tmp_path / "s.csv")) == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_report_partition_violation_exit_2(self, tmp_path, capsys):
         trace = tmp_path / "bimem_seed0.csv"

@@ -1,12 +1,11 @@
 """Unit, example, and property tests for the three memories and their flows."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from bimem import memory, numerics
+from bimem import numerics
 from bimem.errors import InvalidArgumentError
 from bimem.memory import (
     BiMemState,
@@ -462,14 +461,14 @@ class TestBimemStep:
         assert state.long_term.initialized.all()
         np.testing.assert_allclose(probs, ref["sensory_probs"], atol=1e-10)
 
-    def test_determinism_bit_identical_states(self):
+    def test_determinism_bit_identical_states(self, memory_state_bytes):
         def run():
             state = make_state(c=3, d=2, capacity=5, top_n=2)
             rng = np.random.default_rng(42)
             for step in range(6):
                 batch = random_rows(rng, 4, c=3, d=2, start_id=step * 4)
                 run_step(state, batch, FlowConfig.all_enabled())
-            return json.dumps(memory.state_to_snapshot(state), sort_keys=True)
+            return memory_state_bytes(state)
 
         assert run() == run()
 
@@ -570,40 +569,6 @@ def _straight_line_two_steps():
         "lt_centroids": [[lt[0]], [lt[1]]],
         "sensory_probs": sensory,
     }
-
-
-class TestSnapshotRoundTrip:
-    def test_lossless_json_round_trip(self):
-        rng = np.random.default_rng(6)
-        state = make_state(c=3, d=2, capacity=5, top_n=2, momentum=0.9, warmup=4)
-        for step in range(8):
-            batch = random_rows(rng, 4, c=3, d=2, start_id=step * 4)
-            run_step(state, batch, FlowConfig.all_enabled())
-        snap = memory.state_to_snapshot(state)
-        restored = memory.state_from_snapshot(json.loads(json.dumps(snap)))
-        assert memory.state_to_snapshot(restored) == snap
-        np.testing.assert_array_equal(restored.long_term.centroids, state.long_term.centroids)
-        np.testing.assert_array_equal(restored.long_term.initialized, state.long_term.initialized)
-        assert restored.steps == state.steps
-        assert restored.warmup == state.warmup
-        assert [s.sample_id for s in restored.short_term.queue] == [
-            s.sample_id for s in state.short_term.queue
-        ]
-        for a, b in zip(restored.short_term.queue, state.short_term.queue):
-            np.testing.assert_array_equal(a.feature, b.feature)
-            np.testing.assert_array_equal(a.prob, b.prob)
-
-    def test_save_and_load_file(self, tmp_path):
-        state = make_state()
-        run_step(state, as_rows(BATCH_ONE), FlowConfig.all_enabled())
-        path = tmp_path / "memory.json"
-        memory.save_snapshot(state, path)
-        restored = memory.load_snapshot(path)
-        assert memory.state_to_snapshot(restored) == memory.state_to_snapshot(state)
-
-    def test_rejects_unknown_version(self):
-        with pytest.raises(InvalidArgumentError):
-            memory.state_from_snapshot({"version": 999})
 
 
 class TestShortTermSummary:

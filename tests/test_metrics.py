@@ -110,6 +110,10 @@ class TestPeakFinalDrop:
         trace = trace_from([0.2, 0.6, 0.4], incorrect=[0.1, None, 0.05])
         assert metrics.peak_final_drop(trace, "acc_init_incorrect") == pytest.approx(0.05)
 
+    def test_no_defined_entry_is_none(self):
+        trace = trace_from([0.2, 0.6], incorrect=[None, None])
+        assert metrics.peak_final_drop(trace, "acc_init_incorrect") is None
+
 
 class TestPartitionIdentityValidation:
     def test_consistent_trace_passes(self):
@@ -149,3 +153,11 @@ class TestSummary:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0] == "method,seed,final_acc,peak_acc,drop_incorrect_subset"
         assert len(lines) == 2
+
+    def test_undefined_drop_is_empty_cell(self, tmp_path):
+        # A black box that is never wrong leaves the initially-incorrect subset empty.
+        trace = trace_from([0.4, 0.9], pl_blackbox=1.0, incorrect=[None, None])
+        rows = metrics.summary_rows([("bimem", 0, trace)])
+        assert rows[0]["drop_incorrect_subset"] is None
+        metrics.write_summary(rows, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1] == "bimem,0,0.9,0.9,"

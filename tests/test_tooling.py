@@ -10,12 +10,10 @@ import bimem
 SRC = Path(bimem.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-# Entry points reached from outside ``src``: the console script, the memory
-# snapshot files and the loss that the gradient checks differentiate.
+# Entry points reached from outside ``src``: the console script and the loss
+# that the gradient checks differentiate.
 EXTERNAL = {
     ("cli", "entry_point"),
-    ("memory", "save_snapshot"),
-    ("memory", "load_snapshot"),
     ("model", "batch_loss"),
 }
 

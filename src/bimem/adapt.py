@@ -133,6 +133,8 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunTrace":
+        """Read a trace CSV; an accuracy outside [0, 1] (NaN included) or an
+        iteration that does not increase is a ``DataError``."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -146,18 +148,26 @@ class RunTrace:
                 if len(row) != len(TRACE_COLUMNS):
                     raise DataError(f"expected {len(TRACE_COLUMNS)} columns", line=line_no)
                 try:
-                    rows.append(
-                        TraceRow(
-                            iteration=int(row[0]),
-                            acc_all=float(row[1]),
-                            acc_init_correct=None if row[2] == "" else float(row[2]),
-                            acc_init_incorrect=None if row[3] == "" else float(row[3]),
-                            pl_acc_denoised=float(row[4]),
-                            pl_acc_blackbox=float(row[5]),
-                        )
+                    parsed = TraceRow(
+                        iteration=int(row[0]),
+                        acc_all=float(row[1]),
+                        acc_init_correct=None if row[2] == "" else float(row[2]),
+                        acc_init_incorrect=None if row[3] == "" else float(row[3]),
+                        pl_acc_denoised=float(row[4]),
+                        pl_acc_blackbox=float(row[5]),
                     )
                 except ValueError as exc:
                     raise DataError(f"unparseable trace value ({exc})", line=line_no) from None
+                for name in TRACE_COLUMNS[1:]:
+                    acc = getattr(parsed, name)
+                    # NaN fails this comparison as well.
+                    if acc is not None and not 0.0 <= acc <= 1.0:
+                        raise DataError(f"{name} {acc!r} is not an accuracy in [0, 1]",
+                                        line=line_no)
+                if rows and parsed.iteration <= rows[-1].iteration:
+                    raise DataError(f"iteration {parsed.iteration} does not follow "
+                                    f"{rows[-1].iteration}", line=line_no)
+                rows.append(parsed)
         if not rows:
             raise DataError("trace has no data rows", line=2)
         return cls(rows)

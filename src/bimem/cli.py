@@ -123,6 +123,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--seeds must contain at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be non-negative, got {args.seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds must not repeat a seed, got {args.seeds!r}")
     base_cfg = config.adapt_config({**resolved, "method": "bimem"})
     target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     rows = adapt.run_ablation_suite(target, preds, base_cfg, seeds)

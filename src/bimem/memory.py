@@ -18,6 +18,11 @@ import numpy as np
 from . import numerics
 from .errors import InvalidArgumentError
 
+# compute_centroids sums every category at once in a stack padded to the
+# largest category while that category's rows take at most this many bytes;
+# past it the padding costs more than a loop over the categories.
+CENTROID_GROUP_BYTES = 1 << 15
+
 
 @dataclass(frozen=True)
 class MemorySlot:
@@ -180,16 +185,38 @@ def compute_centroids(
     zero centroid and count 0. Argmax ties go to the lowest category. A
     stable sort groups each category's rows in their stored order, so every
     mean adds the same rows in the same order as a masked ``mean(axis=0)``.
+
+    While the largest category holds at most ``CENTROID_GROUP_BYTES``, the
+    grouped rows go into a ``(max count, k, D)`` stack padded with -0.0 and
+    summed in one ``sum(axis=0)``: that adds rows one after another, and
+    ``x + (-0.0)`` is exactly ``x``. At ``D = 1`` numpy would sum each
+    category pairwise along the rows instead, so there, and for larger
+    categories, each category is summed on its own.
     """
     if len(features) == 0:
         raise InvalidArgumentError("cannot compute centroids of an empty row set")
     labels = probs.argmax(axis=1)
     counts = np.bincount(labels, minlength=n_categories)
-    grouped = features[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(counts)
-    centroids = np.zeros((n_categories, features.shape[1]), dtype=np.float64)
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    dim = features.shape[1]
+    largest = int(counts.max())
+    if dim > 1 and largest * dim * features.itemsize <= CENTROID_GROUP_BYTES:
+        # Row i goes to slot (rank within its category, its category).
+        slots = np.empty_like(order)
+        slots[order] = np.arange(len(order)) - starts[labels[order]]
+        slots *= n_categories
+        slots += labels
+        stack = np.full((largest * n_categories, dim), -0.0)
+        stack[slots] = features
+        centroids = stack.reshape(-1, n_categories, dim).sum(axis=0)
+        centroids /= np.maximum(counts, 1)[:, None]
+        centroids[counts == 0] = 0.0
+        return centroids, counts
+    grouped = features[order]
+    centroids = np.zeros((n_categories, dim), dtype=np.float64)
     for c in np.flatnonzero(counts):
-        centroids[c] = grouped[ends[c] - counts[c]:ends[c]].sum(axis=0) / counts[c]
+        centroids[c] = grouped[starts[c]:starts[c] + counts[c]].sum(axis=0) / counts[c]
     return centroids, counts
 
 

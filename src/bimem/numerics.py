@@ -17,6 +17,9 @@ from .errors import InvalidArgumentError
 DEFAULT_TOL = 1e-9
 # Allowed deviation of a probability vector's sum from 1.
 PROB_SUM_TOL = 1e-6
+# Largest (n, k, D) float buffer, in bytes, that l1_distances fills at once;
+# 1 MiB stays in a 2 MiB L2 cache next to the kernel's other arrays.
+L1_BLOCK_BYTES = 1 << 20
 
 
 def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.ndarray:
@@ -54,10 +57,63 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """``(n, k)`` sums of absolute coordinate differences, row ``i`` to centroid ``j``.
 
-    The absolute value is taken in place in the one ``(n, k, D)`` temporary.
-    Summing its contiguous last axis keeps numpy's pairwise order, which the
-    traces depend on; other layouts or a matrix form round differently.
+    Bit-identical to ``np.abs(features[:, None, :] - centroids[None]).sum(axis=2)``,
+    whose pairwise summation order the traces depend on. Up to
+    ``L1_BLOCK_BYTES`` of differences it is computed that way, with the
+    absolute value taken in place. Larger row sets go dimension-major in row
+    blocks of at most that size, where numpy's inner loops run over the rows
+    instead of over the ``D`` coordinates of one pair.
     """
-    diffs = features[:, None, :] - centroids[None, :, :]
-    np.abs(diffs, out=diffs)
-    return diffs.sum(axis=2)
+    n, dim = features.shape
+    k = len(centroids)
+    dtype = np.result_type(features, centroids)
+    if n * k * dim * dtype.itemsize <= L1_BLOCK_BYTES:
+        diffs = features[:, None, :] - centroids[None, :, :]
+        np.abs(diffs, out=diffs)
+        return diffs.sum(axis=2)
+    rows = max(1, L1_BLOCK_BYTES // (k * dim * dtype.itemsize))
+    centroids_t = centroids.T[:, :, None]
+    out = np.empty((n, k), dtype=dtype)
+    features_t = np.empty((dim, rows), dtype=dtype)
+    block = np.empty((dim, k, rows), dtype=dtype)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        diffs = block[:, :, :m]
+        # Copying, then subtracting in place, runs faster than one broadcast subtract.
+        np.copyto(features_t[:, :m], features[start:start + m].T)
+        np.copyto(diffs, features_t[:, None, :m])
+        diffs -= centroids_t
+        np.abs(diffs, out=diffs)
+        _pairwise_sum_slabs(diffs)
+        out[start:start + m] = diffs[0].T
+    return out
+
+
+def _pairwise_sum_slabs(slabs: np.ndarray) -> None:
+    """Leave in ``slabs[0]`` the sum of all ``slabs``, in numpy's pairwise order.
+
+    This is the order of numpy's ``pairwise_sum`` over a contiguous axis,
+    applied to whole slabs: fewer than 8 terms are added in order; up to 128
+    go into eight partial sums ``r_j = x_j + x_{j+8} + ...``, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the ``n % 8`` tail is
+    added in order; more are split at ``n // 2`` rounded down to a multiple
+    of 8 and the two halves summed recursively. Overwrites the other slabs.
+    """
+    n = len(slabs)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum_slabs(slabs[:half])
+        _pairwise_sum_slabs(slabs[half:])
+        slabs[0] += slabs[half]
+        return
+    tail = 1
+    if n >= 8:
+        partial = slabs[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            partial += slabs[i:i + 8]
+        np.add(partial[0::2], partial[1::2], out=partial[0::2])
+        np.add(partial[0::4], partial[2::4], out=partial[0::4])
+        partial[0] += partial[4]
+    for i in range(tail, n):
+        slabs[0] += slabs[i]

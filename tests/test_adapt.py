@@ -10,6 +10,7 @@ import pytest
 from bimem import adapt, blackbox, model
 from bimem.adapt import (
     ABLATION_ROWS,
+    TRACE_HEADER,
     AdaptConfig,
     EpochSampler,
     RunTrace,
@@ -365,6 +366,24 @@ class TestTraceCsv:
         trace = RunTrace([TraceRow(0, 0.5, 0.5, 0.5, 0.5, 1.0)])
         with pytest.raises(InvalidArgumentError):
             trace.column("mIoU")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.25"])
+    @pytest.mark.parametrize("column", range(1, 6))
+    def test_non_accuracy_rejected(self, tmp_path, column, value):
+        fields = ["0", "0.5", "0.5", "0.5", "0.5", "1.0"]
+        fields[column] = value
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_HEADER + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(DataError, match="line 2: .* is not an accuracy"):
+            RunTrace.from_csv(path)
+
+    @pytest.mark.parametrize("iterations", [(0, 0), (10, 5)])
+    def test_non_increasing_iterations_rejected(self, tmp_path, iterations):
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_HEADER + "\n" + "".join(
+            f"{i},0.5,0.5,0.5,0.5,1.0\n" for i in iterations))
+        with pytest.raises(DataError, match="line 3: iteration"):
+            RunTrace.from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"

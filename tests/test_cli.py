@@ -279,6 +279,17 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp / "x.csv").exists()
 
+    def test_duplicate_seed_ablate_exit_1(self, workdir, capsys):
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        capsys.readouterr()
+        assert run_cli(
+            "ablate", str(out / "target.csv"), str(out / "preds.csv"),
+            "--config", cfg, "--seeds", "0,1,0", "--out", str(tmp / "x.csv"),
+        ) == 1
+        assert "repeat a seed" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
     def test_report_empty_input_exit_1(self, capsys):
         assert run_cli("report", "--out", "s.csv") == 1
         capsys.readouterr()
@@ -290,6 +301,22 @@ class TestExitCodes:
         )
         assert run_cli("report", str(trace), "--out", str(tmp_path / "s.csv")) == 2
         assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,nan,0.5,0.5,0.5,0.5"], "acc_all nan"),
+        (["0,0.5,0.5,0.5,7.0,0.5"], "pl_acc_denoised 7.0"),
+        (["0,0.5,0.5,0.5,0.5,0.5", "10,1.5,,,0.5,0.5"], "acc_all 1.5"),
+        (["10,0.5,0.5,0.5,0.5,0.5", "5,0.5,0.5,0.5,0.5,0.5"], "iteration 5 does not follow 10"),
+    ])
+    def test_report_malformed_trace_exit_2(self, tmp_path, capsys, rows, message):
+        trace = tmp_path / "bimem_seed0.csv"
+        trace.write_text(
+            "iter,acc_all,acc_init_correct,acc_init_incorrect,pl_acc_denoised,pl_acc_blackbox\n"
+            + "".join(row + "\n" for row in rows)
+        )
+        assert run_cli("report", str(trace), "--out", str(tmp_path / "s.csv")) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
     def test_report_partition_violation_exit_2(self, tmp_path, capsys):

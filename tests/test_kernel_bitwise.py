@@ -1,17 +1,18 @@
 """Bit-for-bit checks of the queue and model kernels against straight-line references.
 
-``numerics.l1_distances`` and ``memory.compute_centroids`` are written to
-allocate little, and ``model.sgd_step`` and ``model.momentum_update`` update
-the whole flat parameter buffer in one operation; the references below are
-the plain forms they replace. Every output must equal its reference bit for
-bit, signs of zeros included, so traces keep their bytes whichever form runs.
+``numerics.l1_distances`` and ``memory.compute_centroids`` switch by input
+size to a row-blocked or a padded form, and ``model.sgd_step`` and
+``model.momentum_update`` update the whole flat parameter buffer in one
+operation; the references below are the plain forms they replace. Every
+output must equal its reference bit for bit, signs of zeros included, so
+traces keep their bytes whichever form runs.
 """
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bimem import model, numerics
+from bimem import memory, model, numerics
 from bimem.memory import compute_centroids
 
 
@@ -81,9 +82,44 @@ SIZES = dict(
 )
 
 
+# Widths that reach every branch of numpy's pairwise order the blocked L1
+# rebuilds: fewer than 8 terms, a tail past a multiple of 8, and the split
+# above 128.
+SWITCH_WIDTHS = (1, 7, 8, 9, 31, 32, 33, 130)
+
+
+def with_examples(cases):
+    def apply(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return apply
+
+
+def l1_switch_cases():
+    """Per width, a row set under ``L1_BLOCK_BYTES`` and two over it: one a
+    whole number of row blocks, one not."""
+    for i, d in enumerate(SWITCH_WIDTHS):
+        rows = numerics.L1_BLOCK_BYTES // (20 * d * 8)
+        for n in (32, 3 * rows, 2 * rows + 3):
+            yield dict(n=n, k=20 if n > 32 else 5, d=d, seed=i, zeros=0.1 + 0.4 * (n % 2),
+                       spread=12)
+
+
+def centroid_switch_cases():
+    """Per width, a row set whose largest category fits ``CENTROID_GROUP_BYTES``
+    (the padded stack, except at width 1) and one whose largest category does
+    not (the loop over categories)."""
+    for i, d in enumerate(SWITCH_WIDTHS):
+        large = 4 * (memory.CENTROID_GROUP_BYTES // (8 * d)) + 5
+        for n, k, present in ((64, 20, 20), (large, 5, 2)):
+            yield dict(n=n, k=k, d=d, seed=i, zeros=0.5, spread=12, present=present)
+
+
 @given(**SIZES)
 @example(n=1, k=1, d=1, seed=0, zeros=1.0, spread=0)
 @example(n=300, k=25, d=40, seed=1, zeros=0.0, spread=12)
+@with_examples(l1_switch_cases())
 def test_l1_distances_match_broadcast_reference(n, k, d, seed, zeros, spread):
     rng = np.random.default_rng(seed)
     features = mixed_values(rng, (n, d), zeros, spread)
@@ -98,6 +134,7 @@ def test_l1_distances_match_broadcast_reference(n, k, d, seed, zeros, spread):
 @example(n=1, k=1, d=1, seed=0, zeros=1.0, spread=0, present=1)
 @example(n=3, k=25, d=8, seed=2, zeros=1.0, spread=0, present=25)
 @example(n=300, k=25, d=40, seed=3, zeros=0.1, spread=12, present=2)
+@with_examples(centroid_switch_cases())
 def test_compute_centroids_match_masked_mean_reference(n, k, d, seed, zeros, spread, present):
     rng = np.random.default_rng(seed)
     features = mixed_values(rng, (n, d), zeros, spread)

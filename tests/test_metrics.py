@@ -129,6 +129,15 @@ class TestPartitionIdentityValidation:
         with pytest.raises(DataError):
             metrics.validate_partition_identity(RunTrace(rows))
 
+    @pytest.mark.parametrize("row", [
+        TraceRow(0, float("nan"), 0.8, 0.2, 0.5, 0.5),
+        TraceRow(0, 0.5, float("nan"), 0.2, 0.5, 0.5),
+        TraceRow(0, 0.5, 0.8, 0.2, 0.5, float("nan")),
+    ])
+    def test_nan_term_raises_data_error(self, row):
+        with pytest.raises(DataError):
+            metrics.validate_partition_identity(RunTrace([row]))
+
     def test_rows_with_undefined_subsets_skipped(self):
         rows = [TraceRow(0, 0.9, None, None, 0.5, 0.5)]
         metrics.validate_partition_identity(RunTrace(rows))

@@ -6,6 +6,7 @@ the one ``denoise_labels`` takes and the reweighting is the memory's
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestEntropy:
 
 
 class TestL1Distance:
+    def test_large_row_set_allocates_under_two_mib(self):
+        # The full (1024, 20, 32) difference buffer would take 5 MiB.
+        rng = np.random.default_rng(0)
+        features, centroids = rng.normal(size=(1024, 32)), rng.normal(size=(20, 32))
+        tracemalloc.start()
+        try:
+            numerics.l1_distances(features, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_identity(self):
         assert numerics.l1_distances(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))[0, 0] == 0.0
 

@@ -469,6 +469,9 @@ def run_ablation_suite(
     """Final accuracy (mean and stddev over seeds) for each flow combination."""
     if not seeds:
         raise InvalidArgumentError("ablation needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        # A repeated seed reruns the same deterministic run and shrinks the spread.
+        raise InvalidArgumentError(f"ablation seeds must not repeat a seed, got {list(seeds)}")
     results = []
     for row_no, label, flows in ABLATION_ROWS:
         finals = []

@@ -31,6 +31,14 @@ def _print_resolved(resolved: dict) -> None:
     print(json.dumps(resolved, indent=2, sort_keys=True))
 
 
+def _read_nonempty_dataset(path, n_categories: int) -> data.LabeledDataset:
+    """``read_dataset``, with a header-only file as a data error: no command can run on it."""
+    dataset = data.read_dataset(path, n_categories=n_categories)
+    if dataset.n_samples == 0:
+        raise DataError(f"{path} has no data rows")
+    return dataset
+
+
 def cmd_gen_data(args) -> int:
     resolved = config.resolve(args.config)
     _print_resolved(resolved)
@@ -56,7 +64,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_source(args) -> int:
     resolved = config.resolve(args.config)
     _print_resolved(resolved)
-    source = data.read_dataset(args.source, n_categories=resolved["n_categories"])
+    source = _read_nonempty_dataset(args.source, resolved["n_categories"])
     params = blackbox.train_source(
         source,
         epochs=resolved["source_epochs"],
@@ -75,7 +83,7 @@ def cmd_predict(args) -> int:
     resolved = config.resolve(args.config)
     _print_resolved(resolved)
     params = model.load_params(args.model)
-    target = data.read_dataset(args.target, n_categories=params.layout.n_categories)
+    target = _read_nonempty_dataset(args.target, params.layout.n_categories)
     preds = blackbox.export_predictions(params, target, args.out, hard_only=args.hard_only)
     print(f"wrote {args.out} ({preds.ids.shape[0]} records)")
     return 0
@@ -83,7 +91,7 @@ def cmd_predict(args) -> int:
 
 def _read_adaptation_inputs(args, n_categories: int):
     """Target set and black-box predictions, both checked against ``n_categories``."""
-    target = data.read_dataset(args.target, n_categories=n_categories)
+    target = _read_nonempty_dataset(args.target, n_categories)
     preds = blackbox.read_predictions(args.preds)
     if preds.n_categories != n_categories:
         raise DataError(
@@ -123,8 +131,6 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--seeds must contain at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be non-negative, got {args.seeds!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"--seeds must not repeat a seed, got {args.seeds!r}")
     base_cfg = config.adapt_config({**resolved, "method": "bimem"})
     target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     rows = adapt.run_ablation_suite(target, preds, base_cfg, seeds)

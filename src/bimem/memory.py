@@ -38,8 +38,9 @@ class Rows:
     """Memory rows in FIFO order: ``ids (n,)``, ``features (n, D)``, ``probs (n, C)``.
 
     Kept oldest first rather than as a ring buffer, so a per-category mean
-    adds its rows in arrival order wherever they are stored. Calibration
-    replaces ``probs`` rather than writing into it, so a view keeps its values.
+    adds its rows in arrival order wherever they are stored. Queue
+    calibration writes the queue's ``probs`` in place, so rows meant to
+    outlive it, such as evicted ones, are copies.
     """
 
     ids: np.ndarray
@@ -52,14 +53,24 @@ class Rows:
 
     @classmethod
     def concat(cls, parts: list["Rows"]) -> "Rows":
-        columns = zip(*((p.ids, p.features, p.probs) for p in parts))
-        return cls(*(np.concatenate(column) for column in columns))
+        return cls(*(np.concatenate(column) for column in zip(*(p.columns for p in parts))))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.ids, self.features, self.probs
+
+    def copy(self) -> "Rows":
+        return Rows(*(column.copy() for column in self.columns))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, index) -> "Rows":
-        return Rows(self.ids[index], self.features[index], self.probs[index])
+        return Rows(*(column[index] for column in self.columns))
+
+    def __setitem__(self, index, other: "Rows") -> None:
+        for column, values in zip(self.columns, other.columns):
+            column[index] = values
 
     def views(self) -> list[MemorySlot]:
         return [MemorySlot(int(i), f, p) for i, f, p in zip(self.ids, self.features, self.probs)]
@@ -147,15 +158,28 @@ def select_hard(mem: SensoryMemory, n: int) -> Rows:
 
 @dataclass
 class ShortTermMemory:
-    """Fixed-capacity FIFO queue of hard samples; evicts strictly from the front."""
+    """Fixed-capacity FIFO queue of hard samples; evicts strictly from the front.
+
+    The queue lives oldest first in a sliding window of twice the capacity,
+    and ``rows`` views its live part. A push writes the new rows past the
+    last one and moves the front past the evicted ones. Only when the new
+    rows would pass the end of the window do the kept rows move back to its
+    start, once every ``capacity / n`` pushes of ``n`` rows, so a push
+    copies O(n) rows, not the whole queue.
+    """
 
     capacity: int
     feature_dim: int
     n_categories: int
     rows: Rows = field(init=False)
+    _window: Rows = field(init=False, repr=False)
+    _front: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        self.rows = Rows.empty(self.feature_dim, self.n_categories)
+        size = 2 * self.capacity
+        self._window = Rows(np.zeros(size, dtype=np.int64), np.zeros((size, self.feature_dim)),
+                            np.zeros((size, self.n_categories)))
+        self.rows = self._window[0:0]
 
     @property
     def queue(self) -> list[MemorySlot]:
@@ -164,16 +188,23 @@ class ShortTermMemory:
     def push(self, incoming: Rows) -> Rows:
         """Append ``incoming``; evict from the front only once full.
 
-        Returns the evicted rows in eviction order.
+        Returns copies of the evicted rows in eviction order.
         """
-        if len(incoming) > self.capacity:
-            raise InvalidArgumentError(
-                f"cannot enqueue {len(incoming)} rows into capacity {self.capacity}"
-            )
-        rows = Rows.concat([self.rows, incoming])
-        overflow = max(len(rows) - self.capacity, 0)
-        self.rows = rows[overflow:]
-        return rows[:overflow]
+        n = len(incoming)
+        if n > self.capacity:
+            raise InvalidArgumentError(f"cannot enqueue {n} rows into capacity {self.capacity}")
+        front, end = self._front, self._front + len(self.rows)
+        overflow = max(end - front + n - self.capacity, 0)
+        evicted = self._window[front:front + overflow].copy()
+        front += overflow
+        if end + n > len(self._window):
+            # front > capacity >= end - front here, so the two ranges do not overlap.
+            self._window[:end - front] = self._window[front:end]
+            front, end = 0, end - front
+        self._window[end:end + n] = incoming
+        self._front = front
+        self.rows = self._window[front:end + n]
+        return evicted
 
 
 def compute_centroids(
@@ -273,25 +304,35 @@ def centroid_weights(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Distance-softmax calibration weights against ``centroids``.
 
     Row ``i`` is the softmax of the negative L1 distances between
-    ``features[i]`` and each centroid.
+    ``features[i]`` and each centroid. Computed category-major: the result
+    is the ``(n, k)`` transpose of a C-contiguous ``(k, n)`` array.
     """
-    return numerics.softmax_rows(-numerics.l1_distances(features, centroids))
+    scores = numerics.l1_distances(features, centroids).T
+    np.negative(scores, out=scores)
+    return numerics.softmax_slabs(scores).T
 
 
 def _count(warnings: dict[str, int], key: str, n: int = 1) -> None:
     warnings[key] = warnings.get(key, 0) + n
 
 
-def _reweight_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
+def _reweight_rows(
+    probs: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Vectorized reweight+renormalize; degenerate rows fall back to uniform.
 
-    Returns the calibrated rows and the number of degenerate fallbacks.
+    Returns the calibrated rows, written to ``out`` (which may be ``probs``)
+    when given, and the number of degenerate fallbacks. The products are
+    summed over category slabs (``numerics.sum_slabs``); an all-zero row is
+    degenerate whatever the sign of its zero sum.
     """
-    out = probs * weights
-    totals = out.sum(axis=1)
+    products = np.multiply(probs.T, weights.T, out=np.empty(probs.shape[::-1]))
+    totals = numerics.sum_slabs(products)
     degenerate = totals <= 0.0
     totals[degenerate] = 1.0
-    out /= totals[:, None]
+    if out is None:
+        out = np.empty(probs.shape)
+    np.divide(products.T, totals[:, None], out=out)
     out[degenerate] = 1.0 / probs.shape[1]
     return out, int(degenerate.sum())
 
@@ -309,7 +350,7 @@ def calibrate_short_term(
     if len(mem.rows) == 0:
         return mem
     weights = centroid_weights(mem.rows.features, lt_centroids)
-    mem.rows.probs, n_degenerate = _reweight_rows(mem.rows.probs, weights)
+    _, n_degenerate = _reweight_rows(mem.rows.probs, weights, out=mem.rows.probs)
     if n_degenerate:
         _count(warnings, "degenerate_reweight", n_degenerate)
     return mem
@@ -323,12 +364,18 @@ def sensory_calibration_probs(
     Category ``c`` scores the negative L1 distance to centroid ``c`` summed
     over ``sources``, and each row is softmaxed. Returns ``(probs,
     calibrated)`` where ``calibrated`` is False when no source was given and
-    the inputs pass through unchanged.
+    the inputs pass through unchanged. All sources are scored in one L1 call
+    and their category-major blocks added in source order.
     """
     if not sources:
         return probs.copy(), False
-    scores = -sum(numerics.l1_distances(features, centroids) for centroids in sources)
-    return numerics.softmax_rows(scores), True
+    k = len(sources[0])
+    distances = numerics.l1_distances(features, np.concatenate(sources)).T
+    scores = distances[:k]
+    for start in range(k, len(distances), k):
+        scores += distances[start:start + k]
+    np.negative(scores, out=scores)
+    return numerics.softmax_slabs(scores).T, True
 
 
 def short_term_summary(mem: ShortTermMemory, n_categories: int) -> np.ndarray | None:

@@ -17,7 +17,7 @@ from .errors import InvalidArgumentError
 DEFAULT_TOL = 1e-9
 # Allowed deviation of a probability vector's sum from 1.
 PROB_SUM_TOL = 1e-6
-# Largest (n, k, D) float buffer, in bytes, that l1_distances fills at once;
+# Largest (D, k, rows) float buffer, in bytes, that l1_distances fills at once;
 # 1 MiB stays in a 2 MiB L2 cache next to the kernel's other arrays.
 L1_BLOCK_BYTES = 1 << 20
 
@@ -47,6 +47,21 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exps
 
 
+def softmax_slabs(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the categories of a ``(k, n)`` score array, in place.
+
+    Bit-identical to ``softmax_rows(scores.T).T``. Every operation runs over
+    whole category slabs of ``n`` values, where ``softmax_rows`` runs one
+    ``k``-term loop per row. The maximum is exact in any order; a tie of -0.0
+    with +0.0 can only flip the sign of a zero that ``exp`` maps to 1. The
+    sum is ``sum_slabs``, numpy's order over a row.
+    """
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    scores /= sum_slabs(scores)
+    return scores
+
+
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Row-wise entropy in nats for a matrix of probability vectors, 0·log 0 = 0."""
     safe = np.where(probs > 0.0, probs, 1.0)
@@ -58,22 +73,18 @@ def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """``(n, k)`` sums of absolute coordinate differences, row ``i`` to centroid ``j``.
 
     Bit-identical to ``np.abs(features[:, None, :] - centroids[None]).sum(axis=2)``,
-    whose pairwise summation order the traces depend on. Up to
-    ``L1_BLOCK_BYTES`` of differences it is computed that way, with the
-    absolute value taken in place. Larger row sets go dimension-major in row
-    blocks of at most that size, where numpy's inner loops run over the rows
-    instead of over the ``D`` coordinates of one pair.
+    whose pairwise summation order the traces depend on. Computed
+    dimension-major, in row blocks of at most ``L1_BLOCK_BYTES``, so numpy's
+    inner loops run over the rows instead of over the ``D`` coordinates of one
+    pair. The result is the transpose of a C-contiguous ``(k, n)`` array: its
+    ``.T`` is the category-major layout that ``softmax_slabs`` reads.
     """
     n, dim = features.shape
     k = len(centroids)
     dtype = np.result_type(features, centroids)
-    if n * k * dim * dtype.itemsize <= L1_BLOCK_BYTES:
-        diffs = features[:, None, :] - centroids[None, :, :]
-        np.abs(diffs, out=diffs)
-        return diffs.sum(axis=2)
-    rows = max(1, L1_BLOCK_BYTES // (k * dim * dtype.itemsize))
+    rows = max(1, min(n, L1_BLOCK_BYTES // (k * dim * dtype.itemsize)))
     centroids_t = centroids.T[:, :, None]
-    out = np.empty((n, k), dtype=dtype)
+    out = np.empty((k, n), dtype=dtype)
     features_t = np.empty((dim, rows), dtype=dtype)
     block = np.empty((dim, k, rows), dtype=dtype)
     for start in range(0, n, rows):
@@ -85,8 +96,20 @@ def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         diffs -= centroids_t
         np.abs(diffs, out=diffs)
         _pairwise_sum_slabs(diffs)
-        out[start:start + m] = diffs[0].T
-    return out
+        out[:, start:start + m] = diffs[0]
+    return out.T
+
+
+def sum_slabs(slabs: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, in the order numpy sums a contiguous row.
+
+    Bit for bit ``np.ascontiguousarray(slabs.T).sum(axis=1)``, except that a
+    column of only -0.0 sums to -0.0 where numpy gives +0.0. ``slabs`` keeps
+    its values.
+    """
+    totals = slabs.copy()
+    _pairwise_sum_slabs(totals)
+    return totals[0]
 
 
 def _pairwise_sum_slabs(slabs: np.ndarray) -> None:

@@ -423,3 +423,8 @@ class TestAblation:
         target, preds = tiny_instance()
         with pytest.raises(InvalidArgumentError):
             run_ablation_suite(target, preds, tiny_cfg(), [])
+
+    def test_repeated_seed_rejected(self):
+        target, preds = tiny_instance()
+        with pytest.raises(InvalidArgumentError, match="repeat a seed"):
+            run_ablation_suite(target, preds, tiny_cfg(iterations=20), [0, 0])

@@ -247,6 +247,25 @@ class TestExitCodes:
             assert "n_categories" in capsys.readouterr().err
         assert not (tmp / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["adapt", "ablate", "train-source", "predict"])
+    def test_header_only_dataset_exit_2_names_file(self, workdir, capsys, command):
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        empty = tmp / "empty.csv"
+        empty.write_text("id,f0,f1,label\n")
+        written = tmp / "x.out"
+        argv = {
+            "adapt": ["adapt", str(empty), str(out / "preds.csv")],
+            "ablate": ["ablate", str(empty), str(out / "preds.csv")],
+            "train-source": ["train-source", str(empty)],
+            "predict": ["predict", str(out / "model.json"), str(empty)],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--config", cfg, "--out", str(written)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{empty} has no data rows" in err
+        assert not written.exists()
+
     def test_negative_seed_gen_data_exit_1(self, workdir, capsys):
         tmp, _ = workdir
         bad = tmp / "bad.json"

@@ -1,11 +1,13 @@
-"""Bit-for-bit checks of the queue and model kernels against straight-line references.
+"""Bit-for-bit checks of the memory and model kernels against straight-line references.
 
-``numerics.l1_distances`` and ``memory.compute_centroids`` switch by input
-size to a row-blocked or a padded form, and ``model.sgd_step`` and
-``model.momentum_update`` update the whole flat parameter buffer in one
-operation; the references below are the plain forms they replace. Every
-output must equal its reference bit for bit, signs of zeros included, so
-traces keep their bytes whichever form runs.
+``numerics.l1_distances`` runs dimension-major in row blocks;
+``memory.compute_centroids`` switches by input size to a padded form; the
+calibration kernels ``centroid_weights``, ``_reweight_rows`` and
+``sensory_calibration_probs`` run category-major, over slabs of one category
+each; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
+parameter buffer in one operation. The references below are the row-major
+and per-array forms they replace. Every output must equal its reference bit
+for bit, signs of zeros included, so traces keep their bytes.
 """
 
 import numpy as np
@@ -18,6 +20,32 @@ from bimem.memory import compute_centroids
 
 def reference_l1_distances(features, centroids):
     return np.abs(features[:, None, :] - centroids[None, :, :]).sum(axis=2)
+
+
+def reference_softmax_rows(scores):
+    exps = scores - scores.max(axis=1, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=1, keepdims=True)
+    return exps
+
+
+def reference_centroid_weights(features, centroids):
+    return reference_softmax_rows(-reference_l1_distances(features, centroids))
+
+
+def reference_reweight_rows(probs, weights):
+    out = probs * weights
+    totals = out.sum(axis=1)
+    degenerate = totals <= 0.0
+    totals[degenerate] = 1.0
+    out /= totals[:, None]
+    out[degenerate] = 1.0 / probs.shape[1]
+    return out, int(degenerate.sum())
+
+
+def reference_sensory_probs(features, sources):
+    """One L1 call per source, summed in source order, then the row-major softmax."""
+    return reference_softmax_rows(-sum(reference_l1_distances(features, c) for c in sources))
 
 
 def reference_centroids(features, probs, n_categories):
@@ -82,6 +110,48 @@ SIZES = dict(
 )
 
 
+# Category counts for the calibration kernels: every branch of numpy's
+# pairwise order over a row (fewer than 8 terms, a tail past a multiple of 8,
+# the split above 128) with the sizes of the lab's runs.
+CATEGORY_SIZES = dict(
+    n=st.integers(1, 300),
+    k=st.integers(1, 130),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    spread=st.integers(0, 12),
+)
+CATEGORY_CASES = [
+    dict(n=1, k=1, d=1, seed=0, zeros=1.0, spread=0),
+    dict(n=1024, k=20, d=32, seed=1, zeros=0.0, spread=0),
+    dict(n=256, k=5, d=32, seed=2, zeros=0.1, spread=1),
+    *(dict(n=37, k=k, d=3, seed=3 + k, zeros=0.1, spread=12)
+      for k in (7, 8, 9, 16, 17, 127, 128, 129, 130)),
+]
+
+
+def centroids_with_ties(rng, features, k, zeros, spread):
+    """Mixed centroids; some repeat another (tied distances, so argmax ties)
+    and one repeats a feature row (a distance of exactly 0)."""
+    centroids = mixed_values(rng, (k, features.shape[1]), zeros, spread)
+    repeats = rng.random(k) < 0.2
+    centroids[repeats] = centroids[rng.integers(k)]
+    centroids[rng.integers(k)] = features[rng.integers(len(features))]
+    return centroids
+
+
+def non_negative_with_zeros(rng, shape, zeros, spread):
+    """``mixed_values`` folded to non-negative values: its -0.0 entries stay
+    -0.0. A fifth of the rows are all zeros of either sign, and some entries
+    sit near 1e-170, so their products underflow to 0."""
+    values = mixed_values(rng, shape, zeros, spread)
+    values = np.where(values == 0.0, values, np.abs(values))
+    values[rng.random(shape[0]) < 0.2] = np.where(rng.random(shape[1]) < 0.5, -0.0, 0.0)
+    tiny = rng.random(shape) < 0.1
+    values[tiny] *= 1e-170
+    return values
+
+
 # Widths that reach every branch of numpy's pairwise order the blocked L1
 # rebuilds: fewer than 8 terms, a tail past a multiple of 8, and the split
 # above 128.
@@ -128,6 +198,47 @@ def test_l1_distances_match_broadcast_reference(n, k, d, seed, zeros, spread):
     centroids[0] = features[rng.integers(n)]
     assert_bitwise_equal(numerics.l1_distances(features, centroids),
                          reference_l1_distances(features, centroids))
+
+
+@given(**CATEGORY_SIZES)
+@with_examples(CATEGORY_CASES)
+def test_centroid_weights_match_row_major_softmax(n, k, d, seed, zeros, spread):
+    rng = np.random.default_rng(seed)
+    features = mixed_values(rng, (n, d), zeros, spread)
+    centroids = centroids_with_ties(rng, features, k, zeros, spread)
+    assert_bitwise_equal(memory.centroid_weights(features, centroids),
+                         reference_centroid_weights(features, centroids))
+
+
+@given(**CATEGORY_SIZES)
+@with_examples(CATEGORY_CASES)
+def test_reweight_rows_match_row_major_reference(n, k, d, seed, zeros, spread):
+    rng = np.random.default_rng(seed)
+    probs = non_negative_with_zeros(rng, (n, k), zeros, spread)
+    weights = non_negative_with_zeros(rng, (n, k), zeros, spread)
+    # Tied products in some rows.
+    ties = rng.random(n) < 0.2
+    probs[ties], weights[ties] = 0.25, 0.5
+    expected, expected_degenerate = reference_reweight_rows(probs, weights)
+    out, n_degenerate = memory._reweight_rows(probs, weights)
+    assert_bitwise_equal(out, expected)
+    assert n_degenerate == expected_degenerate
+    # Written in place, as queue calibration does, and from category-major weights.
+    in_place = probs.copy()
+    out, _ = memory._reweight_rows(in_place, np.ascontiguousarray(weights.T).T, out=in_place)
+    assert out is in_place
+    assert_bitwise_equal(in_place, expected)
+
+
+@given(**CATEGORY_SIZES, n_sources=st.integers(1, 3))
+@with_examples([dict(case, n_sources=2) for case in CATEGORY_CASES])
+def test_sensory_probs_match_per_source_l1_sum(n, k, d, seed, zeros, spread, n_sources):
+    rng = np.random.default_rng(seed)
+    features = mixed_values(rng, (n, d), zeros, spread)
+    sources = [centroids_with_ties(rng, features, k, zeros, spread) for _ in range(n_sources)]
+    probs, calibrated = memory.sensory_calibration_probs(features, np.zeros((n, k)), sources)
+    assert calibrated
+    assert_bitwise_equal(probs, reference_sensory_probs(features, sources))
 
 
 @given(**SIZES, present=st.integers(1, 25))

@@ -1,6 +1,7 @@
 """Unit, example, and property tests for the three memories and their flows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,63 @@ class TestShortTermQueue:
         st = ShortTermMemory(capacity=1, feature_dim=1, n_categories=2)
         with pytest.raises(InvalidArgumentError):
             st.push(rows([(0, [0.0], [0.5, 0.5]), (1, [1.0], [0.5, 0.5])]))
+
+    @pytest.mark.parametrize("capacity", range(1, 9))
+    def test_window_matches_list_fifo(self, capacity):
+        """Kept and evicted rows equal a list FIFO's over many window compactions."""
+        rng = np.random.default_rng(capacity)
+        for top_n in range(1, capacity + 1):
+            st = ShortTermMemory(capacity, feature_dim=2, n_categories=3)
+            fifo, next_id = [], 0
+            # Full pushes, then pushes of any size up to top_n, empty ones included.
+            sizes = [top_n] * (4 * capacity + 2) + rng.integers(0, top_n + 1, 3 * capacity).tolist()
+            for size in sizes:
+                batch = random_rows(rng, size, start_id=next_id) if size else Rows.empty(2, 3)
+                next_id += size
+                evicted = st.push(batch)
+                fifo.extend(zip(batch.ids, batch.features, batch.probs))
+                expected_evicted = fifo[:max(len(fifo) - capacity, 0)]
+                del fifo[:len(expected_evicted)]
+                for got, want in ((evicted, expected_evicted), (st.rows, fifo)):
+                    ids, features, probs = zip(*want) if want else ((), (), ())
+                    assert got.ids.tolist() == list(ids)
+                    assert np.array_equal(got.features, np.reshape(features, (-1, 2)))
+                    assert np.array_equal(got.probs, np.reshape(probs, (-1, 3)))
+                assert st.rows.features.flags.c_contiguous
+
+    def test_evicted_rows_are_not_changed_by_later_pushes_or_calibration(self):
+        rng = np.random.default_rng(5)
+        st = ShortTermMemory(capacity=4, feature_dim=2, n_categories=3)
+        st.push(random_rows(rng, 4))
+        evicted = st.push(random_rows(rng, 3, start_id=4))
+        kept = [column.copy() for column in evicted.columns]
+        for step in range(12):
+            st.push(random_rows(rng, 3, start_id=7 + 3 * step))
+            calibrate_short_term(st, rng.normal(size=(3, 2)), {})
+        assert all(np.array_equal(a, b) for a, b in zip(evicted.columns, kept))
+
+    def test_push_into_full_large_queue_allocates_its_rows_only(self):
+        """One push into a full queue of 1024 rows allocates O(top_n) bytes, not O(capacity),
+        on every push of a whole compaction cycle."""
+        capacity, top_n, dim, n_categories = 1024, 32, 32, 20
+        rng = np.random.default_rng(6)
+        st = ShortTermMemory(capacity, dim, n_categories)
+        batches = [random_rows(rng, top_n, c=n_categories, d=dim, start_id=top_n * i)
+                   for i in range(3 * capacity // top_n)]
+        for batch in batches[:capacity // top_n + 1]:
+            st.push(batch)
+        row_bytes = 8 * (1 + dim + n_categories)
+        peaks = []
+        for batch in batches[capacity // top_n + 1:]:
+            tracemalloc.start()
+            try:
+                st.push(batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert len(st.rows) == capacity
+        assert max(peaks) < 2 * top_n * row_bytes < capacity * row_bytes / 8
 
     def test_enqueued_minus_evicted_equals_queue_length(self):
         rng = np.random.default_rng(0)

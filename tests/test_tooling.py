@@ -5,7 +5,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import bimem
+from bimem.memory import Rows, SensoryMemory, ShortTermMemory
 
 SRC = Path(bimem.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -46,12 +49,37 @@ def test_every_module_level_definition_is_referenced_in_src():
     assert unreferenced == []
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    """A renamed or moved function would turn its per-layer metric into an absent phase."""
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up in sys.modules while the file runs.
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """A renamed or moved function would turn its per-layer metric into an absent phase."""
+    tracing = _load_tracing(monkeypatch)
     missing = [path for _, path in tracing.TARGETS if tracing.resolve(path) is None]
     assert tracing.TARGETS and missing == []
+
+
+def test_evicting_spans_return_rows_with_their_count(monkeypatch):
+    """The bench counts evicted slots as ``len()`` of what each evicting span returns."""
+    tracing = _load_tracing(monkeypatch)
+    paths = dict(tracing.TARGETS)
+    assert sorted(paths[name] for name in tracing.EVICTING) == [
+        "memory.SensoryMemory.refresh", "memory.ShortTermMemory.push"]
+
+    def batch(ids):
+        n = len(ids)
+        return Rows(np.array(ids), np.zeros((n, 2)), np.full((n, 3), 1.0 / 3.0))
+
+    sensory = SensoryMemory(feature_dim=2, n_categories=3)
+    assert len(sensory.refresh(*batch([0, 1, 2]).columns)) == 0
+    assert len(sensory.refresh(*batch([3, 4]).columns)) == 3
+    queue = ShortTermMemory(capacity=4, feature_dim=2, n_categories=3)
+    assert len(queue.push(batch([0, 1, 2]))) == 0
+    assert len(queue.push(batch([3, 4, 5]))) == 2
+    assert len(queue.push(batch([6, 7, 8, 9]))) == 4

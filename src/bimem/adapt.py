@@ -390,7 +390,8 @@ def _run_self_training(
         refresh = _epoch_length(n, cfg.batch_size)
     warmup = _resolve_warmup(cfg, n)
     labels_current = inputs.pred_yhat.copy()
-    selected = np.ones(n, dtype=bool)
+    # The confidence mask of the last refresh; None trains on every sample.
+    selected: np.ndarray | None = None
 
     rows = [evaluator.row(0, student, labels_current)]
     for t in range(1, cfg.iterations + 1):
@@ -401,7 +402,7 @@ def _run_self_training(
             if quantile is not None:
                 selected = _select_top_fraction(probs_all, labels_current, quantile)
         idx = sampler.next_batch()
-        use = idx[selected[idx]]
+        use = idx if selected is None else idx[selected[idx]]
         if use.size:
             model.sgd_step(student, inputs.features[use], labels_current[use], cfg.lr)
         if _is_eval_point(t, cfg):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,13 @@ class Layout:
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Reshaped views of a flat buffer, one per parameter array in ``arrays()`` order."""
         return [flat[where].reshape(shape) for where, shape in self._segments]
+
+    @cached_property
+    def _step_scratch(self) -> "_StepScratch":
+        """The buffers of ``loss_gradients`` and ``momentum_update``, shared by equal layouts."""
+        if self not in _SCRATCH:
+            _SCRATCH[self] = _StepScratch(self)
+        return _SCRATCH[self]
 
 
 class ClassifierParams:
@@ -140,68 +148,177 @@ def forward_batch(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, 
     """Features and softmax probabilities for a batch of inputs.
 
     The feature is the tanh hidden activation, or the input itself for a
-    linear model.
+    linear model. Both arrays are new on every call: callers such as the
+    sensory memory keep them.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.layout.input_dim:
-        raise InvalidArgumentError(
-            f"batch shape {x.shape} incompatible with input_dim {params.layout.input_dim}"
-        )
-    if params.layout.hidden_dim > 0:
-        hidden = np.tanh(x @ params.hidden_w.T + params.hidden_b)
-        logits = hidden @ params.out_w.T + params.out_b
-        features = hidden
-    else:
-        logits = x @ params.out_w.T + params.out_b
+    layout = params.layout
+    x = _checked_inputs(layout, x)
+    n = len(x)
+    hidden = np.empty((n, layout.hidden_dim)) if layout.hidden_dim > 0 else None
+    return _forward(params, x, hidden, np.empty((n, layout.n_categories)), np.empty((n, 1)))
+
+
+def _forward(
+    params: ClassifierParams, x: np.ndarray, hidden: np.ndarray | None,
+    logits: np.ndarray, row: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward pass of a checked batch into the given buffers: (features, probabilities).
+
+    ``hidden`` (n, H) receives the features, or is None for a linear model,
+    whose features are ``x``. ``logits`` (n, C) receives the probabilities,
+    and ``row`` (n, 1) the softmax's row maximum, then its row sum.
+    """
+    if hidden is None:
         features = x
-    probs = numerics.softmax_rows(logits)
-    return features, probs
+    else:
+        np.matmul(x, params.hidden_w.T, out=hidden)
+        hidden += params.hidden_b
+        features = np.tanh(hidden, out=hidden)
+    np.matmul(features, params.out_w.T, out=logits)
+    logits += params.out_b
+    return features, numerics.softmax_rows(logits, out=logits, row=row)
+
+
+def _checked_inputs(layout: Layout, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != layout.input_dim:
+        raise InvalidArgumentError(
+            f"batch shape {x.shape} incompatible with input_dim {layout.input_dim}"
+        )
+    return x
+
+
+def _checked_batch(layout: Layout, x: np.ndarray, labels: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as float64 rows and ``labels`` as one in-range class index per row."""
+    x = _checked_inputs(layout, x)
+    labels = np.asarray(labels)
+    if labels.shape != (len(x),) or labels.dtype.kind not in "iu":
+        raise InvalidArgumentError(
+            f"labels must be {len(x)} integers, one per row, got {labels.dtype} {labels.shape}"
+        )
+    if len(x) == 0:
+        raise InvalidArgumentError("empty batch")
+    labels = labels.astype(np.intp, copy=False)
+    # Viewed as unsigned, a negative label exceeds every class index.
+    if np.maximum.reduce(labels.view(np.uintp)) >= layout.n_categories:
+        raise InvalidArgumentError("labels out of range")
+    return x, labels
+
+
+class _RowBuffers(NamedTuple):
+    """Per-row buffers of one gradient step, for a batch of ``len(logits)`` rows."""
+
+    hidden: np.ndarray  # (n, H) features
+    dpre: np.ndarray  # (n, H) gradient at the tanh input
+    slope: np.ndarray  # (n, H) tanh slope, 1 - features**2
+    logits: np.ndarray  # (n, C) logits, then probabilities, then dL/dlogits
+    row: np.ndarray  # (n, 1) softmax row maximum, then row sum
+    offsets: np.ndarray  # (n,) index in ``logits.reshape(-1)`` of each row's start
+    picked: np.ndarray  # (n,) index in ``logits.reshape(-1)`` of each row's label
+
+    @classmethod
+    def allocate(cls, layout: Layout, n: int) -> "_RowBuffers":
+        h, c = layout.hidden_dim, layout.n_categories
+        return cls(np.empty((n, h)), np.empty((n, h)), np.empty((n, h)), np.empty((n, c)),
+                   np.empty((n, 1)), np.arange(0, n * c, c), np.empty(n, dtype=np.intp))
+
+    def head(self, n: int) -> "_RowBuffers":
+        return _RowBuffers(*(buffer[:n] for buffer in self))
+
+
+class _StepScratch:
+    """Buffers that one gradient step and one EMA update of a layout write into.
+
+    Every buffer is overwritten before it is read, so all models of a layout
+    share one set, and nothing a public function returns is a view of it.
+    The per-row buffers hold the largest batch seen so far; the views for
+    the last batch size are kept, since batches mostly repeat their size.
+    """
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.grad = np.empty(layout.n_params)
+        self.grad_views = layout.views(self.grad)
+        self.finite = np.empty(layout.n_params, dtype=bool)
+        self.ema = np.empty(layout.n_params)
+        self._full = self._last = _RowBuffers.allocate(layout, 0)
+
+    def rows(self, n: int) -> _RowBuffers:
+        """The per-row buffers for a batch of ``n`` rows."""
+        if len(self._last.logits) != n:
+            if len(self._full.logits) < n:
+                self._full = _RowBuffers.allocate(self.layout, n)
+            self._last = self._full.head(n)
+        return self._last
+
+
+# One scratch per distinct layout, kept here rather than on the parameters so
+# that the many models a caller may keep alive share it. Steps are not
+# thread-safe.
+_SCRATCH: dict[Layout, _StepScratch] = {}
 
 
 def batch_loss(params: ClassifierParams, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the batch under the current parameters."""
+    x, labels = _checked_batch(params.layout, x, labels)
     _, probs = forward_batch(params, x)
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def loss_gradients(params: ClassifierParams, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def loss_gradients(
+    params: ClassifierParams, x: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Analytic gradient of the mean cross-entropy, one buffer laid out like ``flat``.
 
     ``params.layout.views`` splits it into per-array gradients ordered like
-    ``arrays()``.
+    ``arrays()``. It is written into ``out`` when given, a float64 buffer of
+    ``layout.n_params``, else into a new array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = x.shape[0]
-    if n == 0:
-        raise InvalidArgumentError("cannot compute gradients of an empty batch")
-    if np.any(labels < 0) or np.any(labels >= params.layout.n_categories):
-        raise InvalidArgumentError("labels out of range")
-    features, dlogits = forward_batch(params, x)  # probabilities, made dL/dlogits in place
-    dlogits[np.arange(n), labels] -= 1.0
+    layout = params.layout
+    x, labels = _checked_batch(layout, x, labels)
+    n = len(x)
+    s = layout._step_scratch
+    rows = s.rows(n)
+    hidden = rows.hidden if layout.hidden_dim > 0 else None
+    features, dlogits = _forward(params, x, hidden, rows.logits, rows.row)
+    # The probabilities, made dL/dlogits in place.
+    picked = np.add(rows.offsets, labels, out=rows.picked)
+    dlogits.reshape(-1)[picked] -= 1.0
     dlogits /= n
-    grad = np.empty_like(params.flat)
-    *g_hidden, g_out_w, g_out_b = params.layout.views(grad)
+    grad = np.empty(layout.n_params) if out is None else out
+    # A caller's buffer is checked like a parameter buffer; sgd_step's is the scratch's.
+    *g_hidden, g_out_w, g_out_b = (
+        s.grad_views if grad is s.grad else ClassifierParams.from_flat(layout, grad).arrays()
+    )
     np.matmul(dlogits.T, features, out=g_out_w)
-    dlogits.sum(axis=0, out=g_out_b)
+    np.add.reduce(dlogits, axis=0, out=g_out_b)
     if g_hidden:
-        dpre = (dlogits @ params.out_w) * (1.0 - features * features)
+        dpre = np.matmul(dlogits, params.out_w, out=rows.dpre)
+        slope = np.multiply(features, features, out=rows.slope)
+        np.subtract(1.0, slope, out=slope)
+        dpre *= slope
         np.matmul(dpre.T, x, out=g_hidden[0])
-        dpre.sum(axis=0, out=g_hidden[1])
+        np.add.reduce(dpre, axis=0, out=g_hidden[1])
     return grad
 
 
 def sgd_step(
     params: ClassifierParams, x: np.ndarray, labels: np.ndarray, lr: float
 ) -> ClassifierParams:
-    """In-place gradient step on the mean cross-entropy; returns ``params``."""
-    if not np.isfinite(lr) or lr < 0.0:
+    """In-place gradient step on the mean cross-entropy; returns ``params``.
+
+    Not thread-safe: steps on models of equal layouts share scratch buffers.
+    """
+    if not math.isfinite(lr) or lr < 0.0:
         raise InvalidArgumentError(f"learning rate must be finite and >= 0, got {lr}")
-    grad = loss_gradients(params, x, labels)
-    if not np.isfinite(grad).all():
+    s = params.layout._step_scratch
+    grad = loss_gradients(params, x, labels, out=s.grad)
+    if not np.logical_and.reduce(np.isfinite(grad, out=s.finite)):
         raise NumericFailureError("non-finite gradient")
-    params.flat -= lr * grad
+    grad *= lr
+    params.flat -= grad
     return params
 
 
@@ -213,7 +330,7 @@ def momentum_update(mm: MomentumModel, student: ClassifierParams) -> MomentumMod
         )
     g = mm.gamma
     mm.params.flat *= g
-    mm.params.flat += (1.0 - g) * student.flat
+    mm.params.flat += np.multiply(student.flat, 1.0 - g, out=student.layout._step_scratch.ema)
     return mm
 
 

@@ -20,6 +20,13 @@ PROB_SUM_TOL = 1e-6
 # Largest (D, k, rows) float buffer, in bytes, that l1_distances fills at once;
 # 1 MiB stays in a 2 MiB L2 cache next to the kernel's other arrays.
 L1_BLOCK_BYTES = 1 << 20
+# l1_distances takes the broadcast form up to this many (row, centroid) pairs
+# while its (n, k, D) difference array stays within L1_BROADCAST_BYTES. It
+# makes 3 numpy calls where the blocked form makes a dozen or more, but it
+# runs one inner loop per pair, and a difference array much past 128 KiB
+# costs more to allocate and fill than the blocked form's calls.
+L1_BROADCAST_PAIRS = 512
+L1_BROADCAST_BYTES = 1 << 17
 
 
 def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.ndarray:
@@ -39,11 +46,17 @@ def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.nd
     return arr
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction."""
-    exps = scores - scores.max(axis=1, keepdims=True)
+def softmax_rows(scores: np.ndarray, out: np.ndarray | None = None,
+                 row: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction.
+
+    Written into ``out`` when given, which may be ``scores`` itself; an
+    ``(n, 1)`` buffer ``row`` takes the row maximum, then the row sum.
+    """
+    row = np.maximum.reduce(scores, axis=1, keepdims=True, out=row)
+    exps = np.subtract(scores, row, out=out)
     np.exp(exps, out=exps)
-    exps /= exps.sum(axis=1, keepdims=True)
+    exps /= np.add.reduce(exps, axis=1, keepdims=True, out=row)
     return exps
 
 
@@ -76,12 +89,17 @@ def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     whose pairwise summation order the traces depend on. Computed
     dimension-major, in row blocks of at most ``L1_BLOCK_BYTES``, so numpy's
     inner loops run over the rows instead of over the ``D`` coordinates of one
-    pair. The result is the transpose of a C-contiguous ``(k, n)`` array: its
-    ``.T`` is the category-major layout that ``softmax_slabs`` reads.
+    pair. Small inputs take the broadcast form itself. The result is the
+    transpose of a C-contiguous ``(k, n)`` array: its ``.T`` is the
+    category-major layout that ``softmax_slabs`` reads.
     """
     n, dim = features.shape
     k = len(centroids)
     dtype = np.result_type(features, centroids)
+    if n * k <= L1_BROADCAST_PAIRS and n * k * dim * dtype.itemsize <= L1_BROADCAST_BYTES:
+        diffs = features[:, None, :] - centroids[None]
+        np.abs(diffs, out=diffs)
+        return np.ascontiguousarray(np.add.reduce(diffs, axis=2).T).T
     rows = max(1, min(n, L1_BLOCK_BYTES // (k * dim * dtype.itemsize)))
     centroids_t = centroids.T[:, :, None]
     out = np.empty((k, n), dtype=dtype)

@@ -1,16 +1,18 @@
 """Bit-for-bit checks of the memory and model kernels against straight-line references.
 
-``numerics.l1_distances`` runs dimension-major in row blocks;
-``memory.compute_centroids`` switches by input size to a padded form; the
-calibration kernels ``centroid_weights``, ``_reweight_rows`` and
+``numerics.l1_distances`` runs dimension-major in row blocks above a size
+threshold; ``memory.compute_centroids`` switches by input size to a padded
+form; the calibration kernels ``centroid_weights``, ``_reweight_rows`` and
 ``sensory_calibration_probs`` run category-major, over slabs of one category
 each; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
-parameter buffer in one operation. The references below are the row-major
-and per-array forms they replace. Every output must equal its reference bit
-for bit, signs of zeros included, so traces keep their bytes.
+parameter buffer in one operation, through scratch buffers shared by every
+model of a layout. The references below are the row-major and per-array forms
+they replace. Every output must equal its reference bit for bit, signs of
+zeros included, so traces keep their bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -176,6 +178,17 @@ def l1_switch_cases():
                        spread=12)
 
 
+def l1_broadcast_cases():
+    """Inputs at ``L1_BROADCAST_PAIRS`` pairs and ``L1_BROADCAST_BYTES``, the
+    broadcast form's limits, and just past each (the blocked form)."""
+    pairs = numerics.L1_BROADCAST_PAIRS
+    width = numerics.L1_BROADCAST_BYTES // (8 * pairs)
+    for i, (n, k, d) in enumerate([(32, 5, 32), (32, pairs // 32, width), (pairs + 1, 1, 8),
+                                   (1, pairs + 1, 1), (32, pairs // 32, width + 1),
+                                   (pairs // 8, 8, width), (pairs // 8 + 1, 8, 2)]):
+        yield dict(n=n, k=k, d=d, seed=40 + i, zeros=0.1, spread=12)
+
+
 def centroid_switch_cases():
     """Per width, a row set whose largest category fits ``CENTROID_GROUP_BYTES``
     (the padded stack, except at width 1) and one whose largest category does
@@ -190,14 +203,16 @@ def centroid_switch_cases():
 @example(n=1, k=1, d=1, seed=0, zeros=1.0, spread=0)
 @example(n=300, k=25, d=40, seed=1, zeros=0.0, spread=12)
 @with_examples(l1_switch_cases())
+@with_examples(l1_broadcast_cases())
 def test_l1_distances_match_broadcast_reference(n, k, d, seed, zeros, spread):
     rng = np.random.default_rng(seed)
     features = mixed_values(rng, (n, d), zeros, spread)
     centroids = mixed_values(rng, (k, d), zeros, spread)
     # Repeat a feature row as a centroid, so some distances are exactly 0.
     centroids[0] = features[rng.integers(n)]
-    assert_bitwise_equal(numerics.l1_distances(features, centroids),
-                         reference_l1_distances(features, centroids))
+    distances = numerics.l1_distances(features, centroids)
+    assert_bitwise_equal(distances, reference_l1_distances(features, centroids))
+    assert distances.T.flags.c_contiguous
 
 
 @given(**CATEGORY_SIZES)
@@ -293,3 +308,26 @@ def test_flat_updates_match_per_array_reference(input_dim, hidden_dim, n_categor
     for actual, expected in zip([*student.arrays(), *mm.params.arrays()],
                                 [*ref_student, *ref_tracked]):
         assert_bitwise_equal(actual, expected)
+
+
+@pytest.mark.parametrize("hidden_dim", [0, 32], ids=["linear", "hidden"])
+def test_steps_match_reference_as_batches_grow_and_shrink(hidden_dim):
+    """Two models of one layout share the step's scratch, stepped alternately
+    over batch sizes that make it grow and then reuse a smaller part."""
+    rng = np.random.default_rng(21)
+    layout = model.Layout(8, hidden_dim, 5)
+    students = [model.init_params(layout, rng) for _ in range(2)]
+    mm = model.MomentumModel(model.init_params(layout, rng), 0.9)
+    ref_students = [[a.copy() for a in s.arrays()] for s in students]
+    ref_tracked = [a.copy() for a in mm.params.arrays()]
+    for batch in (32, 7, 1, 33, 32, 64, 5):
+        for student, ref_student in zip(students, ref_students):
+            x = rng.normal(size=(batch, 8)) * 3.0
+            labels = rng.integers(0, 5, size=batch)
+            model.sgd_step(student, x, labels, 0.05)
+            reference_sgd_step(ref_student, x, labels, 0.05)
+        model.momentum_update(mm, students[0])
+        reference_momentum_update(ref_tracked, ref_students[0], 0.9)
+    for params, expected in [*zip(students, ref_students), (mm.params, ref_tracked)]:
+        for actual, reference in zip(params.arrays(), expected):
+            assert_bitwise_equal(actual, reference)

@@ -129,6 +129,60 @@ class TestCrossEntropyLoss:
                 loss_gradients(params, one_row([0.5, 0.5]), np.array([label]))
 
 
+BAD_LABELS = {
+    "one label for five rows": np.array([1]),
+    "one label too many": np.zeros(6, dtype=int),
+    "a row of labels": np.zeros((1, 5), dtype=int),
+    "float labels": np.zeros(5),
+    "out of range": np.array([0, 1, 2, 1, 0]),
+    "negative": np.array([0, 1, -1, 1, 0]),
+}
+
+
+class TestLabelValidation:
+    """Labels must be one integer class index per batch row, or nothing runs."""
+
+    def batch(self, hidden):
+        rng = np.random.default_rng(18)
+        return init_params(Layout(2, hidden, 2), rng), rng.normal(size=(5, 2))
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    def test_bad_labels_raise_and_change_nothing(self, hidden, labels):
+        params, x = self.batch(hidden)
+        before = params.flat.copy()
+        with pytest.raises(InvalidArgumentError, match="labels"):
+            loss_gradients(params, x, labels)
+        with pytest.raises(InvalidArgumentError, match="labels"):
+            batch_loss(params, x, labels)
+        with pytest.raises(InvalidArgumentError, match="labels"):
+            sgd_step(params, x, labels, lr=0.1)
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_empty_batch_rejected(self):
+        params, _ = self.batch(4)
+        for call in (loss_gradients, batch_loss):
+            with pytest.raises(InvalidArgumentError, match="empty batch"):
+                call(params, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_any_integer_dtype_gives_the_same_gradient(self, dtype):
+        params, x = self.batch(4)
+        labels = np.array([0, 1, 1, 0, 1])
+        expected = loss_gradients(params, x, labels)
+        assert loss_gradients(params, x, labels.astype(dtype)).tobytes() == expected.tobytes()
+
+    def test_gradient_buffer_is_checked(self):
+        params, x = self.batch(4)
+        labels = np.array([0, 1, 1, 0, 1])
+        out = np.empty(params.layout.n_params)
+        assert loss_gradients(params, x, labels, out=out) is out
+        assert out.tobytes() == loss_gradients(params, x, labels).tobytes()
+        for bad in (np.empty(params.layout.n_params + 1), out.astype(np.float32)):
+            with pytest.raises(InvalidArgumentError, match="flat buffer"):
+                loss_gradients(params, x, labels, out=bad)
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         rng = np.random.default_rng(3)
@@ -299,6 +353,38 @@ class TestCheckpoint:
 
 
 LAYOUTS = [Layout(3, 7, 4), Layout(3, 0, 2)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["hidden", "linear"])
+class TestStepScratch:
+    """Steps write their intermediates into buffers shared per layout; none may leak out."""
+
+    def test_returned_arrays_survive_later_steps(self, layout):
+        rng = np.random.default_rng(19)
+        student = init_params(layout, rng)
+        mm = MomentumModel(init_params(layout, rng), gamma=0.9)
+        kept = []
+        for n in (4, 9, 4, 1):
+            x = rng.normal(size=(n, layout.input_dim))
+            labels = rng.integers(0, layout.n_categories, size=n)
+            outputs = [*forward_batch(student, x), *forward_batch(mm.params, x),
+                       loss_gradients(student, x, labels)]
+            kept.append((outputs, [a.copy() for a in outputs]))
+            sgd_step(student, x, labels, lr=0.5)
+            momentum_update(mm, student)
+        for outputs, copies in kept:
+            for array, copy in zip(outputs, copies):
+                assert array.tobytes() == copy.tobytes()
+
+    def test_parameters_hold_no_scratch(self, layout):
+        rng = np.random.default_rng(20)
+        student = init_params(layout, rng)
+        mm = MomentumModel(student.copy(), gamma=0.9)
+        before = (set(vars(student)), set(vars(mm.params)))
+        x = rng.normal(size=(6, layout.input_dim))
+        sgd_step(student, x, rng.integers(0, layout.n_categories, size=6), lr=0.1)
+        momentum_update(mm, student)
+        assert (set(vars(student)), set(vars(mm.params))) == before
 
 
 def assert_flat_layout(params):

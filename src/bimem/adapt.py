@@ -1,18 +1,20 @@
-"""Adaptation loops: memory-calibrated self-training plus two baselines.
+"""One adaptation loop: memory-calibrated self-training plus two baselines.
 
 Every run is fully determined by (dataset, predictions, config, seed). The
 training path never sees ground-truth labels; they stay inside the trace
-evaluator. Per iteration the student is EMA-tracked, the batch is encoded by
-the momentum model, memories are stepped, the black-box probabilities are
-reweighted by the calibrated memory probabilities, and the student takes one
-SGD step on the denoised labels.
+evaluator. Every method runs the same loop: per iteration the student is
+EMA-tracked, a batch is sampled, the method's labeller labels it, and the
+student takes one SGD step on those labels. The memory labeller encodes the
+batch with the momentum model, steps the memories and reweights the black-box
+probabilities by the calibrated memory probabilities; the self-training
+labeller refreshes every label from the momentum model at a fixed interval.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -121,7 +123,7 @@ class RunTrace:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
             for r in self.rows:
-                fields = [
+                cells = [
                     str(r.iteration),
                     repr(r.acc_all),
                     "" if r.acc_init_correct is None else repr(r.acc_init_correct),
@@ -129,7 +131,7 @@ class RunTrace:
                     repr(r.pl_acc_denoised),
                     repr(r.pl_acc_blackbox),
                 ]
-                fh.write(",".join(fields) + "\n")
+                fh.write(",".join(cells) + "\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunTrace":
@@ -235,24 +237,6 @@ class _TraceEvaluator:
         )
 
 
-def _prepare(
-    target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig, expected_method: str
-) -> tuple[_UnlabeledInputs, _TraceEvaluator]:
-    cfg.validate()
-    if cfg.method != expected_method:
-        raise InvalidArgumentError(
-            f"config method is {cfg.method!r}, this runner expects {expected_method!r}"
-        )
-    yhat, probs = preds.aligned_to(target.ids)
-    inputs = _UnlabeledInputs(
-        ids=target.ids.copy(),
-        features=target.features.copy(),
-        pred_yhat=yhat.copy(),
-        pred_probs=probs.copy(),
-    )
-    return inputs, _TraceEvaluator(target, preds)
-
-
 def _init_models(
     inputs: _UnlabeledInputs, cfg: AdaptConfig
 ) -> tuple[model.ClassifierParams, model.MomentumModel, EpochSampler]:
@@ -264,10 +248,6 @@ def _init_models(
         len(inputs.ids), cfg.batch_size, np.random.default_rng([cfg.seed, 1])
     )
     return student, mm, sampler
-
-
-def _is_eval_point(t: int, cfg: AdaptConfig) -> bool:
-    return t % cfg.eval_interval == 0 or t == cfg.iterations
 
 
 DEFAULT_WARMUP_EPOCHS = 20
@@ -312,24 +292,57 @@ def denoise_labels(
     return (calibrated_probs * pred_probs).argmax(axis=1)
 
 
-def run_bimem(
+def _adapt(
     target: LabeledDataset,
     preds: PredictionSet,
     cfg: AdaptConfig,
+    method: str,
+    labeller: Callable,
     step_hook: Callable | None = None,
 ) -> tuple[model.ClassifierParams, RunTrace]:
-    """Full memory-calibrated adaptation loop; returns the student and its trace.
+    """The loop every method runs; returns the student and its trace.
 
-    ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
-    is called after each iteration's SGD step (used by equivalence tests).
+    ``labeller(inputs, cfg, mm, warmup)`` returns ``batch(t, idx)``, giving the
+    features and labels to train on from the sampled rows and the arguments
+    ``step_hook`` takes between ``t`` and ``labels``, and ``all_labels()``,
+    giving every sample's current label for the trace.
     """
-    inputs, evaluator = _prepare(target, preds, cfg, "bimem")
+    cfg.validate()
+    if cfg.method != method:
+        raise InvalidArgumentError(
+            f"config method is {cfg.method!r}, this runner expects {method!r}"
+        )
+    yhat, probs = preds.aligned_to(target.ids)
+    inputs = _UnlabeledInputs(
+        ids=target.ids.copy(),
+        features=target.features.copy(),
+        pred_yhat=yhat.copy(),
+        pred_probs=probs.copy(),
+    )
+    evaluator = _TraceEvaluator(target, preds)
     student, mm, sampler = _init_models(inputs, cfg)
-    n_categories = inputs.pred_probs.shape[1]
-    warmup = _resolve_warmup(cfg, len(inputs.ids))
+    batch, all_labels = labeller(inputs, cfg, mm, _resolve_warmup(cfg, len(inputs.ids)))
+    rows = [evaluator.row(0, student, all_labels())]
+    for t in range(1, cfg.iterations + 1):
+        model.momentum_update(mm, student)
+        x, labels, hook_args = batch(t, sampler.next_batch())
+        if labels.size:
+            model.sgd_step(student, x, labels, cfg.lr)
+        if step_hook is not None:
+            step_hook(t, *hook_args, labels, student, mm)
+        if t % cfg.eval_interval == 0 or t == cfg.iterations:
+            rows.append(evaluator.row(t, student, all_labels()))
+    return student, RunTrace(rows)
+
+
+def _memory_labeller(
+    inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel, warmup: int
+) -> tuple[Callable, Callable]:
+    """Each step memorizes the momentum-encoded batch and trains on its
+    denoised labels; the full set is calibrated without a state change."""
     state = memory.BiMemState.create(
-        n_categories=n_categories,
-        feature_dim=student.layout.feature_dim,
+        n_categories=inputs.pred_probs.shape[1],
+        feature_dim=mm.params.layout.feature_dim,
         queue_capacity=cfg.queue_capacity,
         top_n=_resolve_top_n(cfg),
         centroid_momentum=cfg.gamma_prime,
@@ -337,27 +350,35 @@ def run_bimem(
     )
     flows = cfg.flows
 
-    def full_set_denoised() -> np.ndarray:
-        feats, probs = model.forward_batch(mm.params, inputs.features)
-        cal, applied = state.calibrate(feats, probs, flows)
-        return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
-
-    rows = [evaluator.row(0, student, full_set_denoised())]
-    for t in range(1, cfg.iterations + 1):
-        model.momentum_update(mm, student)
-        idx = sampler.next_batch()
+    def batch(t: int, idx: np.ndarray):
         x = inputs.features[idx]
         feats, probs = model.forward_batch(mm.params, x)
         calibrated_probs, applied = memory.bimem_step(state, inputs.ids[idx], feats, probs, flows)
         labels = denoise_labels(
             calibrated_probs, applied, inputs.pred_yhat[idx], inputs.pred_probs[idx]
         )
-        model.sgd_step(student, x, labels, cfg.lr)
-        if step_hook is not None:
-            step_hook(t, state, calibrated_probs, applied, labels, student, mm)
-        if _is_eval_point(t, cfg):
-            rows.append(evaluator.row(t, student, full_set_denoised()))
-    return student, RunTrace(rows)
+        return x, labels, (state, calibrated_probs, applied)
+
+    def all_labels() -> np.ndarray:
+        feats, probs = model.forward_batch(mm.params, inputs.features)
+        cal, applied = state.calibrate(feats, probs, flows)
+        return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
+
+    return batch, all_labels
+
+
+def run_bimem(
+    target: LabeledDataset,
+    preds: PredictionSet,
+    cfg: AdaptConfig,
+    step_hook: Callable | None = None,
+) -> tuple[model.ClassifierParams, RunTrace]:
+    """Memory-calibrated adaptation; returns the student and its trace.
+
+    ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
+    is called after each iteration's SGD step (used by equivalence tests).
+    """
+    return _adapt(target, preds, cfg, "bimem", _memory_labeller, step_hook)
 
 
 def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float) -> np.ndarray:
@@ -365,8 +386,6 @@ def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float)
     mask = np.zeros(labels.shape[0], dtype=bool)
     for c in range(probs.shape[1]):
         members = np.flatnonzero(labels == c)
-        if members.size == 0:
-            continue
         k = math.ceil(quantile * members.size)
         if k == 0:
             continue
@@ -375,53 +394,43 @@ def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float)
     return mask
 
 
-def _run_self_training(
-    target: LabeledDataset,
-    preds: PredictionSet,
-    cfg: AdaptConfig,
-    expected_method: str,
-    quantile: float | None,
-) -> tuple[model.ClassifierParams, RunTrace]:
-    inputs, evaluator = _prepare(target, preds, cfg, expected_method)
-    student, mm, sampler = _init_models(inputs, cfg)
-    n = len(inputs.ids)
+def _self_training_labeller(
+    inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel, warmup: int
+) -> tuple[Callable, Callable]:
+    """Black-box labels, replaced past the warm-up at every refresh by the
+    momentum model's; ``confidence_st`` then trains on confident rows only."""
     refresh = cfg.refresh_interval
     if refresh is None:
-        refresh = _epoch_length(n, cfg.batch_size)
-    warmup = _resolve_warmup(cfg, n)
-    labels_current = inputs.pred_yhat.copy()
+        refresh = _epoch_length(len(inputs.ids), cfg.batch_size)
+    labels = inputs.pred_yhat.copy()
     # The confidence mask of the last refresh; None trains on every sample.
     selected: np.ndarray | None = None
 
-    rows = [evaluator.row(0, student, labels_current)]
-    for t in range(1, cfg.iterations + 1):
-        model.momentum_update(mm, student)
+    def batch(t: int, idx: np.ndarray):
+        nonlocal labels, selected
         if t % refresh == 0 and t > warmup:
             _, probs_all = model.forward_batch(mm.params, inputs.features)
-            labels_current = probs_all.argmax(axis=1)
-            if quantile is not None:
-                selected = _select_top_fraction(probs_all, labels_current, quantile)
-        idx = sampler.next_batch()
+            labels = probs_all.argmax(axis=1)
+            if cfg.method == "confidence_st":
+                selected = _select_top_fraction(probs_all, labels, cfg.confidence_quantile)
         use = idx if selected is None else idx[selected[idx]]
-        if use.size:
-            model.sgd_step(student, inputs.features[use], labels_current[use], cfg.lr)
-        if _is_eval_point(t, cfg):
-            rows.append(evaluator.row(t, student, labels_current))
-    return student, RunTrace(rows)
+        return inputs.features[use], labels[use], ()
+
+    return batch, lambda: labels
 
 
 def run_vanilla_st(
     target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig
 ) -> tuple[model.ClassifierParams, RunTrace]:
     """Self-training on black-box labels, refreshed from the momentum model."""
-    return _run_self_training(target, preds, cfg, "vanilla_st", None)
+    return _adapt(target, preds, cfg, "vanilla_st", _self_training_labeller)
 
 
 def run_confidence_st(
     target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig
 ) -> tuple[model.ClassifierParams, RunTrace]:
     """Self-training where each refresh keeps only confident samples per class."""
-    return _run_self_training(target, preds, cfg, "confidence_st", cfg.confidence_quantile)
+    return _adapt(target, preds, cfg, "confidence_st", _self_training_labeller)
 
 
 def run(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
@@ -446,19 +455,8 @@ ABLATION_ROWS: list[tuple[int, str, FlowConfig]] = [
     (7, "SM->ST,SM->LT,ST->LT,SM<-ST,SM<-LT,ST<-LT", FlowConfig.all_enabled()),
 ]
 
-ABLATION_HEADER = [
-    "row",
-    "flows",
-    "sm_to_st",
-    "sm_to_lt",
-    "st_to_lt",
-    "sm_from_st",
-    "sm_from_lt",
-    "st_from_lt",
-    "mean_final_acc",
-    "std_final_acc",
-    "n_seeds",
-]
+ABLATION_HEADER = ["row", "flows", *(f.name for f in fields(FlowConfig)),
+                   "mean_final_acc", "std_final_acc", "n_seeds"]
 
 
 def run_ablation_suite(
@@ -493,14 +491,5 @@ def write_ablation_table(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATION_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["row"],
-                    row["flows"],
-                    *(row[k] for k in ABLATION_HEADER[2:8]),
-                    repr(row["mean_final_acc"]),
-                    repr(row["std_final_acc"]),
-                    row["n_seeds"],
-                ]
-            )
+        # str() of a Python float is its shortest round-trip repr.
+        writer.writerows([row[key] for key in ABLATION_HEADER] for row in rows)

@@ -78,20 +78,17 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
                 raise ConfigError(f"unknown config key {key!r}")
             resolved[key] = value
 
-    for key in ("seed", "n_categories", "dim", "n_per_class", "hidden_dim",
-                "source_epochs", "source_batch_size", "iterations", "batch_size",
-                "queue_capacity", "eval_interval"):
-        _require_int(resolved, key)
+    # A key's type is its default's: None means an integer or null, except
+    # for target_shift, which is checked below.
+    for key, default in DEFAULTS.items():
+        if isinstance(default, bool):
+            _require_bool(resolved, key)
+        elif isinstance(default, int) or (default is None and key != "target_shift"):
+            _require_int(resolved, key, allow_none=default is None)
+        elif isinstance(default, float):
+            _require_number(resolved, key)
     if resolved["seed"] < 0:
         raise ConfigError(f"config key 'seed' must be >= 0, got {resolved['seed']}")
-    _require_int(resolved, "top_n", allow_none=True)
-    _require_int(resolved, "refresh_interval", allow_none=True)
-    _require_int(resolved, "warmup_iterations", allow_none=True)
-    for key in ("class_separation", "target_rotation_deg", "noise_sigma",
-                "source_lr", "lr", "gamma", "gamma_prime", "confidence_quantile"):
-        _require_number(resolved, key)
-    for key in FLOW_KEYS:
-        _require_bool(resolved, key)
     if resolved["method"] not in METHODS:
         raise ConfigError(
             f"config key 'method' must be one of {METHODS}, got {resolved['method']!r}"

@@ -11,7 +11,7 @@ switch so any subset can be run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,14 +96,7 @@ class FlowConfig:
         return cls(False, False, False, False, False, False)
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "sm_to_st": self.sm_to_st,
-            "sm_to_lt": self.sm_to_lt,
-            "st_to_lt": self.st_to_lt,
-            "sm_from_st": self.sm_from_st,
-            "sm_from_lt": self.sm_from_lt,
-            "st_from_lt": self.st_from_lt,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -141,9 +141,10 @@ class TestDenoiseLabels:
 
 
 class TestRunBimem:
-    def test_zero_iterations_single_eval_point(self):
+    @pytest.mark.parametrize("method", adapt.METHODS)
+    def test_zero_iterations_single_eval_point(self, method):
         target, preds = tiny_instance()
-        params, trace = run_bimem(target, preds, tiny_cfg(iterations=0))
+        params, trace = run(target, preds, tiny_cfg(method=method, iterations=0))
         assert len(trace.rows) == 1
         assert trace.rows[0].iteration == 0
         expected = model.init_params(
@@ -158,12 +159,11 @@ class TestRunBimem:
         _, t2 = run_bimem(target, preds, tiny_cfg())
         assert t1 == t2
 
-    def test_iterations_strictly_increasing_with_final_point(self):
+    @pytest.mark.parametrize("method", adapt.METHODS)
+    def test_iterations_strictly_increasing_with_final_point(self, method):
         target, preds = tiny_instance()
-        _, trace = run_bimem(target, preds, tiny_cfg(iterations=25, eval_interval=10))
-        iters = trace.column("iter")
-        assert iters == sorted(set(iters))
-        assert iters[-1] == 25
+        _, trace = run(target, preds, tiny_cfg(method=method, iterations=25, eval_interval=10))
+        assert trace.column("iter") == [0, 10, 20, 25]
 
     def test_flows_off_equals_vanilla_on_fixed_labels(self):
         target, preds = tiny_instance()
@@ -418,6 +418,21 @@ class TestAblation:
             target, preds, replace(cfg, flows=FlowConfig.all_enabled(), seed=0)
         )
         assert rows[6]["mean_final_acc"] == full_trace.column("acc_all")[-1]
+
+    def test_runs_go_through_the_module_runner(self, monkeypatch):
+        """Tools that replace ``adapt.run_bimem`` must see every ablation run."""
+        calls = []
+        runner = adapt.run_bimem
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].flows)
+            return runner(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, "run_bimem", counting)
+        target, preds = tiny_instance()
+        run_ablation_suite(target, preds, tiny_cfg(iterations=5), [0, 1])
+        assert len(calls) == 14
+        assert calls[::2] == calls[1::2] == [flows for _, _, flows in ABLATION_ROWS]
 
     def test_empty_seeds_rejected(self):
         target, preds = tiny_instance()

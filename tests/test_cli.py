@@ -181,6 +181,9 @@ class TestExitCodes:
             ('{"target_shift": [1, 2]}', "target_shift"),
             ("[1]", "JSON object"),
             ('{"lr": ', "not valid JSON"),
+            # Every key rejects a value of the wrong type, typed from its default.
+            *(pytest.param(json.dumps({key: "x"}), repr(key), id=f"{key}-str")
+              for key in config.DEFAULTS),
         ],
     )
     def test_rejected_config_exit_1_names_key(self, tmp_path, capsys, text, named):

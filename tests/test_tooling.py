@@ -65,6 +65,23 @@ def test_every_traced_name_resolves(monkeypatch):
     assert tracing.TARGETS and missing == []
 
 
+def test_traced_functions_are_not_imported_by_name(monkeypatch):
+    """The bench wraps module attributes; a name bound by ``from .module import
+    name`` at import time would keep calling the unwrapped function."""
+    tracing = _load_tracing(monkeypatch)
+    functions = {tuple(path.split(".")) for _, path in tracing.TARGETS if path.count(".") == 1}
+    bound = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1]
+                bound += [f"{path.stem}: {module}.{alias.name}" for alias in node.names
+                          if (module, alias.name) in functions]
+    assert functions and bound == []
+
+
 def test_evicting_spans_return_rows_with_their_count(monkeypatch):
     """The bench counts evicted slots as ``len()`` of what each evicting span returns."""
     tracing = _load_tracing(monkeypatch)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import memory, metrics, model
 from .blackbox import PredictionSet
-from .data import LabeledDataset, split_by_initial_correctness
+from .data import LabeledDataset, read_table
 from .errors import DataError, InvalidArgumentError
 from .memory import FlowConfig
 
@@ -137,42 +137,31 @@ class RunTrace:
     def from_csv(cls, path: str | Path) -> "RunTrace":
         """Read a trace CSV; an accuracy outside [0, 1] (NaN included) or an
         iteration that does not increase is a ``DataError``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("missing trace header", line=1) from None
-            if header != TRACE_COLUMNS:
-                raise DataError(f"unexpected trace header {header!r}", line=1)
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(TRACE_COLUMNS):
-                    raise DataError(f"expected {len(TRACE_COLUMNS)} columns", line=line_no)
-                try:
-                    parsed = TraceRow(
-                        iteration=int(row[0]),
-                        acc_all=float(row[1]),
-                        acc_init_correct=None if row[2] == "" else float(row[2]),
-                        acc_init_incorrect=None if row[3] == "" else float(row[3]),
-                        pl_acc_denoised=float(row[4]),
-                        pl_acc_blackbox=float(row[5]),
-                    )
-                except ValueError as exc:
-                    raise DataError(f"unparseable trace value ({exc})", line=line_no) from None
-                for name in TRACE_COLUMNS[1:]:
-                    acc = getattr(parsed, name)
-                    # NaN fails this comparison as well.
-                    if acc is not None and not 0.0 <= acc <= 1.0:
-                        raise DataError(f"{name} {acc!r} is not an accuracy in [0, 1]",
-                                        line=line_no)
-                if rows and parsed.iteration <= rows[-1].iteration:
-                    raise DataError(f"iteration {parsed.iteration} does not follow "
-                                    f"{rows[-1].iteration}", line=line_no)
-                rows.append(parsed)
+        _, rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row, key="iteration")
         if not rows:
             raise DataError("trace has no data rows", line=2)
+        for line_no, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
+            if row.iteration <= prev.iteration:
+                raise DataError(f"iteration {row.iteration} does not follow {prev.iteration}",
+                                line=line_no)
         return cls(rows)
+
+
+def _parse_trace_row(cells: list[str]) -> TraceRow:
+    row = TraceRow(
+        iteration=int(cells[0]),
+        acc_all=float(cells[1]),
+        acc_init_correct=None if cells[2] == "" else float(cells[2]),
+        acc_init_incorrect=None if cells[3] == "" else float(cells[3]),
+        pl_acc_denoised=float(cells[4]),
+        pl_acc_blackbox=float(cells[5]),
+    )
+    for name in TRACE_COLUMNS[1:]:
+        acc = getattr(row, name)
+        # NaN fails this comparison as well.
+        if acc is not None and not 0.0 <= acc <= 1.0:
+            raise DataError(f"{name} {acc!r} is not an accuracy in [0, 1]")
+    return row
 
 
 class EpochSampler:
@@ -212,9 +201,8 @@ class _TraceEvaluator:
     def __init__(self, target: LabeledDataset, preds: PredictionSet):
         self.features = target.features
         self.truth = target.labels
-        ids_correct, _ = split_by_initial_correctness(target, preds)
-        self.mask_correct = np.isin(target.ids, ids_correct)
         yhat, _ = preds.aligned_to(target.ids)
+        self.mask_correct = yhat == target.labels
         self.pl_acc_blackbox = metrics.accuracy(yhat, target.labels)
 
     def row(

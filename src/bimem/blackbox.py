@@ -8,14 +8,13 @@ mode stands in for APIs that return labels without probabilities.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import model, numerics
-from .data import FLOAT_FORMAT, LabeledDataset
+from .data import FLOAT_FORMAT, LabeledDataset, read_table, reject_rows
 from .errors import DataError, InvalidArgumentError
 
 HARD_LABEL_SMOOTHING = 0.1
@@ -132,56 +131,27 @@ def export_predictions(
 
 def read_predictions(path: str | Path) -> PredictionSet:
     """Parse and validate a predictions CSV; errors carry line numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("missing header", line=1) from None
-        if len(header) < 3 or header[:2] != ["id", "yhat"]:
-            raise DataError(f"unexpected header {header!r}", line=1)
-        n_categories = len(header) - 2
-        if header != predictions_header(n_categories):
-            raise DataError(f"unexpected header {header!r}", line=1)
-        ids: list[int] = []
-        yhat: list[int] = []
-        probs: list[list[float]] = []
-        seen: set[int] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_categories + 2:
-                raise DataError(
-                    f"expected {n_categories + 2} columns, got {len(row)}", line=line_no
-                )
-            try:
-                sample_id = int(row[0])
-                label = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as exc:
-                raise DataError(f"unparseable value ({exc})", line=line_no) from None
-            if sample_id in seen:
-                raise DataError(f"duplicate id {sample_id}", line=line_no)
-            seen.add(sample_id)
-            if not (0 <= label < n_categories):
-                raise DataError(f"label {label} out of range", line=line_no)
-            if not all(math.isfinite(v) for v in values):
-                raise DataError("non-finite probability", line=line_no)
-            arr = np.asarray(values)
-            try:
-                numerics.check_prob_vector(arr, "probabilities")
-            except InvalidArgumentError as exc:
-                raise DataError(str(exc), line=line_no) from None
-            # Printed rounding can create exact ties; the stored label must
-            # still be maximal within tolerance.
-            if arr[label] < arr.max() - numerics.DEFAULT_TOL:
-                raise DataError(
-                    f"stored label {label} is not an argmax of the probabilities",
-                    line=line_no,
-                )
-            ids.append(sample_id)
-            yhat.append(label)
-            probs.append(values)
-    return PredictionSet(
-        ids=np.asarray(ids, dtype=np.int64),
-        yhat=np.asarray(yhat, dtype=np.int64),
-        probs=np.asarray(probs, dtype=np.float64).reshape(len(ids), n_categories),
+    header, records = read_table(
+        path,
+        lambda width: predictions_header(width - 2) if width >= 3 else None,
+        lambda row: (int(row[0]), int(row[1]), list(map(float, row[2:]))),
     )
+    n_categories = len(header) - 2
+    ids = np.array([r[0] for r in records], dtype=np.int64)
+    yhat = np.array([r[1] for r in records], dtype=np.int64)
+    probs = np.array([r[2] for r in records], dtype=np.float64).reshape(len(ids), n_categories)
+    reject_rows((yhat < 0) | (yhat >= n_categories), lambda i: f"label {yhat[i]} out of range")
+    faulty = ~numerics.prob_rows_valid(probs)
+    if faulty.any():
+        # The per-row check words the first fault.
+        i = int(faulty.argmax())
+        try:
+            numerics.check_prob_vector(probs[i], "probabilities")
+        except InvalidArgumentError as exc:
+            raise DataError(str(exc), line=i + 2) from None
+    # Printed rounding can create exact ties; the stored label must still be
+    # maximal within tolerance.
+    stored = probs[np.arange(len(ids)), yhat]
+    reject_rows(stored < probs.max(axis=1) - numerics.DEFAULT_TOL,
+                lambda i: f"stored label {yhat[i]} is not an argmax of the probabilities")
+    return PredictionSet(ids=ids, yhat=yhat, probs=probs)

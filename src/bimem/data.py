@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -130,60 +131,67 @@ def write_dataset(dataset: LabeledDataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def read_dataset(path: str | Path, n_categories: int | None = None) -> LabeledDataset:
-    """Parse a dataset CSV; errors carry the offending 1-based line number."""
+def read_table(
+    path: str | Path,
+    header_for: Callable[[int], list[str] | None],
+    parse: Callable[[list[str]], Any],
+    key: str = "id",
+) -> tuple[list[str], list]:
+    """Read a CSV file whose first column is a unique integer ``key``.
+
+    ``header_for(width)`` is the header a file of that many columns must
+    have, or None if no width-``width`` file is valid. ``parse`` turns one
+    row of strings into a record: a ``DataError`` it raises gets the row's
+    line, and any other ``ValueError`` is an unparseable value. Every
+    ``DataError`` names its 1-based line.
+    Returns the header and the records in file order.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("missing header", line=1) from None
-        if len(header) < 3 or header[0] != "id" or header[-1] != "label":
+        header = next(reader, None)
+        if header is None:
+            raise DataError("missing header", line=1)
+        if header != header_for(len(header)):
             raise DataError(f"unexpected header {header!r}", line=1)
-        feature_dim = len(header) - 2
-        if header != dataset_header(feature_dim):
-            raise DataError(f"unexpected header {header!r}", line=1)
-        ids: list[int] = []
-        feats: list[list[float]] = []
-        labels: list[int] = []
+        records: list = []
         seen: set[int] = set()
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != feature_dim + 2:
-                raise DataError(
-                    f"expected {feature_dim + 2} columns, got {len(row)}", line=line_no
-                )
+            if len(row) != len(header):
+                raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
-                sample_id = int(row[0])
-                values = [float(v) for v in row[1:-1]]
-                label = int(row[-1])
+                row_key = int(row[0])
+                records.append(parse(row))
+            except DataError as exc:
+                raise DataError(str(exc), line=line_no) from None
             except ValueError as exc:
                 raise DataError(f"unparseable value ({exc})", line=line_no) from None
-            if sample_id in seen:
-                raise DataError(f"duplicate id {sample_id}", line=line_no)
-            seen.add(sample_id)
-            if label < 0:
-                raise DataError(f"negative label {label}", line=line_no)
-            if n_categories is not None and label >= n_categories:
-                raise DataError(
-                    f"label {label} >= declared categories {n_categories}", line=line_no
-                )
-            if not all(math.isfinite(v) for v in values):
-                raise DataError("non-finite feature value", line=line_no)
-            ids.append(sample_id)
-            feats.append(values)
-            labels.append(label)
-    return LabeledDataset(
-        ids=np.asarray(ids, dtype=np.int64),
-        features=np.asarray(feats, dtype=np.float64).reshape(len(ids), feature_dim),
-        labels=np.asarray(labels, dtype=np.int64),
+            if row_key in seen:
+                raise DataError(f"{key} {row_key} is repeated", line=line_no)
+            seen.add(row_key)
+    return header, records
+
+
+def reject_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``message(i)`` at the line of the first record ``i`` that ``bad`` marks."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(message(i), line=i + 2)
+
+
+def read_dataset(path: str | Path, n_categories: int | None = None) -> LabeledDataset:
+    """Parse a dataset CSV; errors carry the offending 1-based line number."""
+    header, records = read_table(
+        path,
+        lambda width: dataset_header(width - 2) if width >= 3 else None,
+        lambda row: (int(row[0]), list(map(float, row[1:-1])), int(row[-1])),
     )
-
-
-def split_by_initial_correctness(target, preds) -> tuple[np.ndarray, np.ndarray]:
-    """Partition target ids by whether the exported prediction was right.
-
-    ``preds`` must cover every target id; returns (ids_correct, ids_incorrect).
-    """
-    yhat, _ = preds.aligned_to(target.ids)
-    correct = yhat == target.labels
-    return target.ids[correct], target.ids[~correct]
+    ids = np.array([r[0] for r in records], dtype=np.int64)
+    features = np.array([r[1] for r in records], dtype=np.float64)
+    features = features.reshape(len(ids), len(header) - 2)
+    labels = np.array([r[2] for r in records], dtype=np.int64)
+    reject_rows(labels < 0, lambda i: f"negative label {labels[i]}")
+    if n_categories is not None:
+        reject_rows(labels >= n_categories,
+                    lambda i: f"label {labels[i]} >= declared categories {n_categories}")
+    reject_rows(~np.isfinite(features).all(axis=1), lambda i: "non-finite feature value")
+    return LabeledDataset(ids, features, labels)

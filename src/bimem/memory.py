@@ -128,9 +128,7 @@ class SensoryMemory:
         if (ids.shape, features.shape, probs.shape) != ((n,), (n, dims[0]), (n, dims[1])):
             raise InvalidArgumentError(f"batch shapes {ids.shape} {features.shape} {probs.shape}, "
                                        f"expected {n} rows of (feature_dim, n_categories) {dims}")
-        # NaN and infinite entries fail one of these two comparisons.
-        sums_to_one = np.abs(probs.sum(axis=1) - 1.0) <= numerics.PROB_SUM_TOL
-        if not ((probs >= 0.0).all() and sums_to_one.all()):
+        if not numerics.prob_rows_valid(probs).all():
             raise InvalidArgumentError(f"batch probability rows must be non-negative and sum to 1 "
                                        f"within {numerics.PROB_SUM_TOL}")
         evicted, self.rows = self.rows, Rows(ids, features, probs)

@@ -46,6 +46,16 @@ def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.nd
     return arr
 
 
+def prob_rows_valid(probs: np.ndarray) -> np.ndarray:
+    """Per row of ``probs``: finite, non-negative and summing to 1 within ``PROB_SUM_TOL``.
+
+    ``check_prob_vector``'s rule, applied to every row at once.
+    """
+    # NaN and infinite entries fail one of these two comparisons.
+    sums_to_one = np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL
+    return sums_to_one & (probs >= 0.0).all(axis=1)
+
+
 def softmax_rows(scores: np.ndarray, out: np.ndarray | None = None,
                  row: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction.

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from bimem import blackbox, metrics
-from bimem.data import (
-    LabeledDataset,
-    gen_shifted_gaussians,
-    read_dataset,
-    split_by_initial_correctness,
-    write_dataset,
-)
+from bimem.adapt import TRACE_HEADER, RunTrace
+from bimem.data import gen_shifted_gaussians, read_dataset, write_dataset
 from bimem.errors import DataError, InvalidArgumentError
 
 DEFAULT_SHIFT = np.array([1.5, 0, 0, 0, 0, 0, 0, 0])
@@ -117,57 +112,45 @@ class TestDatasetIO:
             read_dataset(path)
 
 
-class TestSplitByInitialCorrectness:
-    def _tiny(self):
-        return LabeledDataset(
-            ids=np.array([10, 11, 12, 13]),
-            features=np.zeros((4, 2)),
-            labels=np.array([0, 1, 0, 1]),
-        )
+# Per reader: the header, a width-2 header, a valid row after its integer
+# key, and the key's name in the repeated-key message.
+TABLES = {
+    "dataset": (read_dataset, "id,f0,f1,label", "id,label", "0.5,1.5,0", "id"),
+    "predictions": (blackbox.read_predictions, "id,yhat,p0,p1", "id,yhat", "0,0.75,0.25", "id"),
+    "trace": (RunTrace.from_csv, TRACE_HEADER, "iter,acc_all", "0.5,0.5,0.5,0.5,1.0",
+              "iteration"),
+}
 
-    def test_perfect_predictor_all_correct(self):
-        target = self._tiny()
-        preds = blackbox.PredictionSet(
-            ids=target.ids,
-            yhat=target.labels.copy(),
-            probs=np.eye(2)[target.labels],
-        )
-        ids_c, ids_i = split_by_initial_correctness(target, preds)
-        assert sorted(ids_c.tolist()) == [10, 11, 12, 13]
-        assert ids_i.size == 0
 
-    def test_constant_predictor_counts(self):
-        target = self._tiny()
-        preds = blackbox.PredictionSet(
-            ids=target.ids,
-            yhat=np.zeros(4, dtype=int),
-            probs=np.tile([0.6, 0.4], (4, 1)),
-        )
-        ids_c, ids_i = split_by_initial_correctness(target, preds)
-        assert sorted(ids_c.tolist()) == [10, 12]
-        assert sorted(ids_i.tolist()) == [11, 13]
+def _table_faults():
+    """A file for every fault ``read_table`` owns, per reader, and the
+    predictions faults; each with the line and message start it must report."""
+    for name, (_, header, narrow, rest, key) in TABLES.items():
+        first = f"{header}\n0,{rest}\n"
+        faults = {
+            "empty": ("", 1, "missing header"),
+            "bad-header": (f"x{first}", 1, "unexpected header"),
+            "width-2-header": (f"{narrow}\n0,0\n", 1, "unexpected header"),
+            "short-row": (first + "1," + rest.rsplit(",", 1)[0] + "\n", 3, "expected"),
+            "unparseable": (first + "1,abc," + rest.split(",", 1)[1] + "\n", 3,
+                            "unparseable value"),
+            "repeated-key": (first + f"1,{rest}\n0,{rest}\n", 4, f"{key} 0"),
+        }
+        for fault, case in faults.items():
+            yield pytest.param(name, *case, id=f"{name}-{fault}")
+    first = "id,yhat,p0,p1\n0,0,0.75,0.25\n"
+    for fault, row, message in [
+        ("nan", "1,0,nan,0.25", "probabilities contains non-finite"),
+        ("inf", "1,0,inf,0.25", "probabilities contains non-finite"),
+        ("yhat-high", "1,2,0.25,0.75", "label 2 out of range"),
+        ("yhat-negative", "1,-1,0.25,0.75", "label -1 out of range"),
+    ]:
+        yield pytest.param("predictions", f"{first}{row}\n", 3, message, id=f"predictions-{fault}")
 
-    def test_partition_property_on_random_inputs(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            target = LabeledDataset(
-                ids=rng.permutation(1000)[:n],
-                features=rng.normal(size=(n, 2)),
-                labels=rng.integers(0, 3, size=n),
-            )
-            yhat = rng.integers(0, 3, size=n)
-            preds = blackbox.PredictionSet(
-                ids=target.ids, yhat=yhat, probs=np.eye(3)[yhat]
-            )
-            ids_c, ids_i = split_by_initial_correctness(target, preds)
-            assert set(ids_c.tolist()) | set(ids_i.tolist()) == set(target.ids.tolist())
-            assert set(ids_c.tolist()) & set(ids_i.tolist()) == set()
 
-    def test_missing_prediction_is_data_error(self):
-        target = self._tiny()
-        preds = blackbox.PredictionSet(
-            ids=np.array([10, 11]), yhat=np.array([0, 1]), probs=np.eye(2)
-        )
-        with pytest.raises(DataError):
-            split_by_initial_correctness(target, preds)
+@pytest.mark.parametrize("reader, text, line, message", _table_faults())
+def test_table_fault_names_its_line(tmp_path, reader, text, line, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^line {line}: {message}"):
+        TABLES[reader][0](path)

@@ -49,6 +49,21 @@ def test_every_module_level_definition_is_referenced_in_src():
     assert unreferenced == []
 
 
+def test_one_function_reads_csv():
+    """Every CSV file is read through ``data.read_table``, so the header, width,
+    key and line rules have one home."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(sub, ast.Attribute) and sub.attr in ("reader", "DictReader")
+                and isinstance(sub.value, ast.Name) and sub.value.id == "csv"
+                for sub in ast.walk(node)
+            ):
+                readers.append(f"{path.stem}.{node.name}")
+    assert readers == ["data.read_table"]
+
+
 def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

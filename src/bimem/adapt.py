@@ -339,12 +339,12 @@ def _memory_labeller(
     flows = cfg.flows
 
     def batch(t: int, idx: np.ndarray):
-        x = inputs.features[idx]
+        x = inputs.features.take(idx, axis=0)
         feats, probs = model.forward_batch(mm.params, x)
-        calibrated_probs, applied = memory.bimem_step(state, inputs.ids[idx], feats, probs, flows)
-        labels = denoise_labels(
-            calibrated_probs, applied, inputs.pred_yhat[idx], inputs.pred_probs[idx]
-        )
+        calibrated_probs, applied = memory.bimem_step(state, inputs.ids.take(idx), feats, probs,
+                                                      flows)
+        labels = denoise_labels(calibrated_probs, applied, inputs.pred_yhat.take(idx),
+                                inputs.pred_probs.take(idx, axis=0))
         return x, labels, (state, calibrated_probs, applied)
 
     def all_labels() -> np.ndarray:

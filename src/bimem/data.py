@@ -21,6 +21,14 @@ from .errors import DataError, InvalidArgumentError
 FLOAT_FORMAT = "%.9g"
 
 
+def _plain_cells(row: list[str]) -> bool:
+    """No cell holds what Python's int and float take beyond plain ASCII
+    number syntax: whitespace, an underscore or a non-ASCII character.
+    Every whitespace character but the space is unprintable."""
+    text = "".join(row)
+    return text.isascii() and text.isprintable() and "_" not in text and " " not in text
+
+
 @dataclass
 class LabeledDataset:
     """Target or source samples with ground truth; ids are unique integers."""
@@ -137,13 +145,16 @@ def read_table(
     parse: Callable[[list[str]], Any],
     key: str = "id",
 ) -> tuple[list[str], list]:
-    """Read a CSV file whose first column is a unique integer ``key``.
+    """Read a CSV file of number cells whose first column is a unique integer ``key``.
 
     ``header_for(width)`` is the header a file of that many columns must
     have, or None if no width-``width`` file is valid. ``parse`` turns one
     row of strings into a record: a ``DataError`` it raises gets the row's
-    line, and any other ``ValueError`` is an unparseable value. Every
-    ``DataError`` names its 1-based line.
+    line, and any other ``ValueError`` is an unparseable value. A row with
+    whitespace, an underscore or a non-ASCII character in a cell is
+    unparseable before ``parse`` sees it, so a quoted cell cannot span
+    lines and every line number is a physical line. Every ``DataError``
+    names its 1-based line.
     Returns the header and the records in file order.
     """
     with open(path, newline="") as fh:
@@ -159,6 +170,8 @@ def read_table(
             if len(row) != len(header):
                 raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
+                if not _plain_cells(row):
+                    raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
                 row_key = int(row[0])
                 records.append(parse(row))
             except DataError as exc:

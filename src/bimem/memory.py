@@ -51,10 +51,6 @@ class Rows:
     def empty(cls, feature_dim: int, n_categories: int) -> "Rows":
         return cls(np.zeros(0, dtype=np.int64), np.zeros((0, feature_dim)), np.zeros((0, n_categories)))
 
-    @classmethod
-    def concat(cls, parts: list["Rows"]) -> "Rows":
-        return cls(*(np.concatenate(column) for column in zip(*(p.columns for p in parts))))
-
     @property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.ids, self.features, self.probs
@@ -144,7 +140,8 @@ def select_hard(mem: SensoryMemory, n: int) -> Rows:
     rows = mem.rows
     if n < 1 or n > len(rows):
         raise InvalidArgumentError(f"n={n} out of range for {len(rows)} rows")
-    return rows[np.lexsort((rows.ids, -numerics.entropy_rows(rows.probs)))[:n]]
+    order = np.lexsort((rows.ids, -numerics.entropy_rows(rows.probs)))[:n]
+    return Rows(*(column.take(order, axis=0) for column in rows.columns))
 
 
 @dataclass
@@ -269,10 +266,12 @@ class LongTermCentroids:
             return
         fresh, counts = compute_centroids(features, probs, self.n_categories)
         present, m = counts > 0, self.momentum
-        blend = present & self.initialized
-        self.centroids[blend] = (1.0 - m) * fresh[blend] + m * self.centroids[blend]
-        first = present & ~self.initialized
-        self.centroids[first] = fresh[first]
+        # Blend every category as (1-m)·fresh + m·old, write first
+        # contributions through, and keep categories without contributors.
+        blended = fresh * (1.0 - m)
+        blended += self.centroids * m
+        np.copyto(blended, fresh, where=~self.initialized[:, None])
+        np.copyto(self.centroids, blended, where=present[:, None])
         self.initialized |= present
 
 
@@ -286,8 +285,8 @@ def long_term_consolidate(
     flowing = ((evicted_sensory, flows.sm_to_lt), (evicted_short, flows.st_to_lt))
     parts = [rows for rows, enabled in flowing if enabled]
     if parts:
-        contributors = Rows.concat(parts)
-        lt.consolidate(contributors.features, contributors.probs)
+        lt.consolidate(np.concatenate([p.features for p in parts]),
+                       np.concatenate([p.probs for p in parts]))
     return lt
 
 

@@ -135,6 +135,13 @@ def _table_faults():
             "unparseable": (first + "1,abc," + rest.split(",", 1)[1] + "\n", 3,
                             "unparseable value"),
             "repeated-key": (first + f"1,{rest}\n0,{rest}\n", 4, f"{key} 0"),
+            # Python's int and float accept these; int("1_0") is 10, so the 10
+            # on line 4 would look repeated.
+            "underscore-in-key": (first + f"1_0,{rest}\n10,{rest}\n", 3, "unparseable value"),
+            "spaces-around-cell": (first + f"1, {rest} \n", 3, "unparseable value"),
+            # A quoted newline would make every later line number one too low.
+            "newline-in-quoted-cell": (first + '1,"{}\n",{}\n2,{}\n'.format(
+                *rest.split(",", 1), rest), 3, "unparseable value"),
         }
         for fault, case in faults.items():
             yield pytest.param(name, *case, id=f"{name}-{fault}")

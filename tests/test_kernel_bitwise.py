@@ -4,7 +4,8 @@
 threshold; ``memory.compute_centroids`` switches by input size to a padded
 form; the calibration kernels ``centroid_weights``, ``_reweight_rows`` and
 ``sensory_calibration_probs`` run category-major, over slabs of one category
-each; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
+each; ``LongTermCentroids.consolidate`` blends whole arrays in place of masked
+rows; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
 parameter buffer in one operation, through scratch buffers shared by every
 model of a layout. The references below are the row-major and per-array forms
 they replace. Every output must equal its reference bit for bit, signs of
@@ -60,6 +61,18 @@ def reference_centroids(features, probs, n_categories):
         if counts[c] > 0:
             centroids[c] = features[mask].mean(axis=0)
     return centroids, counts
+
+
+def reference_consolidate(centroids, initialized, features, probs, momentum):
+    """The masked blend: (1-m)·fresh + m·old where a category is present and
+    initialized, fresh where it is present for the first time."""
+    fresh, counts = reference_centroids(features, probs, len(centroids))
+    present = counts > 0
+    blend = present & initialized
+    centroids[blend] = (1.0 - momentum) * fresh[blend] + momentum * centroids[blend]
+    first = present & ~initialized
+    centroids[first] = fresh[first]
+    initialized |= present
 
 
 def reference_sgd_step(weights, x, labels, lr):
@@ -274,6 +287,35 @@ def test_compute_centroids_match_masked_mean_reference(n, k, d, seed, zeros, spr
     expected_centroids, expected_counts = reference_centroids(features, probs, k)
     assert_bitwise_equal(centroids, expected_centroids)
     assert np.array_equal(counts, expected_counts)
+
+
+@given(**SIZES, case=st.sampled_from(["steady", "absent", "first"]),
+       momentum=st.floats(0.0, 0.999))
+@example(n=64, k=5, d=32, seed=0, zeros=0.0, spread=0, case="steady", momentum=0.99)
+@example(n=64, k=20, d=32, seed=1, zeros=0.1, spread=12, case="absent", momentum=0.99)
+@example(n=3, k=25, d=8, seed=2, zeros=1.0, spread=0, case="first", momentum=0.0)
+def test_consolidate_matches_masked_blend_reference(n, k, d, seed, zeros, spread, case,
+                                                    momentum):
+    """Every category present and initialized, some categories without
+    contributors, or some seen for the first time."""
+    rng = np.random.default_rng(seed)
+    features = mixed_values(rng, (n, d), zeros, spread)
+    # Contributors cycle through the present categories first, so each has one.
+    present = np.arange(k) if case == "steady" else np.flatnonzero(rng.random(k) < 0.5)
+    if present.size == 0 or present.size > n:
+        present = np.arange(min(k, n))
+    labels = np.concatenate([present, rng.choice(present, size=n - present.size)])
+    probs = rng.random((n, k)) * 0.5
+    probs[np.arange(n), labels] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    lt = memory.LongTermCentroids(k, d, momentum)
+    lt.initialized[:] = rng.random(k) < 0.5 if case == "first" else True
+    lt.centroids[lt.initialized] = mixed_values(rng, (k, d), zeros, spread)[lt.initialized]
+    expected, expected_initialized = lt.centroids.copy(), lt.initialized.copy()
+    reference_consolidate(expected, expected_initialized, features, probs, momentum)
+    lt.consolidate(features, probs)
+    assert_bitwise_equal(lt.centroids, expected)
+    assert np.array_equal(lt.initialized, expected_initialized)
 
 
 @given(

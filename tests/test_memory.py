@@ -115,10 +115,9 @@ class TestSelectHard:
 class TestShortTermQueue:
     def test_fifo_eviction(self):
         st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
-        a, b, c, d = (rows([(i, [float(i)], [0.5, 0.5])]) for i in range(4))
-        st.push(Rows.concat([a, b, c]))
-        evicted = st.push(d)
-        assert evicted.ids.tolist() == a.ids.tolist()
+        st.push(rows([(i, [float(i)], [0.5, 0.5]) for i in range(3)]))
+        evicted = st.push(rows([(3, [3.0], [0.5, 0.5])]))
+        assert evicted.ids.tolist() == [0]
         assert [s.sample_id for s in st.queue] == [1, 2, 3]
 
     def test_warmup_no_eviction_until_full(self):

@@ -327,7 +327,7 @@ def _memory_labeller(
     inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel, warmup: int
 ) -> tuple[Callable, Callable]:
     """Each step memorizes the momentum-encoded batch and trains on its
-    denoised labels; the full set is calibrated without a state change."""
+    denoised labels; the full set is calibrated from the last step's sources."""
     state = memory.BiMemState.create(
         n_categories=inputs.pred_probs.shape[1],
         feature_dim=mm.params.layout.feature_dim,
@@ -349,7 +349,7 @@ def _memory_labeller(
 
     def all_labels() -> np.ndarray:
         feats, probs = model.forward_batch(mm.params, inputs.features)
-        cal, applied = state.calibrate(feats, probs, flows)
+        cal, applied = memory.sensory_calibration_probs(feats, probs, state.sources)
         return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
 
     return batch, all_labels

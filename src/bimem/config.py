@@ -100,11 +100,10 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
             shift[0] = 1.5
         resolved["target_shift"] = shift
     shift = resolved["target_shift"]
-    if (
-        not isinstance(shift, list)
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in shift)
+    if not isinstance(shift, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in shift
     ):
-        raise ConfigError("config key 'target_shift' must be a list of numbers")
+        raise ConfigError("config key 'target_shift' must be a list of finite numbers")
     if len(shift) != resolved["dim"]:
         raise ConfigError(
             f"config key 'target_shift' must have length dim={resolved['dim']}, got {len(shift)}"

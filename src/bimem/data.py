@@ -96,6 +96,8 @@ def gen_shifted_gaussians(
         raise InvalidArgumentError(
             f"target_shift must have dimension {feature_dim}, got shape {shift.shape}"
         )
+    if not np.isfinite(shift).all():
+        raise InvalidArgumentError(f"target_shift must be finite, got {shift.tolist()}")
 
     rng = np.random.default_rng(seed)
     source_means = class_means(n_categories, feature_dim, class_separation)

@@ -290,14 +290,20 @@ def long_term_consolidate(
     return lt
 
 
-def centroid_weights(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Distance-softmax calibration weights against ``centroids``.
+def centroid_weights(features: np.ndarray, *sources: np.ndarray) -> np.ndarray:
+    """Distance-softmax weights of ``features`` against one or more centroid sets.
 
-    Row ``i`` is the softmax of the negative L1 distances between
-    ``features[i]`` and each centroid. Computed category-major: the result
-    is the ``(n, k)`` transpose of a C-contiguous ``(k, n)`` array.
+    Row ``i`` is the softmax of minus the L1 distances between ``features[i]``
+    and each category's centroid, summed over ``sources``. All sources are
+    scored in one L1 call and their category-major blocks added in source
+    order; the result is the ``(n, k)`` transpose of a C-contiguous ``(k, n)``
+    array.
     """
-    scores = numerics.l1_distances(features, centroids).T
+    k = len(sources[0])
+    distances = numerics.l1_distances(features, np.concatenate(sources)).T
+    scores = distances[:k]
+    for start in range(k, len(distances), k):
+        scores += distances[start:start + k]
     np.negative(scores, out=scores)
     return numerics.softmax_slabs(scores).T
 
@@ -349,23 +355,11 @@ def calibrate_short_term(
 def sensory_calibration_probs(
     features: np.ndarray, probs: np.ndarray, sources: list[np.ndarray]
 ) -> tuple[np.ndarray, bool]:
-    """New category probabilities for sensory features from centroid distances.
-
-    Category ``c`` scores the negative L1 distance to centroid ``c`` summed
-    over ``sources``, and each row is softmaxed. Returns ``(probs,
-    calibrated)`` where ``calibrated`` is False when no source was given and
-    the inputs pass through unchanged. All sources are scored in one L1 call
-    and their category-major blocks added in source order.
-    """
+    """``(probs, calibrated)``: ``centroid_weights`` against ``sources``, or a
+    copy of the inputs and False when no source was given."""
     if not sources:
         return probs.copy(), False
-    k = len(sources[0])
-    distances = numerics.l1_distances(features, np.concatenate(sources)).T
-    scores = distances[:k]
-    for start in range(k, len(distances), k):
-        scores += distances[start:start + k]
-    np.negative(scores, out=scores)
-    return numerics.softmax_slabs(scores).T, True
+    return centroid_weights(features, *sources), True
 
 
 def short_term_summary(mem: ShortTermMemory, n_categories: int) -> np.ndarray | None:
@@ -394,6 +388,10 @@ class BiMemState:
     warmup: int = 0
     steps: int = 0
     warnings: dict[str, int] = field(default_factory=dict)
+    # The last step's backward_sources, which evaluations calibrate from. Its
+    # long-term entry is the live centroids array: valid only until the next
+    # step consolidates into it and replaces the list.
+    sources: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -433,48 +431,36 @@ class BiMemState:
     def backward_ready(self) -> bool:
         return self.steps > self.warmup
 
-    def backward_sources(
-        self, rectify_queue: bool = False
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(long-term centroids, queue centroids), each None while it cannot be used.
+    def backward_sources(self, flows: FlowConfig) -> list[np.ndarray]:
+        """A step's enabled, usable sensory sources: long-term, then queue centroids.
 
-        This is the one readiness gate of the backward flows. A source is
-        None during the warm-up and while it does not represent every
-        category. Calibrating from a partial source would zero the missing
-        categories out of every stored probability; since consolidation
-        categories come from those stored probabilities, a category absent at
-        the first calibration could never be remembered again. Gating on full
-        coverage makes the warm-up phase train on the raw black-box labels
-        instead.
+        This is the one readiness gate of the backward flows. Nothing is
+        computed during the warm-up, and a source is unusable while it does
+        not represent every category. Calibrating from a partial source would
+        zero the missing categories out of every stored probability; since
+        consolidation categories come from those stored probabilities, a
+        category absent at the first calibration could never be remembered
+        again. Gating on full coverage makes the warm-up phase train on the
+        raw black-box labels instead.
 
-        With ``rectify_queue`` the long-term source first reweights the queue
-        (``calibrate_short_term``), so the queue centroids are taken from the
-        rectified probabilities. Nothing is computed during the warm-up.
+        With ``flows.st_from_lt`` the long-term source first reweights the
+        queue (``calibrate_short_term``), so the queue centroids come from the
+        rectified probabilities. Counts ``sensory_calibration_skipped`` when
+        sensory flows are on but no source is usable.
         """
         if not self.backward_ready:
-            return None, None
+            return []
         lt_centroids = self.long_term.centroids if self.long_term.initialized.all() else None
-        if rectify_queue:
+        if flows.st_from_lt:
             calibrate_short_term(self.short_term, lt_centroids, self.warnings)
-        return lt_centroids, short_term_summary(self.short_term, self.n_categories)
-
-    def calibrate(
-        self, features: np.ndarray, probs: np.ndarray, flows: FlowConfig, step: bool = False
-    ) -> tuple[np.ndarray, bool]:
-        """``sensory_calibration_probs`` from the enabled, usable sources.
-
-        Steps and evaluations share it. A step (``step=True``) also lets the
-        long-term source rectify the queue first when ``flows.st_from_lt`` is
-        on, and counts ``sensory_calibration_skipped`` when it is past the
-        warm-up with sensory flows enabled but no usable source. An
-        evaluation changes no state.
-        """
-        lt_centroids, st_centroids = self.backward_sources(step and flows.st_from_lt)
-        enabled = ((flows.sm_from_lt, lt_centroids), (flows.sm_from_st, st_centroids))
-        sources = [centroids for on, centroids in enabled if on and centroids is not None]
-        if step and not sources and self.backward_ready and (flows.sm_from_lt or flows.sm_from_st):
+        sources = [lt_centroids] if flows.sm_from_lt and lt_centroids is not None else []
+        if flows.sm_from_st:
+            st_centroids = short_term_summary(self.short_term, self.n_categories)
+            if st_centroids is not None:
+                sources.append(st_centroids)
+        if not sources and (flows.sm_from_lt or flows.sm_from_st):
             _count(self.warnings, "sensory_calibration_skipped")
-        return sensory_calibration_probs(features, probs, sources)
+        return sources
 
 
 def bimem_step(
@@ -485,9 +471,9 @@ def bimem_step(
     Runs, in order: sensory refresh, uncertainty selection into the FIFO
     queue, consolidation of this step's evictions into the long-term
     centroids, queue calibration by the long-term memory, and sensory
-    calibration by queue and long-term centroids. Backward flows engage only
-    past the warm-up and once their source covers every category (see
-    ``BiMemState.backward_sources``).
+    calibration by long-term and queue centroids, kept as ``state.sources``.
+    Backward flows engage only past the warm-up and once their source covers
+    every category (see ``BiMemState.backward_sources``).
     Returns the sensory buffer's probabilities after calibration and whether
     any backward flow actually touched them (False means pass-through, e.g.
     during warm-up or with backward flows disabled).
@@ -501,7 +487,8 @@ def bimem_step(
     else:
         evicted_short = Rows.empty(state.feature_dim, state.n_categories)
     long_term_consolidate(state.long_term, evicted_sensory, evicted_short, flows)
-    calibrated, applied = state.calibrate(batch.features, batch.probs, flows, step=True)
+    state.sources = state.backward_sources(flows)
+    calibrated, applied = sensory_calibration_probs(batch.features, batch.probs, state.sources)
     if applied:
         batch.probs = calibrated
     return calibrated, applied

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import DataError, InvalidArgumentError, NumericFailureError
 
 INIT_SCALE = 0.1
 PROB_FLOOR = 1e-12
@@ -351,8 +351,25 @@ def save_params(params: ClassifierParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ClassifierParams:
-    payload = json.loads(Path(path).read_text())
-    layout = Layout(**payload["layout"])
-    return ClassifierParams(
-        layout, payload.get("hidden_w"), payload.get("hidden_b"), payload["out_w"], payload["out_b"]
-    )
+    """Parameters written by ``save_params``.
+
+    A file that is not such a checkpoint of finite numbers (malformed JSON, a
+    missing key, a non-numeric or misshapen array, a NaN) is a ``DataError``
+    that names ``path``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+        layout = Layout(**payload["layout"])
+        arrays = {name: np.asarray(payload[name]) for name in layout.shapes}
+        for name, array in arrays.items():
+            if array.dtype.kind not in "if":
+                raise DataError(f"{name} holds {array.dtype} values, not numbers")
+        params = ClassifierParams(layout, arrays.get("hidden_w"), arrays.get("hidden_b"),
+                                  arrays["out_w"], arrays["out_b"])
+    except KeyError as exc:
+        raise DataError(f"{path}: model checkpoint has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model checkpoint: {exc}") from None
+    if not np.isfinite(params.flat).all():
+        raise DataError(f"{path}: model checkpoint has non-finite weights")
+    return params

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: pipeline, exit codes, and reproducibility."""
 
 import json
+import math
 
 import pytest
 
@@ -179,6 +180,8 @@ class TestExitCodes:
             ('{"lr": "0.1"}', "lr"),
             ('{"lr": NaN}', "lr"),
             ('{"target_shift": [1, 2]}', "target_shift"),
+            ('{"target_shift": [NaN, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),
+            ('{"target_shift": [Infinity, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),
             ("[1]", "JSON object"),
             ('{"lr": ', "not valid JSON"),
             # Every key rejects a value of the wrong type, typed from its default.
@@ -267,6 +270,35 @@ class TestExitCodes:
         assert run_cli(*argv, "--config", cfg, "--out", str(written)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{empty} has no data rows" in err
+        assert not written.exists()
+
+    @pytest.mark.parametrize(("fault", "named"), [
+        ("empty", "no key 'layout'"),
+        ("not-json", "malformed model checkpoint"),
+        ("string-weight", "out_b"),
+        ("wrong-shape", "out_w"),
+        ("nan-weight", "non-finite"),
+    ])
+    def test_malformed_checkpoint_predict_exit_2(self, workdir, capsys, fault, named):
+        tmp, cfg = workdir
+        out = tmp / "run"
+        run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
+        checkpoint = tmp / "model.json"
+        layout = {"input_dim": 2, "hidden_dim": 0, "n_categories": 3}
+        weights = {"out_w": [[0.1, 0.2]] * 3, "out_b": [0.0, 0.0, 0.0]}
+        checkpoint.write_text({
+            "empty": "{}",
+            "not-json": '{"layout": ',
+            "string-weight": json.dumps({"layout": layout, **weights, "out_b": ["x", 0, 0]}),
+            "wrong-shape": json.dumps({"layout": layout, **weights, "out_w": [[0.1, 0.2]] * 2}),
+            "nan-weight": json.dumps({"layout": layout, **weights, "out_b": [math.nan, 0, 0]}),
+        }[fault])
+        written = tmp / "preds.csv"
+        capsys.readouterr()
+        assert run_cli("predict", str(checkpoint), str(out / "target.csv"), "--config", cfg,
+                       "--out", str(written)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(checkpoint) in err and named in err
         assert not written.exists()
 
     def test_negative_seed_gen_data_exit_1(self, workdir, capsys):

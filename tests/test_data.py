@@ -51,6 +51,11 @@ class TestGeneration:
         with pytest.raises(InvalidArgumentError):
             gen_shifted_gaussians(2, 2, 10, 4.0, np.zeros(2), 0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="target_shift"):
+            gen_shifted_gaussians(2, 2, 10, 4.0, np.array([bad, 0.0]), 0.0, 1.0, 0)
+
     def test_default_benchmark_initial_accuracy_band(self):
         # Regression band: the source model's target accuracy must leave a
         # meaningful amount of label noise for adaptation to correct.

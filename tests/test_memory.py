@@ -337,14 +337,13 @@ class TestCalibrateShortTerm:
         state = make_state(capacity=4)
         state.short_term.push(rows([(0, [1.0], [0.4, 0.6])]))
         state.steps = 1
-        lt_centroids, _ = state.backward_sources(rectify_queue=True)
-        assert lt_centroids is None
+        flows = FlowConfig.all_enabled()
+        assert state.backward_sources(flows) == []
         np.testing.assert_array_equal(state.short_term.queue[0].prob, [0.4, 0.6])
         assert state.warnings["short_term_calibration_skipped"] == 1
         # One category short of full coverage still skips.
         state.long_term.initialized[0] = True
-        lt_centroids, _ = state.backward_sources(rectify_queue=True)
-        assert lt_centroids is None
+        assert state.backward_sources(flows) == []
         np.testing.assert_array_equal(state.short_term.queue[0].prob, [0.4, 0.6])
         assert state.warnings["short_term_calibration_skipped"] == 2
 
@@ -399,23 +398,25 @@ class TestCalibrateSensory:
         state.steps = 1
         original = np.array([[0.3, 0.7]])
         flows = FlowConfig(sm_from_lt=False, sm_from_st=False)
-        probs, applied = state.calibrate(np.array([[0.0]]), original, flows, step=True)
+        sources = state.backward_sources(flows)
+        probs, applied = sensory_calibration_probs(np.array([[0.0]]), original, sources)
         assert not applied
         np.testing.assert_array_equal(probs, original)
         assert state.warnings == {}
 
     def test_no_present_centroid_warns_and_passes_through(self):
+        # Past a zero warm-up, the first step has no long-term centroid and a
+        # one-category queue.
         state = make_state()
-        state.steps = 1
         original = np.array([[0.3, 0.7]])
-        probs, applied = state.calibrate(
-            np.array([[0.0]]), original, FlowConfig.all_enabled(), step=True
-        )
-        assert not applied
+        probs, applied = run_step(state, rows([(0, [0.0], [0.3, 0.7])]), FlowConfig.all_enabled())
+        assert not applied and state.sources == []
         np.testing.assert_array_equal(probs, original)
         assert state.warnings["sensory_calibration_skipped"] == 1
-        # An evaluation reads the same sources but counts nothing.
-        state.calibrate(np.array([[0.0]]), original, FlowConfig.all_enabled())
+        # An evaluation calibrates from the step's sources but counts nothing.
+        probs, applied = sensory_calibration_probs(np.array([[0.0]]), original, state.sources)
+        assert not applied
+        np.testing.assert_array_equal(probs, original)
         assert state.warnings["sensory_calibration_skipped"] == 1
 
     def test_buffer_op_writes_calibrated_probs_back(self):
@@ -528,6 +529,21 @@ class TestBimemStep:
             return memory_state_bytes(state)
 
         assert run() == run()
+
+    def test_evaluation_reads_the_steps_sources(self, memory_state_bytes):
+        """Calibrating the step's batch from ``state.sources`` reproduces the
+        step's output bit for bit and changes no memory."""
+        rng = np.random.default_rng(7)
+        state = make_state(c=3, d=2, capacity=8, top_n=4, warmup=2)
+        for step in range(12):
+            batch = random_rows(rng, 6, c=3, d=2, start_id=6 * step)
+            probs, applied = run_step(state, batch, FlowConfig.all_enabled())
+        assert applied and len(state.sources) == 2
+        before = memory_state_bytes(state)
+        again, applied = sensory_calibration_probs(batch.features, batch.probs, state.sources)
+        assert applied and again.tobytes() == probs.tobytes()
+        assert state.sources[-1].tobytes() == short_term_summary(state.short_term, 3).tobytes()
+        assert memory_state_bytes(state) == before
 
     def test_prob_validity_preserved_after_every_flow(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bimem import model
-from bimem.errors import InvalidArgumentError, NumericFailureError
+from bimem.errors import DataError, InvalidArgumentError, NumericFailureError
 from bimem.model import (
     ClassifierParams,
     Layout,
@@ -341,7 +341,7 @@ class TestCheckpoint:
             payload = json.loads(path.read_text())
             payload[key] = bias
             path.write_text(json.dumps(payload))
-            with pytest.raises(InvalidArgumentError, match=key):
+            with pytest.raises(DataError, match=key):
                 load_params(path)
 
     def test_initialization_is_deterministic_and_bounded(self):

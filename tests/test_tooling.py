@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,39 +14,59 @@ from bimem.memory import Rows, SensoryMemory, ShortTermMemory
 SRC = Path(bimem.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-# Entry points reached from outside ``src``: the console script and the loss
-# that the gradient checks differentiate.
+# Definitions reached only from outside ``src``, each with the reason.
 EXTERNAL = {
-    ("cli", "entry_point"),
-    ("model", "batch_loss"),
+    ("cli", "entry_point"),  # the console script
+    ("model", "batch_loss"),  # the loss the gradient checks differentiate
+    ("cli", "_Parser.error"),  # argparse's hook for a usage error
+    ("memory", "SensoryMemory.slots"),  # slot views criterion 2's step hook reads
+    ("memory", "ShortTermMemory.queue"),  # slot views criterion 2's step hook reads
 }
 
 
-def _referenced_names(node: ast.AST) -> set[str]:
-    names = set()
+def _referenced_names(node: ast.AST, attributes_only: bool = False) -> Counter:
+    """How often each name is read in ``node``, as an attribute and, unless
+    ``attributes_only``, as a variable."""
+    names = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+        if isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Name) and not attributes_only:
+            names[sub.id] += 1
     return names
 
 
-def test_every_module_level_definition_is_referenced_in_src():
-    """A function or class that no code in ``src`` names is dead or test-only."""
-    statements = []  # (module, top-level statement, names it references)
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            statements.append((path.stem, stmt, _referenced_names(stmt)))
+def _definitions(stmt: ast.stmt):
+    """``(qualified name, node)`` for a top-level function or class and for
+    the class's methods and properties, dunder methods aside."""
+    if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return
+    yield stmt.name, stmt
+    if isinstance(stmt, ast.ClassDef):
+        for sub in stmt.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                sub.name.startswith("__") and sub.name.endswith("__")
+            ):
+                yield f"{stmt.name}.{sub.name}", sub
 
+
+def test_every_module_level_definition_is_referenced_in_src():
+    """A function, class, method or property that no code in ``src`` outside
+    its own body names is dead or test-only. A method counts as named by any
+    attribute read of its bare name, whatever the owner."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    everywhere = {kind: sum((_referenced_names(tree, kind) for _, tree in trees), Counter())
+                  for kind in (False, True)}
     unreferenced = []
-    for module, stmt, _ in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name in bimem.__all__ or (module, stmt.name) in EXTERNAL:
-            continue
-        if not any(stmt.name in names for _, other, names in statements if other is not stmt):
-            unreferenced.append(f"{module}.{stmt.name}")
+    for module, tree in trees:
+        for stmt in tree.body:
+            for name, node in _definitions(stmt):
+                method = "." in name
+                bare = name.rsplit(".", 1)[-1]
+                if name in bimem.__all__ or (module, name) in EXTERNAL:
+                    continue
+                if everywhere[method][bare] <= _referenced_names(node, method)[bare]:
+                    unreferenced.append(f"{module}.{name}")
     assert unreferenced == []
 
 

@@ -2,12 +2,13 @@
 
 Every run is fully determined by (dataset, predictions, config, seed). The
 training path never sees ground-truth labels; they stay inside the trace
-evaluator. Every method runs the same loop: per iteration the student is
-EMA-tracked, a batch is sampled, the method's labeller labels it, and the
-student takes one SGD step on those labels. The memory labeller encodes the
-batch with the momentum model, steps the memories and reweights the black-box
-probabilities by the calibrated memory probabilities; the self-training
-labeller refreshes every label from the momentum model at a fixed interval.
+evaluator. Every method runs as a ``Run`` whose ``step()`` is one iteration:
+the student is EMA-tracked, a batch is sampled, the method's labeller labels
+it, and the student takes one SGD step on those labels. ``_MemoryLabeller``
+encodes the batch with the momentum model, steps the memories and reweights
+the black-box probabilities by the calibrated memory probabilities;
+``_SelfTrainingLabeller`` refreshes every label from the momentum model at a
+fixed interval. A labeller's state is its attributes.
 """
 
 from __future__ import annotations
@@ -123,14 +124,8 @@ class RunTrace:
         with open(path, "w", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
             for r in self.rows:
-                cells = [
-                    str(r.iteration),
-                    repr(r.acc_all),
-                    "" if r.acc_init_correct is None else repr(r.acc_init_correct),
-                    "" if r.acc_init_incorrect is None else repr(r.acc_init_incorrect),
-                    repr(r.pl_acc_denoised),
-                    repr(r.pl_acc_blackbox),
-                ]
+                accs = (getattr(r, name) for name in TRACE_COLUMNS[1:])
+                cells = [str(r.iteration), *("" if acc is None else repr(acc) for acc in accs)]
                 fh.write(",".join(cells) + "\n")
 
     @classmethod
@@ -280,79 +275,86 @@ def denoise_labels(
     return (calibrated_probs * pred_probs).argmax(axis=1)
 
 
-def _adapt(
-    target: LabeledDataset,
-    preds: PredictionSet,
-    cfg: AdaptConfig,
-    method: str,
-    labeller: Callable,
-    step_hook: Callable | None = None,
-) -> tuple[model.ClassifierParams, RunTrace]:
-    """The loop every method runs; returns the student and its trace.
+class Run:
+    """One run of a method, advanced one iteration at a time by ``step()``.
 
-    ``labeller(inputs, cfg, mm, warmup)`` returns ``batch(t, idx)``, giving the
-    features and labels to train on from the sampled rows and the arguments
-    ``step_hook`` takes between ``t`` and ``labels``, and ``all_labels()``,
-    giving every sample's current label for the trace.
+    ``rows`` starts with the evaluation at ``t = 0``; ``step_hook`` is
+    ``run_bimem``'s. The labeller's ``batch(t, idx)`` gives the features and
+    labels to train on from the sampled rows, and ``all_labels()`` every
+    sample's current label for the trace.
     """
-    cfg.validate()
+
+    def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
+                 step_hook: Callable | None = None):
+        cfg.validate()
+        yhat, probs = preds.aligned_to(target.ids)
+        self.inputs = _UnlabeledInputs(ids=target.ids.copy(), features=target.features.copy(),
+                                       pred_yhat=yhat.copy(), pred_probs=probs.copy())
+        self.cfg, self.step_hook, self.t = cfg, step_hook, 0
+        self.evaluator = _TraceEvaluator(target, preds)
+        self.student, self.mm, self.sampler = _init_models(self.inputs, cfg)
+        labeller = _MemoryLabeller if cfg.method == "bimem" else _SelfTrainingLabeller
+        self.labeller = labeller(self.inputs, cfg, self.mm)
+        self.rows = [self.evaluator.row(0, self.student, self.labeller.all_labels())]
+
+    def step(self) -> None:
+        """EMA, sample, label, SGD, hook, and the evaluation at an eval point."""
+        self.t = t = self.t + 1
+        student, mm, labeller = self.student, self.mm, self.labeller
+        model.momentum_update(mm, student)
+        x, labels = labeller.batch(t, self.sampler.next_batch())
+        if labels.size:
+            model.sgd_step(student, x, labels, self.cfg.lr)
+        if self.step_hook is not None:
+            self.step_hook(t, labeller.state, labeller.calibrated_probs, labeller.applied,
+                           labels, student, mm)
+        if t % self.cfg.eval_interval == 0 or t == self.cfg.iterations:
+            self.rows.append(self.evaluator.row(t, student, labeller.all_labels()))
+
+
+def _adapt(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig, method: str,
+           step_hook: Callable | None = None) -> tuple[model.ClassifierParams, RunTrace]:
+    """The loop every method runs; returns the student and its trace."""
     if cfg.method != method:
         raise InvalidArgumentError(
-            f"config method is {cfg.method!r}, this runner expects {method!r}"
-        )
-    yhat, probs = preds.aligned_to(target.ids)
-    inputs = _UnlabeledInputs(
-        ids=target.ids.copy(),
-        features=target.features.copy(),
-        pred_yhat=yhat.copy(),
-        pred_probs=probs.copy(),
-    )
-    evaluator = _TraceEvaluator(target, preds)
-    student, mm, sampler = _init_models(inputs, cfg)
-    batch, all_labels = labeller(inputs, cfg, mm, _resolve_warmup(cfg, len(inputs.ids)))
-    rows = [evaluator.row(0, student, all_labels())]
-    for t in range(1, cfg.iterations + 1):
-        model.momentum_update(mm, student)
-        x, labels, hook_args = batch(t, sampler.next_batch())
-        if labels.size:
-            model.sgd_step(student, x, labels, cfg.lr)
-        if step_hook is not None:
-            step_hook(t, *hook_args, labels, student, mm)
-        if t % cfg.eval_interval == 0 or t == cfg.iterations:
-            rows.append(evaluator.row(t, student, all_labels()))
-    return student, RunTrace(rows)
+            f"config method is {cfg.method!r}, this runner expects {method!r}")
+    run = Run(target, preds, cfg, step_hook)
+    for _ in range(cfg.iterations):
+        run.step()
+    return run.student, RunTrace(run.rows)
 
 
-def _memory_labeller(
-    inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel, warmup: int
-) -> tuple[Callable, Callable]:
+class _MemoryLabeller:
     """Each step memorizes the momentum-encoded batch and trains on its
     denoised labels; the full set is calibrated from the last step's sources."""
-    state = memory.BiMemState.create(
-        n_categories=inputs.pred_probs.shape[1],
-        feature_dim=mm.params.layout.feature_dim,
-        queue_capacity=cfg.queue_capacity,
-        top_n=_resolve_top_n(cfg),
-        centroid_momentum=cfg.gamma_prime,
-        warmup=warmup,
-    )
-    flows = cfg.flows
 
-    def batch(t: int, idx: np.ndarray):
+    def __init__(self, inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel):
+        self.inputs, self.mm, self.flows = inputs, mm, cfg.flows
+        self.state = memory.BiMemState.create(
+            n_categories=inputs.pred_probs.shape[1],
+            feature_dim=mm.params.layout.feature_dim,
+            queue_capacity=cfg.queue_capacity,
+            top_n=_resolve_top_n(cfg),
+            centroid_momentum=cfg.gamma_prime,
+            warmup=_resolve_warmup(cfg, len(inputs.ids)),
+        )
+        # The last step's memory output, which the step hook reads.
+        self.calibrated_probs, self.applied = None, False
+
+    def batch(self, t: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inputs = self.inputs
         x = inputs.features.take(idx, axis=0)
-        feats, probs = model.forward_batch(mm.params, x)
-        calibrated_probs, applied = memory.bimem_step(state, inputs.ids.take(idx), feats, probs,
-                                                      flows)
-        labels = denoise_labels(calibrated_probs, applied, inputs.pred_yhat.take(idx),
-                                inputs.pred_probs.take(idx, axis=0))
-        return x, labels, (state, calibrated_probs, applied)
+        feats, probs = model.forward_batch(self.mm.params, x)
+        self.calibrated_probs, self.applied = memory.bimem_step(
+            self.state, inputs.ids.take(idx), feats, probs, self.flows)
+        return x, denoise_labels(self.calibrated_probs, self.applied, inputs.pred_yhat.take(idx),
+                                 inputs.pred_probs.take(idx, axis=0))
 
-    def all_labels() -> np.ndarray:
-        feats, probs = model.forward_batch(mm.params, inputs.features)
-        cal, applied = memory.sensory_calibration_probs(feats, probs, state.sources)
+    def all_labels(self) -> np.ndarray:
+        inputs = self.inputs
+        feats, probs = model.forward_batch(self.mm.params, inputs.features)
+        cal, applied = memory.sensory_calibration_probs(feats, probs, self.state.sources)
         return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
-
-    return batch, all_labels
 
 
 def run_bimem(
@@ -366,7 +368,7 @@ def run_bimem(
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
     """
-    return _adapt(target, preds, cfg, "bimem", _memory_labeller, step_hook)
+    return _adapt(target, preds, cfg, "bimem", step_hook)
 
 
 def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float) -> np.ndarray:
@@ -382,53 +384,52 @@ def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float)
     return mask
 
 
-def _self_training_labeller(
-    inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel, warmup: int
-) -> tuple[Callable, Callable]:
+class _SelfTrainingLabeller:
     """Black-box labels, replaced past the warm-up at every refresh by the
     momentum model's; ``confidence_st`` then trains on confident rows only."""
-    refresh = cfg.refresh_interval
-    if refresh is None:
-        refresh = _epoch_length(len(inputs.ids), cfg.batch_size)
-    labels = inputs.pred_yhat.copy()
-    # The confidence mask of the last refresh; None trains on every sample.
-    selected: np.ndarray | None = None
 
-    def batch(t: int, idx: np.ndarray):
-        nonlocal labels, selected
-        if t % refresh == 0 and t > warmup:
-            _, probs_all = model.forward_batch(mm.params, inputs.features)
-            labels = probs_all.argmax(axis=1)
-            if cfg.method == "confidence_st":
-                selected = _select_top_fraction(probs_all, labels, cfg.confidence_quantile)
-        use = idx if selected is None else idx[selected[idx]]
-        return inputs.features[use], labels[use], ()
+    def __init__(self, inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel):
+        self.inputs, self.cfg, self.mm = inputs, cfg, mm
+        self.warmup = _resolve_warmup(cfg, len(inputs.ids))
+        # refresh_interval is None or >= 1, so ``or`` only replaces None.
+        self.refresh = cfg.refresh_interval or _epoch_length(len(inputs.ids), cfg.batch_size)
+        self.labels = inputs.pred_yhat.copy()
+        # The confidence mask of the last refresh; None trains on every sample.
+        self.selected: np.ndarray | None = None
 
-    return batch, lambda: labels
+    def batch(self, t: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if t % self.refresh == 0 and t > self.warmup:
+            _, probs_all = model.forward_batch(self.mm.params, self.inputs.features)
+            self.labels = probs_all.argmax(axis=1)
+            if self.cfg.method == "confidence_st":
+                self.selected = _select_top_fraction(probs_all, self.labels,
+                                                     self.cfg.confidence_quantile)
+        use = idx if self.selected is None else idx[self.selected[idx]]
+        return self.inputs.features[use], self.labels[use]
+
+    def all_labels(self) -> np.ndarray:
+        return self.labels
 
 
 def run_vanilla_st(
     target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig
 ) -> tuple[model.ClassifierParams, RunTrace]:
     """Self-training on black-box labels, refreshed from the momentum model."""
-    return _adapt(target, preds, cfg, "vanilla_st", _self_training_labeller)
+    return _adapt(target, preds, cfg, "vanilla_st")
 
 
 def run_confidence_st(
     target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig
 ) -> tuple[model.ClassifierParams, RunTrace]:
     """Self-training where each refresh keeps only confident samples per class."""
-    return _adapt(target, preds, cfg, "confidence_st", _self_training_labeller)
+    return _adapt(target, preds, cfg, "confidence_st")
 
 
 def run(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
     """Dispatch on ``cfg.method``."""
-    runner = {
-        "bimem": run_bimem,
-        "vanilla_st": run_vanilla_st,
-        "confidence_st": run_confidence_st,
-    }[cfg.method]
-    return runner(target, preds, cfg)
+    runners = {"bimem": run_bimem, "vanilla_st": run_vanilla_st,
+               "confidence_st": run_confidence_st}
+    return runners[cfg.method](target, preds, cfg)
 
 
 # The seven flow combinations studied in the ablation, from no memory at all
@@ -466,12 +467,9 @@ def run_ablation_suite(
             cfg = replace(base_cfg, method="bimem", flows=flows, seed=int(seed))
             _, trace = run_bimem(target, preds, cfg)
             finals.append(trace.column("acc_all")[-1])
-        entry = {"row": row_no, "flows": label}
-        entry.update(flows.as_dict())
-        entry["mean_final_acc"] = float(np.mean(finals))
-        entry["std_final_acc"] = float(np.std(finals))
-        entry["n_seeds"] = len(seeds)
-        results.append(entry)
+        results.append({"row": row_no, "flows": label, **flows.as_dict(),
+                        "mean_final_acc": float(np.mean(finals)),
+                        "std_final_acc": float(np.std(finals)), "n_seeds": len(seeds)})
     return results
 
 

@@ -98,6 +98,10 @@ def gen_shifted_gaussians(
         )
     if not np.isfinite(shift).all():
         raise InvalidArgumentError(f"target_shift must be finite, got {shift.tolist()}")
+    for name, value in (("class_separation", class_separation),
+                        ("target_rotation_deg", target_rotation_deg), ("noise_sigma", noise_sigma)):
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite, got {value}")
 
     rng = np.random.default_rng(seed)
     source_means = class_means(n_categories, feature_dim, class_separation)

@@ -275,6 +275,37 @@ class TestRunBimem:
         assert hashlib.sha256(final).hexdigest() == params_sha256
 
 
+class TestRun:
+    @pytest.mark.parametrize("method", adapt.METHODS)
+    def test_stepping_by_hand_equals_run(self, tmp_path, monkeypatch, method):
+        """A ``Run`` stepped to ``cfg.iterations`` is the run: the same trace
+        CSV bytes and the same final student and momentum parameter bytes."""
+        models = []
+        init_models = adapt._init_models
+
+        def keep_models(*args):
+            models.append(init_models(*args))
+            return models[-1]
+
+        monkeypatch.setattr(adapt, "_init_models", keep_models)
+        target, preds = tiny_instance()
+        # Refreshes, calibration and a last eval point off the interval all happen.
+        cfg = tiny_cfg(method=method, iterations=45)
+        student, trace = run(target, preds, cfg)
+        by_hand = adapt.Run(target, preds, cfg)
+        for _ in range(cfg.iterations):
+            by_hand.step()
+        assert by_hand.t == cfg.iterations
+        trace.to_csv(tmp_path / "run.csv")
+        RunTrace(by_hand.rows).to_csv(tmp_path / "by_hand.csv")
+        assert (tmp_path / "by_hand.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        (kept, mm, _), _ = models
+        assert kept is student
+        for a, b in zip([*student.arrays(), *mm.params.arrays()],
+                        [*by_hand.student.arrays(), *by_hand.mm.params.arrays()], strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestVanilla:
     def test_refresh_beyond_iterations_trains_on_fixed_labels(self):
         target, preds = tiny_instance()

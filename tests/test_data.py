@@ -9,6 +9,7 @@ from bimem.data import gen_shifted_gaussians, read_dataset, write_dataset
 from bimem.errors import DataError, InvalidArgumentError
 
 DEFAULT_SHIFT = np.array([1.5, 0, 0, 0, 0, 0, 0, 0])
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def default_benchmark(seed):
@@ -51,10 +52,20 @@ class TestGeneration:
         with pytest.raises(InvalidArgumentError):
             gen_shifted_gaussians(2, 2, 10, 4.0, np.zeros(2), 0.0, 0.0, 0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_shift_rejected(self, bad):
-        with pytest.raises(InvalidArgumentError, match="target_shift"):
-            gen_shifted_gaussians(2, 2, 10, 4.0, np.array([bad, 0.0]), 0.0, 1.0, 0)
+    @pytest.mark.parametrize(
+        "argument, bad",
+        [pytest.param("target_shift", bad, id=str(bad)) for bad in NON_FINITE]
+        + [pytest.param(argument, bad, id=f"{argument}-{bad}") for bad in NON_FINITE
+           for argument in ("class_separation", "target_rotation_deg", "noise_sigma")],
+    )
+    def test_non_finite_shift_rejected(self, argument, bad):
+        """A non-finite shift, separation, rotation or noise scale raises,
+        naming the argument; each would make every generated feature non-finite."""
+        args = dict(n_categories=2, feature_dim=2, n_per_class=10, class_separation=4.0,
+                    target_shift=np.zeros(2), target_rotation_deg=0.0, noise_sigma=1.0, seed=0)
+        args[argument] = np.array([bad, 0.0]) if argument == "target_shift" else bad
+        with pytest.raises(InvalidArgumentError, match=argument):
+            gen_shifted_gaussians(**args)
 
     def test_default_benchmark_initial_accuracy_band(self):
         # Regression band: the source model's target accuracy must leave a

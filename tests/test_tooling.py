@@ -85,6 +85,26 @@ def test_one_function_reads_csv():
     assert readers == ["data.read_table"]
 
 
+def test_one_loop_steps_the_models():
+    """In ``adapt.py`` only ``Run.step`` takes an SGD step or an EMA update,
+    once each, so every method trains through the one loop."""
+    steps = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(sub, f"{owner}.{sub.name}" if owner else sub.name)
+                continue
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in ("sgd_step", "momentum_update")
+                    and isinstance(sub.func.value, ast.Name) and sub.func.value.id == "model"):
+                steps.append(f"{owner}: model.{sub.func.attr}")
+            visit(sub, owner)
+
+    visit(ast.parse((SRC / "adapt.py").read_text()), "")
+    assert sorted(steps) == ["Run.step: model.momentum_update", "Run.step: model.sgd_step"]
+
+
 def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

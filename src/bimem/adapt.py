@@ -159,27 +159,6 @@ def _parse_trace_row(cells: list[str]) -> TraceRow:
     return row
 
 
-class EpochSampler:
-    """Without-replacement batch indices; reshuffles at each epoch boundary."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        if n < 1:
-            raise InvalidArgumentError("sampler needs at least one sample")
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._cursor = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._cursor >= self.n:
-            self._order = self.rng.permutation(self.n)
-            self._cursor = 0
-        batch = self._order[self._cursor : self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return batch
-
-
 @dataclass(frozen=True)
 class _UnlabeledInputs:
     """What the training path is allowed to see: no ground truth."""
@@ -193,10 +172,10 @@ class _UnlabeledInputs:
 class _TraceEvaluator:
     """Holds ground truth; the only component that ever reads it."""
 
-    def __init__(self, target: LabeledDataset, preds: PredictionSet):
+    def __init__(self, target: LabeledDataset, yhat: np.ndarray):
+        """``yhat`` holds the black-box labels aligned to ``target``'s rows."""
         self.features = target.features
         self.truth = target.labels
-        yhat, _ = preds.aligned_to(target.ids)
         self.mask_correct = yhat == target.labels
         self.pl_acc_blackbox = metrics.accuracy(yhat, target.labels)
 
@@ -222,22 +201,18 @@ class _TraceEvaluator:
 
 def _init_models(
     inputs: _UnlabeledInputs, cfg: AdaptConfig
-) -> tuple[model.ClassifierParams, model.MomentumModel, EpochSampler]:
+) -> tuple[model.ClassifierParams, model.MomentumModel, model.EpochSampler]:
     n_categories = inputs.pred_probs.shape[1]
     layout = model.Layout(inputs.features.shape[1], cfg.hidden_dim, n_categories)
     student = model.init_params(layout, np.random.default_rng([cfg.seed, 0]))
     mm = model.MomentumModel(student.copy(), cfg.gamma)
-    sampler = EpochSampler(
+    sampler = model.EpochSampler(
         len(inputs.ids), cfg.batch_size, np.random.default_rng([cfg.seed, 1])
     )
     return student, mm, sampler
 
 
 DEFAULT_WARMUP_EPOCHS = 20
-
-
-def _epoch_length(n: int, batch_size: int) -> int:
-    return max(1, math.ceil(n / batch_size))
 
 
 def _resolve_warmup(cfg: AdaptConfig, n: int) -> int:
@@ -250,7 +225,7 @@ def _resolve_warmup(cfg: AdaptConfig, n: int) -> int:
     """
     if cfg.warmup_iterations is not None:
         return cfg.warmup_iterations
-    return DEFAULT_WARMUP_EPOCHS * _epoch_length(n, cfg.batch_size)
+    return DEFAULT_WARMUP_EPOCHS * model.epoch_length(n, cfg.batch_size)
 
 
 def _resolve_top_n(cfg: AdaptConfig) -> int:
@@ -279,19 +254,22 @@ class Run:
     """One run of a method, advanced one iteration at a time by ``step()``.
 
     ``rows`` starts with the evaluation at ``t = 0``; ``step_hook`` is
-    ``run_bimem``'s. The labeller's ``batch(t, idx)`` gives the features and
-    labels to train on from the sampled rows, and ``all_labels()`` every
-    sample's current label for the trace.
+    ``run_bimem``'s, so only the memory method takes one. The labeller's
+    ``batch(t, idx)`` gives the features and labels to train on from the
+    sampled rows, and ``all_labels()`` every sample's current label for the
+    trace.
     """
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
                  step_hook: Callable | None = None):
         cfg.validate()
+        if step_hook is not None and cfg.method != "bimem":
+            raise InvalidArgumentError(f"a step hook needs method 'bimem', got {cfg.method!r}")
         yhat, probs = preds.aligned_to(target.ids)
         self.inputs = _UnlabeledInputs(ids=target.ids.copy(), features=target.features.copy(),
-                                       pred_yhat=yhat.copy(), pred_probs=probs.copy())
+                                       pred_yhat=yhat, pred_probs=probs)
         self.cfg, self.step_hook, self.t = cfg, step_hook, 0
-        self.evaluator = _TraceEvaluator(target, preds)
+        self.evaluator = _TraceEvaluator(target, yhat)
         self.student, self.mm, self.sampler = _init_models(self.inputs, cfg)
         labeller = _MemoryLabeller if cfg.method == "bimem" else _SelfTrainingLabeller
         self.labeller = labeller(self.inputs, cfg, self.mm)
@@ -392,7 +370,7 @@ class _SelfTrainingLabeller:
         self.inputs, self.cfg, self.mm = inputs, cfg, mm
         self.warmup = _resolve_warmup(cfg, len(inputs.ids))
         # refresh_interval is None or >= 1, so ``or`` only replaces None.
-        self.refresh = cfg.refresh_interval or _epoch_length(len(inputs.ids), cfg.batch_size)
+        self.refresh = cfg.refresh_interval or model.epoch_length(len(inputs.ids), cfg.batch_size)
         self.labels = inputs.pred_yhat.copy()
         # The confidence mask of the last refresh; None trains on every sample.
         self.selected: np.ndarray | None = None
@@ -427,9 +405,7 @@ def run_confidence_st(
 
 def run(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
     """Dispatch on ``cfg.method``."""
-    runners = {"bimem": run_bimem, "vanilla_st": run_vanilla_st,
-               "confidence_st": run_confidence_st}
-    return runners[cfg.method](target, preds, cfg)
+    return _adapt(target, preds, cfg, cfg.method)
 
 
 # The seven flow combinations studied in the ablation, from no memory at all

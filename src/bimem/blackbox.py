@@ -72,12 +72,10 @@ def train_source(
         n_categories = int(source.labels.max()) + 1
     layout = model.Layout(source.feature_dim, hidden_dim, n_categories)
     params = model.init_params(layout, np.random.default_rng([seed, 0]))
-    shuffle_rng = np.random.default_rng([seed, 1])
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(source.n_samples)
-        for start in range(0, source.n_samples, batch_size):
-            idx = order[start : start + batch_size]
-            model.sgd_step(params, source.features[idx], source.labels[idx], lr)
+    sampler = model.EpochSampler(source.n_samples, batch_size, np.random.default_rng([seed, 1]))
+    for _ in range(epochs * model.epoch_length(source.n_samples, batch_size)):
+        idx = sampler.next_batch()
+        model.sgd_step(params, source.features[idx], source.labels[idx], lr)
     return params
 
 

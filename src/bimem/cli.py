@@ -1,8 +1,8 @@
 """Command-line interface: the whole pipeline as subcommands.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or runtime
-error. Every subcommand prints the resolved configuration before doing any
-work so a run can be reproduced exactly.
+error. ``main`` resolves the configuration once and prints it before any
+subcommand does its work, so a run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _print_resolved(resolved: dict) -> None:
-    print("resolved config:")
-    print(json.dumps(resolved, indent=2, sort_keys=True))
-
-
 def _read_nonempty_dataset(path, n_categories: int) -> data.LabeledDataset:
     """``read_dataset``, with a header-only file as a data error: no command can run on it."""
     dataset = data.read_dataset(path, n_categories=n_categories)
@@ -39,9 +34,7 @@ def _read_nonempty_dataset(path, n_categories: int) -> data.LabeledDataset:
     return dataset
 
 
-def cmd_gen_data(args) -> int:
-    resolved = config.resolve(args.config)
-    _print_resolved(resolved)
+def cmd_gen_data(args, resolved: dict) -> int:
     source, target = data.gen_shifted_gaussians(
         n_categories=resolved["n_categories"],
         feature_dim=resolved["dim"],
@@ -61,9 +54,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_source(args) -> int:
-    resolved = config.resolve(args.config)
-    _print_resolved(resolved)
+def cmd_train_source(args, resolved: dict) -> int:
     source = _read_nonempty_dataset(args.source, resolved["n_categories"])
     params = blackbox.train_source(
         source,
@@ -79,9 +70,8 @@ def cmd_train_source(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    resolved = config.resolve(args.config)
-    _print_resolved(resolved)
+def cmd_predict(args, _resolved: dict) -> int:
+    """The checkpoint, not the config, gives the model's layout."""
     params = model.load_params(args.model)
     target = _read_nonempty_dataset(args.target, params.layout.n_categories)
     preds = blackbox.export_predictions(params, target, args.out, hard_only=args.hard_only)
@@ -101,12 +91,7 @@ def _read_adaptation_inputs(args, n_categories: int):
     return target, preds
 
 
-def cmd_adapt(args) -> int:
-    overrides = {}
-    if args.method is not None:
-        overrides["method"] = args.method
-    resolved = config.resolve(args.config, overrides)
-    _print_resolved(resolved)
+def cmd_adapt(args, resolved: dict) -> int:
     cfg = config.adapt_config(resolved)
     target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     _, trace = adapt.run(target, preds, cfg)
@@ -120,9 +105,7 @@ def cmd_adapt(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    resolved = config.resolve(args.config)
-    _print_resolved(resolved)
+def cmd_ablate(args, resolved: dict) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
@@ -156,9 +139,7 @@ def trace_identity(path: str | Path) -> tuple[str, int | str]:
     return stem, ""
 
 
-def cmd_report(args) -> int:
-    resolved = config.resolve(args.config)
-    _print_resolved(resolved)
+def cmd_report(args, _resolved: dict) -> int:
     entries = []
     for path in args.traces:
         method, seed = trace_identity(path)
@@ -175,55 +156,51 @@ def build_parser() -> _Parser:
         description="Memory-calibrated self-training lab for black-box domain shift.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand takes the config; ``main`` resolves it once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file")
 
-    p = sub.add_parser("gen-data", help="generate the synthetic source/target benchmark")
-    p.add_argument("--config", default=None, help="JSON config file")
+    def command(name: str, func, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-data", cmd_gen_data, "generate the synthetic source/target benchmark")
     p.add_argument("--out-dir", required=True, help="directory for source.csv / target.csv")
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train-source", help="train the source model on source.csv")
+    p = command("train-source", cmd_train_source, "train the source model on source.csv")
     p.add_argument("source", help="source dataset CSV")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="model checkpoint path (JSON)")
-    p.set_defaults(func=cmd_train_source)
 
-    p = sub.add_parser("predict", help="export black-box predictions for target.csv")
+    p = command("predict", cmd_predict, "export black-box predictions for target.csv")
     p.add_argument("model", help="source model checkpoint")
     p.add_argument("target", help="target dataset CSV")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="predictions CSV path")
     p.add_argument(
         "--hard-only",
         action="store_true",
         help="export smoothed one-hot probabilities instead of soft predictions",
     )
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("adapt", help="run adaptation on target.csv + preds.csv")
+    p = command("adapt", cmd_adapt, "run adaptation on target.csv + preds.csv")
     p.add_argument("target", help="target dataset CSV")
     p.add_argument("preds", help="black-box predictions CSV")
-    p.add_argument("--config", default=None)
     p.add_argument("--method", choices=adapt.METHODS, default=None, help="override config method")
     p.add_argument("--out", required=True, help="trace CSV path")
-    p.set_defaults(func=cmd_adapt)
 
-    p = sub.add_parser("ablate", help="run the seven-row flow ablation grid")
+    p = command("ablate", cmd_ablate, "run the seven-row flow ablation grid")
     p.add_argument("target")
     p.add_argument("preds")
-    p.add_argument("--config", default=None)
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--out", required=True, help="ablation table CSV path")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("report", help="aggregate trace CSVs into a summary CSV")
+    p = command("report", cmd_report, "aggregate trace CSVs into a summary CSV")
     p.add_argument(
         "traces",
         nargs="+",
         help="trace CSVs; name them <method>_seed<k>.csv to label summary rows",
     )
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -235,7 +212,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        method = getattr(args, "method", None)  # ``adapt --method``, the one override
+        resolved = config.resolve(args.config, None if method is None else {"method": method})
+        print("resolved config:")
+        print(json.dumps(resolved, indent=2, sort_keys=True))
+        return args.func(args, resolved)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

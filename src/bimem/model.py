@@ -1,4 +1,5 @@
-"""The trainable target classifier, its EMA copy, the task loss, and SGD.
+"""The trainable target classifier, its EMA copy, the task loss, SGD, and the
+epoch sampler that feeds both source training and adaptation.
 
 A single tanh hidden layer is enough to give the memories a feature space
 worth clustering; ``hidden_dim == 0`` degrades to a linear model whose
@@ -302,6 +303,32 @@ def loss_gradients(
         np.matmul(dpre.T, x, out=g_hidden[0])
         np.add.reduce(dpre, axis=0, out=g_hidden[1])
     return grad
+
+
+def epoch_length(n: int, batch_size: int) -> int:
+    """Batches in one pass over ``n`` samples; the last one may be short."""
+    return max(1, math.ceil(n / batch_size))
+
+
+class EpochSampler:
+    """Without-replacement batch indices; reshuffles at each epoch boundary."""
+
+    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+        if n < 1:
+            raise InvalidArgumentError("sampler needs at least one sample")
+        self.n = n
+        self.batch_size = min(batch_size, n)
+        self.rng = rng
+        self._order = rng.permutation(n)
+        self._cursor = 0
+
+    def next_batch(self) -> np.ndarray:
+        if self._cursor >= self.n:
+            self._order = self.rng.permutation(self.n)
+            self._cursor = 0
+        batch = self._order[self._cursor : self._cursor + self.batch_size]
+        self._cursor += self.batch_size
+        return batch
 
 
 def sgd_step(

@@ -12,7 +12,6 @@ from bimem.adapt import (
     ABLATION_ROWS,
     TRACE_HEADER,
     AdaptConfig,
-    EpochSampler,
     RunTrace,
     TraceRow,
     _select_top_fraction,
@@ -26,6 +25,7 @@ from bimem.adapt import (
 from bimem.data import gen_shifted_gaussians
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
+from bimem.model import EpochSampler
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -192,6 +192,26 @@ class TestRunBimem:
         _, direct = run_bimem(target, preds, tiny_cfg())
         assert via_dispatch == direct
 
+    def test_run_rejects_unknown_method(self):
+        target, preds = tiny_instance()
+        with pytest.raises(InvalidArgumentError, match="unknown method 'nope'") as err:
+            run(target, preds, tiny_cfg(method="nope"))
+        assert str(adapt.METHODS) in str(err.value)
+
+    @pytest.mark.parametrize("method", adapt.METHODS)
+    def test_run_aligns_the_predictions_once(self, monkeypatch, method):
+        calls = []
+        aligned_to = blackbox.PredictionSet.aligned_to
+
+        def counted(preds, ids):
+            calls.append(len(ids))
+            return aligned_to(preds, ids)
+
+        target, preds = tiny_instance()
+        monkeypatch.setattr(blackbox.PredictionSet, "aligned_to", counted)
+        run(target, preds, tiny_cfg(method=method, iterations=15))
+        assert calls == [target.n_samples]
+
     def test_training_path_sees_no_labels(self):
         from bimem.adapt import _UnlabeledInputs
 
@@ -276,6 +296,12 @@ class TestRunBimem:
 
 
 class TestRun:
+    @pytest.mark.parametrize("method", ["vanilla_st", "confidence_st"])
+    def test_step_hook_needs_the_memory_method(self, method):
+        target, preds = tiny_instance()
+        with pytest.raises(InvalidArgumentError, match=f"needs method 'bimem', got '{method}'"):
+            adapt.Run(target, preds, tiny_cfg(method=method), step_hook=lambda *args: None)
+
     @pytest.mark.parametrize("method", adapt.METHODS)
     def test_stepping_by_hand_equals_run(self, tmp_path, monkeypatch, method):
         """A ``Run`` stepped to ``cfg.iterations`` is the run: the same trace

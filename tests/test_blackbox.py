@@ -66,6 +66,23 @@ class TestTrainSource:
         for a, b in zip(p1.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 32), (3, 500), (4, 48), (3, 32)])
+    def test_matches_a_per_epoch_permutation_loop(self, epochs, batch_size):
+        """The sampler-driven loop is the straight-line form: a fresh permutation
+        each epoch, cut into batches with a short last one. 160 samples: batch
+        500 exceeds the set and 48 does not divide it."""
+        train, _ = blobs(seed=4)
+        params = train_source(train, epochs=epochs, lr=0.05, seed=5, batch_size=batch_size,
+                              hidden_dim=8)
+        expected = model.init_params(model.Layout(2, 8, 2), np.random.default_rng([5, 0]))
+        shuffle_rng = np.random.default_rng([5, 1])
+        for _ in range(epochs):
+            order = shuffle_rng.permutation(train.n_samples)
+            for start in range(0, train.n_samples, batch_size):
+                idx = order[start : start + batch_size]
+                model.sgd_step(expected, train.features[idx], train.labels[idx], 0.05)
+        assert params.flat.tobytes() == expected.flat.tobytes()
+
     def test_empty_dataset_rejected(self):
         empty = LabeledDataset(
             ids=np.array([], dtype=int),

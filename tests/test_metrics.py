@@ -5,7 +5,6 @@ import pytest
 
 from bimem import metrics, model
 from bimem.adapt import RunTrace, TraceRow, _TraceEvaluator
-from bimem.blackbox import PredictionSet
 from bimem.data import LabeledDataset
 from bimem.errors import DataError, InvalidArgumentError
 
@@ -56,11 +55,10 @@ def evaluator_row(pred, truth, yhat):
     c = int(max(pred.max(), truth.max(), yhat.max())) + 1
     ids = np.arange(5, 5 + len(pred))
     target = LabeledDataset(ids, np.eye(c)[pred], truth)
-    preds = PredictionSet(ids, yhat, np.eye(c)[yhat])
     student = model.init_params(model.Layout(c, 0, c), np.random.default_rng(0))
     student.out_w[:] = np.eye(c)
     student.out_b[:] = 0.0
-    return _TraceEvaluator(target, preds).row(0, student, yhat)
+    return _TraceEvaluator(target, yhat).row(0, student, yhat)
 
 
 class TestSubsetAccuracy:

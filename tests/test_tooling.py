@@ -105,6 +105,28 @@ def test_one_loop_steps_the_models():
     assert sorted(steps) == ["Run.step: model.momentum_update", "Run.step: model.sgd_step"]
 
 
+def test_one_config_pass_in_the_cli():
+    """``cli.main`` is the only caller of ``config.resolve``, and ``--config`` is
+    declared once, so a new subcommand or flag cannot resolve the config again."""
+    resolves, declarations = [], []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            func = sub.func
+            # ``config.resolve``, or ``resolve`` imported by name.
+            if (isinstance(func, ast.Attribute) and func.attr == "resolve"
+                    and getattr(func.value, "id", None) == "config") or (
+                    getattr(func, "id", None) == "resolve"):
+                resolves.append(node.name)
+            if any(isinstance(arg, ast.Constant) and arg.value == "--config" for arg in sub.args):
+                declarations.append(node.name)
+    assert resolves == ["main"]
+    assert declarations == ["build_parser"]
+
+
 def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)

@@ -1,8 +1,9 @@
 """Command-line interface: the whole pipeline as subcommands.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or runtime
-error. ``main`` resolves the configuration once and prints it before any
-subcommand does its work, so a run can be reproduced exactly.
+error. ``main`` resolves the configuration once for every subcommand. The
+subcommands that read it print it before they do their work, so a run can be
+reproduced exactly; ``predict`` prints the checkpoint's layout instead.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import adapt, blackbox, config, data, metrics, model
@@ -73,6 +75,7 @@ def cmd_train_source(args, resolved: dict) -> int:
 def cmd_predict(args, _resolved: dict) -> int:
     """The checkpoint, not the config, gives the model's layout."""
     params = model.load_params(args.model)
+    print(f"checkpoint layout: {json.dumps(asdict(params.layout))}")
     target = _read_nonempty_dataset(args.target, params.layout.n_categories)
     preds = blackbox.export_predictions(params, target, args.out, hard_only=args.hard_only)
     print(f"wrote {args.out} ({preds.ids.shape[0]} records)")
@@ -106,15 +109,17 @@ def cmd_adapt(args, resolved: dict) -> int:
 
 
 def cmd_ablate(args, resolved: dict) -> int:
+    cells = args.seeds.split(",")
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        # A seed is written like an integer cell of a CSV file.
+        if not data.plain_cells(cells):
+            raise ValueError
+        seeds = [int(cell) for cell in cells]
     except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-    if not seeds:
-        raise ConfigError("--seeds must contain at least one seed")
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be non-negative, got {args.seeds!r}")
-    base_cfg = config.adapt_config({**resolved, "method": "bimem"})
+    base_cfg = config.adapt_config(resolved)
     target, preds = _read_adaptation_inputs(args, resolved["n_categories"])
     rows = adapt.run_ablation_suite(target, preds, base_cfg, seeds)
     adapt.write_ablation_table(rows, args.out)
@@ -189,6 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="trace CSV path")
 
     p = command("ablate", cmd_ablate, "run the seven-row flow ablation grid")
+    p.set_defaults(method="bimem")
     p.add_argument("target")
     p.add_argument("preds")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
@@ -212,10 +218,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        method = getattr(args, "method", None)  # ``adapt --method``, the one override
+        # ``adapt --method`` or ``ablate``'s bimem, the one override.
+        method = getattr(args, "method", None)
         resolved = config.resolve(args.config, None if method is None else {"method": method})
-        print("resolved config:")
-        print(json.dumps(resolved, indent=2, sort_keys=True))
+        if args.func not in (cmd_predict, cmd_report):  # the two that read no config
+            print("resolved config:")
+            print(json.dumps(resolved, indent=2, sort_keys=True))
         return args.func(args, resolved)
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .errors import DataError, InvalidArgumentError
 FLOAT_FORMAT = "%.9g"
 
 
-def _plain_cells(row: list[str]) -> bool:
+def plain_cells(row: list[str]) -> bool:
     """No cell holds what Python's int and float take beyond plain ASCII
     number syntax: whitespace, an underscore or a non-ASCII character.
     Every whitespace character but the space is unprintable."""
@@ -176,7 +176,7 @@ def read_table(
             if len(row) != len(header):
                 raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
-                if not _plain_cells(row):
+                if not plain_cells(row):
                     raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
                 row_key = int(row[0])
                 records.append(parse(row))

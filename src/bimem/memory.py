@@ -318,17 +318,14 @@ def _reweight_rows(
     """Vectorized reweight+renormalize; degenerate rows fall back to uniform.
 
     Returns the calibrated rows, written to ``out`` (which may be ``probs``)
-    when given, and the number of degenerate fallbacks. The products are
-    summed over category slabs (``numerics.sum_slabs``); an all-zero row is
+    when given, and the number of degenerate fallbacks. An all-zero row is
     degenerate whatever the sign of its zero sum.
     """
-    products = np.multiply(probs.T, weights.T, out=np.empty(probs.shape[::-1]))
-    totals = numerics.sum_slabs(products)
+    out = np.multiply(probs, weights, out=np.empty(probs.shape) if out is None else out)
+    totals = np.add.reduce(out, axis=1)
     degenerate = totals <= 0.0
     totals[degenerate] = 1.0
-    if out is None:
-        out = np.empty(probs.shape)
-    np.divide(products.T, totals[:, None], out=out)
+    out /= totals[:, None]
     out[degenerate] = 1.0 / probs.shape[1]
     return out, int(degenerate.sum())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -83,29 +83,12 @@ class ClassifierParams:
     attribute detaches it from ``flat``.
     """
 
-    def __init__(self, layout: Layout, hidden_w: np.ndarray | None,
-                 hidden_b: np.ndarray | None, out_w: np.ndarray, out_b: np.ndarray):
-        given = {"hidden_w": hidden_w, "hidden_b": hidden_b, "out_w": out_w, "out_b": out_b}
-        flat = np.empty(layout.n_params)
-        for (name, shape), view in zip(layout.shapes.items(), layout.views(flat)):
-            array = np.asarray(given[name], dtype=np.float64)
-            if array.shape != shape:
-                raise InvalidArgumentError(f"{name} shape {array.shape} != {shape}")
-            view[...] = array
-        self._bind(layout, flat)
-
-    @classmethod
-    def from_flat(cls, layout: Layout, flat: np.ndarray) -> "ClassifierParams":
+    def __init__(self, layout: Layout, flat: np.ndarray):
         """Parameters that view ``flat`` itself, a float64 buffer of ``layout.n_params``."""
         if flat.dtype != np.float64 or flat.shape != (layout.n_params,):
             raise InvalidArgumentError(
                 f"flat buffer {flat.dtype} {flat.shape} != float64 ({layout.n_params},)"
             )
-        params = cls.__new__(cls)
-        params._bind(layout, flat)
-        return params
-
-    def _bind(self, layout: Layout, flat: np.ndarray) -> None:
         self.layout = layout
         self.flat = flat
         views = dict(zip(layout.shapes, layout.views(flat)))
@@ -115,7 +98,7 @@ class ClassifierParams:
         self.out_b = views["out_b"]
 
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams.from_flat(self.layout, self.flat.copy())
+        return ClassifierParams(self.layout, self.flat.copy())
 
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order (hidden first when present)."""
@@ -142,7 +125,7 @@ def init_params(layout: Layout, rng: np.random.Generator) -> ClassifierParams:
     per array would.
     """
     flat = rng.uniform(-INIT_SCALE, INIT_SCALE, size=layout.n_params)
-    return ClassifierParams.from_flat(layout, flat)
+    return ClassifierParams(layout, flat)
 
 
 def forward_batch(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +274,7 @@ def loss_gradients(
     grad = np.empty(layout.n_params) if out is None else out
     # A caller's buffer is checked like a parameter buffer; sgd_step's is the scratch's.
     *g_hidden, g_out_w, g_out_b = (
-        s.grad_views if grad is s.grad else ClassifierParams.from_flat(layout, grad).arrays()
+        s.grad_views if grad is s.grad else ClassifierParams(layout, grad).arrays()
     )
     np.matmul(dlogits.T, features, out=g_out_w)
     np.add.reduce(dlogits, axis=0, out=g_out_b)
@@ -362,18 +345,11 @@ def momentum_update(mm: MomentumModel, student: ClassifierParams) -> MomentumMod
 
 
 def save_params(params: ClassifierParams, path: str | Path) -> None:
-    payload = {
-        "layout": {
-            "input_dim": params.layout.input_dim,
-            "hidden_dim": params.layout.hidden_dim,
-            "n_categories": params.layout.n_categories,
-        },
-        "out_w": [[float(v) for v in row] for row in params.out_w],
-        "out_b": [float(v) for v in params.out_b],
-    }
-    if params.layout.hidden_dim > 0:
-        payload["hidden_w"] = [[float(v) for v in row] for row in params.hidden_w]
-        payload["hidden_b"] = [float(v) for v in params.hidden_b]
+    """Write ``params`` as JSON: the layout, the output pair, then the hidden pair if any."""
+    views = dict(zip(params.layout.shapes, params.arrays()))
+    payload = {"layout": asdict(params.layout)}
+    for name in sorted(views, key=lambda name: name.startswith("hidden")):
+        payload[name] = views[name].tolist()
     Path(path).write_text(json.dumps(payload))
 
 
@@ -387,16 +363,18 @@ def load_params(path: str | Path) -> ClassifierParams:
     try:
         payload = json.loads(Path(path).read_text())
         layout = Layout(**payload["layout"])
-        arrays = {name: np.asarray(payload[name]) for name in layout.shapes}
-        for name, array in arrays.items():
+        flat = np.empty(layout.n_params)
+        for (name, shape), view in zip(layout.shapes.items(), layout.views(flat)):
+            array = np.asarray(payload[name])
             if array.dtype.kind not in "if":
                 raise DataError(f"{name} holds {array.dtype} values, not numbers")
-        params = ClassifierParams(layout, arrays.get("hidden_w"), arrays.get("hidden_b"),
-                                  arrays["out_w"], arrays["out_b"])
+            if array.shape != shape:
+                raise DataError(f"{name} shape {array.shape} != {shape}")
+            view[...] = array
     except KeyError as exc:
         raise DataError(f"{path}: model checkpoint has no key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model checkpoint: {exc}") from None
-    if not np.isfinite(params.flat).all():
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: model checkpoint has non-finite weights")
-    return params
+    return ClassifierParams(layout, flat)

@@ -77,11 +77,13 @@ def softmax_slabs(scores: np.ndarray) -> np.ndarray:
     whole category slabs of ``n`` values, where ``softmax_rows`` runs one
     ``k``-term loop per row. The maximum is exact in any order; a tie of -0.0
     with +0.0 can only flip the sign of a zero that ``exp`` maps to 1. The
-    sum is ``sum_slabs``, numpy's order over a row.
+    sum runs over the slabs in numpy's order over a row.
     """
     scores -= scores.max(axis=0)
     np.exp(scores, out=scores)
-    scores /= sum_slabs(scores)
+    totals = scores.copy()
+    _pairwise_sum_slabs(totals)
+    scores /= totals[0]
     return scores
 
 
@@ -126,18 +128,6 @@ def l1_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         _pairwise_sum_slabs(diffs)
         out[:, start:start + m] = diffs[0]
     return out.T
-
-
-def sum_slabs(slabs: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, in the order numpy sums a contiguous row.
-
-    Bit for bit ``np.ascontiguousarray(slabs.T).sum(axis=1)``, except that a
-    column of only -0.0 sums to -0.0 where numpy gives +0.0. ``slabs`` keeps
-    its values.
-    """
-    totals = slabs.copy()
-    _pairwise_sum_slabs(totals)
-    return totals[0]
 
 
 def _pairwise_sum_slabs(slabs: np.ndarray) -> None:

@@ -111,6 +111,26 @@ class TestPipeline:
         assert resolved["n_categories"] == 3
         assert resolved["top_n"] == 4
 
+    def test_predict_and_report_print_what_they_read(self, workdir, capsys):
+        # Neither reads the config: predict takes its layout from the checkpoint,
+        # so it prints that instead of a config it would not use.
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        capsys.readouterr()
+        assert run_cli("predict", str(out / "model.json"), str(out / "target.csv"),
+                       "--out", str(out / "p.csv")) == 0
+        printed = capsys.readouterr().out
+        assert "resolved config:" not in printed
+        assert printed.startswith("checkpoint layout: ")
+        layout = json.loads(printed.split("checkpoint layout: ", 1)[1].split("\n")[0])
+        assert layout == {"input_dim": 2, "hidden_dim": 8, "n_categories": 3}
+        assert run_cli("adapt", str(out / "target.csv"), str(out / "preds.csv"),
+                       "--config", cfg, "--out", str(out / "bimem_seed0.csv")) == 0
+        capsys.readouterr()
+        assert run_cli("report", str(out / "bimem_seed0.csv"), "--config", cfg,
+                       "--out", str(out / "summary.csv")) == 0
+        assert "resolved config:" not in capsys.readouterr().out
+
     def test_missing_out_dir_created(self, workdir):
         tmp, cfg = workdir
         nested = tmp / "a" / "b" / "c"
@@ -162,6 +182,28 @@ class TestAblateCommand:
             "ablate", "t.csv", "p.csv", "--config", cfg,
             "--seeds", "a,b", "--out", str(tmp / "x.csv"),
         ) == 1
+
+    @pytest.mark.parametrize("seeds", ["1_0", "\u0663", " 2", "0,,1", "0,", ""])
+    def test_seeds_take_the_csv_integer_syntax(self, workdir, capsys, seeds):
+        tmp, cfg = workdir
+        assert run_cli(
+            "ablate", "t.csv", "p.csv", "--config", cfg,
+            "--seeds", seeds, "--out", str(tmp / "x.csv"),
+        ) == 1
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_ablate_runs_and_prints_bimem_whatever_the_config_method(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "method": "vanilla_st"}))
+        out = prepared_run(tmp_path, str(cfg))
+        capsys.readouterr()
+        assert run_cli(
+            "ablate", str(out / "target.csv"), str(out / "preds.csv"),
+            "--config", str(cfg), "--seeds", "0", "--out", str(out / "table.csv"),
+        ) == 0
+        printed = capsys.readouterr().out
+        resolved = json.loads(printed.split("resolved config:\n", 1)[1].split("row 1")[0])
+        assert resolved["method"] == "bimem"
 
 
 class TestExitCodes:

@@ -327,6 +327,23 @@ class TestCheckpoint:
         for a, b in zip(loaded.arrays(), params.arrays()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(("layout", "flat", "expected"), [
+        (Layout(2, 1, 2), [0.5, -0.0, 0.25, 1.5, -2.0, 1 / 3, 3e-300],
+         {"layout": {"input_dim": 2, "hidden_dim": 1, "n_categories": 2},
+          "out_w": [[1.5], [-2.0]], "out_b": [0.3333333333333333, 3e-300],
+          "hidden_w": [[0.5, -0.0]], "hidden_b": [0.25]}),
+        (Layout(2, 0, 2), [-0.0, 1.0, 0.1, -1e-300, 2.5, -3.0],
+         {"layout": {"input_dim": 2, "hidden_dim": 0, "n_categories": 2},
+          "out_w": [[-0.0, 1.0], [0.1, -1e-300]], "out_b": [2.5, -3.0]}),
+    ], ids=["hidden", "linear"])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, layout, flat, expected):
+        # Key order, number format and the sign of zero are all part of the file.
+        params = ClassifierParams(layout, np.array(flat))
+        path = tmp_path / "model.json"
+        save_params(params, path)
+        assert path.read_text() == json.dumps(expected)
+        assert load_params(path).flat.tobytes() == params.flat.tobytes()
+
     def test_bias_shape_mismatch_rejected(self, tmp_path):
         # Length-1 biases would broadcast silently; a length-2 out_b with 3
         # classes would fail later inside numpy.
@@ -448,15 +465,12 @@ class TestFlatBuffer:
         params.flat[:] = 0.0
         assert not params.out_w.any()
 
-    def test_constructor_copies_into_one_buffer(self):
-        rng = np.random.default_rng(17)
-        out_w, out_b = rng.normal(size=(2, 3)), rng.normal(size=2)
-        params = ClassifierParams(Layout(3, 0, 2), None, None, out_w, out_b)
+    def test_constructor_views_the_given_buffer(self):
+        layout = Layout(3, 0, 2)
+        flat = np.random.default_rng(17).normal(size=layout.n_params)
+        params = ClassifierParams(layout, flat)
+        assert params.flat is flat
         assert_flat_layout(params)
-        assert not np.shares_memory(params.out_w, out_w)
-        np.testing.assert_array_equal(params.out_w, out_w)
-        with pytest.raises(InvalidArgumentError, match="out_b"):
-            ClassifierParams(Layout(3, 0, 2), None, None, out_w, out_b[:1])
-        for flat in (np.zeros(7), np.zeros(8, dtype=np.float32)):
+        for bad in (np.zeros(7), np.zeros(8, dtype=np.float32), np.zeros((2, 4))):
             with pytest.raises(InvalidArgumentError, match="flat buffer"):
-                ClassifierParams.from_flat(Layout(3, 0, 2), flat)
+                ClassifierParams(layout, bad)

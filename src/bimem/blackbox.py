@@ -7,14 +7,13 @@ mode stands in for APIs that return labels without probabilities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import model, numerics
-from .data import FLOAT_FORMAT, LabeledDataset, read_table, reject_rows
+from .data import FLOAT_FORMAT, LabeledDataset, read_table, reject_rows, write_table
 from .errors import DataError, InvalidArgumentError
 
 HARD_LABEL_SMOOTHING = 0.1
@@ -75,7 +74,7 @@ def train_source(
     sampler = model.EpochSampler(source.n_samples, batch_size, np.random.default_rng([seed, 1]))
     for _ in range(epochs * model.epoch_length(source.n_samples, batch_size)):
         idx = sampler.next_batch()
-        model.sgd_step(params, source.features[idx], source.labels[idx], lr)
+        model.sgd_step(params, source.features.take(idx, axis=0), source.labels.take(idx), lr)
     return params
 
 
@@ -100,13 +99,12 @@ def predictions_header(n_categories: int) -> list[str]:
 
 def write_predictions(preds: PredictionSet, path: str | Path) -> None:
     """Write the predictions CSV: ``id,yhat,p0,...,p{C-1}`` at 9 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(predictions_header(preds.n_categories))
-        for i in range(preds.ids.shape[0]):
-            row = [str(int(preds.ids[i])), str(int(preds.yhat[i]))]
-            row += [FLOAT_FORMAT % v for v in preds.probs[i]]
-            writer.writerow(row)
+    c = preds.n_categories
+    write_table(
+        path, predictions_header(c), ",".join(["%d", "%d"] + [FLOAT_FORMAT] * c),
+        ((i, y, *p.tolist()) for i, y, p in zip(preds.ids.tolist(), preds.yhat.tolist(),
+                                                preds.probs)),
+    )
 
 
 def export_predictions(

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -133,16 +133,37 @@ def dataset_header(feature_dim: int) -> list[str]:
     return ["id"] + [f"f{i}" for i in range(feature_dim)] + ["label"]
 
 
-def write_dataset(dataset: LabeledDataset, path: str | Path) -> None:
-    """Write the dataset CSV with header ``id,f0,...,f{D-1},label``."""
+def write_table(path: str | Path, header: list[str], row_format: str,
+                rows: Iterable[tuple]) -> None:
+    """Write a CSV of number cells: the header, then ``row_format % row`` per row.
+
+    Every line ends in CRLF, as ``csv.writer`` ends them. A ``%d`` or
+    ``%.9g`` cell never holds a comma, a quote or a line break, so no cell
+    needs quoting. ``rows`` is consumed one row at a time.
+    """
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_header(dataset.feature_dim))
-        for i in range(dataset.n_samples):
-            row = [str(int(dataset.ids[i]))]
-            row += [FLOAT_FORMAT % v for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(line % row)
+
+
+def write_dataset(dataset: LabeledDataset, path: str | Path) -> None:
+    """Write the dataset CSV with header ``id,f0,...,f{D-1},label``.
+
+    A non-finite feature, which ``read_dataset`` would reject, raises
+    ``InvalidArgumentError`` before the file is opened.
+    """
+    finite = np.isfinite(dataset.features).all(axis=1)
+    if not finite.all():
+        sample = int(dataset.ids[finite.argmin()])
+        raise InvalidArgumentError(f"non-finite feature value in sample id {sample}")
+    dim = dataset.feature_dim
+    write_table(
+        path, dataset_header(dim), ",".join(["%d"] + [FLOAT_FORMAT] * dim + ["%d"]),
+        ((i, *f.tolist(), y) for i, f, y in zip(dataset.ids.tolist(), dataset.features,
+                                                dataset.labels.tolist())),
+    )
 
 
 def read_table(

@@ -119,6 +119,17 @@ class TestPredictionExport:
         write_predictions(loaded, tmp_path / "p2.csv")
         assert path.read_bytes() == (tmp_path / "p2.csv").read_bytes()
 
+    @pytest.mark.parametrize("hard_only, body", [
+        (False, b"4,1,-0,0.333333333\r\n0,1,1e-300,1.23456789e+11\r\n7,0,2.5,-1\r\n"),
+        (True, b"4,1,0.05,0.95\r\n0,1,0.05,0.95\r\n7,0,0.95,0.05\r\n"),
+    ], ids=["soft", "hard-only"])
+    def test_bytes_are_pinned(self, tmp_path, hard_only, body):
+        """CRLF line ends and ``%.9g`` cells, which a write-read-write round trip cannot see."""
+        probs = [[-0.0, 1 / 3], [1e-300, 123456789012.0], [2.5, -1.0]]
+        preds = PredictionSet(ids=[4, 0, 7], yhat=[1, 1, 0], probs=probs)
+        write_predictions(smooth_hard_labels(preds) if hard_only else preds, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == b"id,yhat,p0,p1\r\n" + body
+
     def test_ground_truth_never_written(self, tmp_path):
         _, target = blobs(seed=6, n=10)
         params = train_source(target, epochs=1, lr=0.05, seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from bimem import blackbox, metrics
 from bimem.adapt import TRACE_HEADER, RunTrace
-from bimem.data import gen_shifted_gaussians, read_dataset, write_dataset
+from bimem.data import LabeledDataset, gen_shifted_gaussians, read_dataset, write_dataset
 from bimem.errors import DataError, InvalidArgumentError
 
 DEFAULT_SHIFT = np.array([1.5, 0, 0, 0, 0, 0, 0, 0])
@@ -89,6 +89,21 @@ class TestDatasetIO:
         # 9 significant digits round-trip: re-writing is byte-stable
         write_dataset(loaded, tmp_path / "ds2.csv")
         assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ds2.csv").read_bytes()
+
+    def test_bytes_are_pinned(self, tmp_path):
+        """CRLF line ends and ``%.9g`` cells, which a write-read-write round trip cannot see."""
+        features = [[-0.0, 1 / 3], [1e-300, 123456789012.0], [2.5, -1.0]]
+        write_dataset(LabeledDataset([4, 0, 7], features, [1, 0, 2]), tmp_path / "ds.csv")
+        assert (tmp_path / "ds.csv").read_bytes() == (
+            b"id,f0,f1,label\r\n4,-0,0.333333333,1\r\n0,1e-300,1.23456789e+11,0\r\n"
+            b"7,2.5,-1,2\r\n")
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_feature_rejected_before_the_file_is_opened(self, tmp_path, bad):
+        dataset = LabeledDataset([3, 5], [[0.5, 1.0], [1.0, bad]], [0, 1])
+        with pytest.raises(InvalidArgumentError, match="non-finite feature value in sample id 5"):
+            write_dataset(dataset, tmp_path / "ds.csv")
+        assert not (tmp_path / "ds.csv").exists()
 
     def test_header_only_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.csv"

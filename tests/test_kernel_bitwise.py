@@ -2,14 +2,16 @@
 
 ``numerics.l1_distances`` runs dimension-major in row blocks above a size
 threshold; ``memory.compute_centroids`` switches by input size to a padded
-form; the calibration kernels ``centroid_weights``, ``_reweight_rows`` and
+form; the calibration kernels ``centroid_weights`` and
 ``sensory_calibration_probs`` run category-major, over slabs of one category
 each; ``LongTermCentroids.consolidate`` blends whole arrays in place of masked
 rows; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
 parameter buffer in one operation, through scratch buffers shared by every
 model of a layout. The references below are the row-major and per-array forms
-they replace. Every output must equal its reference bit for bit, signs of
-zeros included, so traces keep their bytes.
+they replace. ``_reweight_rows`` runs row-major in place, in the layout the
+queue stores, so its reference is the same computation written out of place;
+it guards the in-place write and the degenerate rows. Every output must equal
+its reference bit for bit, signs of zeros included, so traces keep their bytes.
 """
 
 import numpy as np

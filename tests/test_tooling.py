@@ -85,6 +85,27 @@ def test_one_function_reads_csv():
     assert readers == ["data.read_table"]
 
 
+def test_number_tables_have_one_writer():
+    """The dataset and predictions CSVs are written through ``data.write_table``.
+    ``csv.writer`` is left to the two tables with text cells that may need
+    quoting: the ablation table's flow labels hold commas."""
+    writers, number_tables = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            attributes = [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+            if any(sub.attr == "writer" and getattr(sub.value, "id", None) == "csv"
+                   for sub in attributes):
+                writers.append(f"{path.stem}.{node.name}")
+            if node.name in ("write_dataset", "write_predictions"):
+                number_tables[node.name] = any(
+                    isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "write_table"
+                    for sub in ast.walk(node))
+    assert writers == ["adapt.write_ablation_table", "metrics.write_summary"]
+    assert number_tables == {"write_dataset": True, "write_predictions": True}
+
+
 def test_one_loop_steps_the_models():
     """In ``adapt.py`` only ``Run.step`` takes an SGD step or an EMA update,
     once each, so every method trains through the one loop."""

@@ -132,7 +132,7 @@ class RunTrace:
     def from_csv(cls, path: str | Path) -> "RunTrace":
         """Read a trace CSV; an accuracy outside [0, 1] (NaN included) or an
         iteration that does not increase is a ``DataError``."""
-        _, rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row, key="iteration")
+        _, rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row)
         if not rows:
             raise DataError("trace has no data rows", line=2)
         for line_no, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):

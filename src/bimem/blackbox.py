@@ -32,10 +32,27 @@ class PredictionSet:
         self.yhat = np.asarray(self.yhat, dtype=np.int64)
         self.probs = np.asarray(self.probs, dtype=np.float64)
         n = self.ids.shape[0]
-        if self.yhat.shape[0] != n or self.probs.shape[0] != n:
-            raise InvalidArgumentError("inconsistent prediction field sizes")
-        if len(np.unique(self.ids)) != n:
-            raise InvalidArgumentError("prediction ids must be unique")
+        if self.probs.ndim != 2 or self.yhat.shape[0] != n or self.probs.shape[0] != n:
+            raise InvalidArgumentError("inconsistent prediction field sizes; probs must be (n, C)")
+        if not self.probs.shape[1]:
+            raise InvalidArgumentError("predictions need at least one category")
+        first = np.unique(self.ids, return_index=True)[1]
+        reject_rows(~np.isin(np.arange(n), first), lambda i: f"id {self.ids[i]} is repeated")
+        reject_rows((self.yhat < 0) | (self.yhat >= self.n_categories),
+                    lambda i: f"label {self.yhat[i]} out of range")
+        faulty = ~numerics.prob_rows_valid(self.probs)
+        if faulty.any():
+            # The per-row check words the first fault.
+            i = int(faulty.argmax())
+            try:
+                numerics.check_prob_vector(self.probs[i], "probabilities")
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(str(exc), index=i) from None
+        # Printed rounding can create exact ties; the stored label must still be
+        # maximal within tolerance.
+        stored = self.probs[np.arange(n), self.yhat]
+        reject_rows(stored < self.probs.max(axis=1) - numerics.DEFAULT_TOL,
+                    lambda i: f"stored label {self.yhat[i]} is not an argmax of the probabilities")
         self._row_of = {int(i): k for k, i in enumerate(self.ids)}
 
     @property
@@ -85,11 +102,11 @@ def predict(params: model.ClassifierParams, dataset: LabeledDataset) -> Predicti
     return PredictionSet(ids=dataset.ids.copy(), yhat=yhat, probs=probs)
 
 
-def smooth_hard_labels(preds: PredictionSet, smoothing: float = HARD_LABEL_SMOOTHING) -> PredictionSet:
-    """Replace probabilities with smoothed one-hots of the hard labels."""
+def smooth_hard_labels(preds: PredictionSet) -> PredictionSet:
+    """Replace probabilities with one-hots of the hard labels smoothed by HARD_LABEL_SMOOTHING."""
     n, c = preds.probs.shape
-    probs = np.full((n, c), smoothing / c, dtype=np.float64)
-    probs[np.arange(n), preds.yhat] += 1.0 - smoothing
+    probs = np.full((n, c), HARD_LABEL_SMOOTHING / c, dtype=np.float64)
+    probs[np.arange(n), preds.yhat] += 1.0 - HARD_LABEL_SMOOTHING
     return PredictionSet(ids=preds.ids.copy(), yhat=preds.yhat.copy(), probs=probs)
 
 
@@ -126,28 +143,16 @@ def export_predictions(
 
 
 def read_predictions(path: str | Path) -> PredictionSet:
-    """Parse and validate a predictions CSV; errors carry line numbers."""
+    """Parse a predictions CSV; a row that breaks a record rule is a ``DataError`` at its line."""
     header, records = read_table(
         path,
         lambda width: predictions_header(width - 2) if width >= 3 else None,
         lambda row: (int(row[0]), int(row[1]), list(map(float, row[2:]))),
     )
-    n_categories = len(header) - 2
     ids = np.array([r[0] for r in records], dtype=np.int64)
     yhat = np.array([r[1] for r in records], dtype=np.int64)
-    probs = np.array([r[2] for r in records], dtype=np.float64).reshape(len(ids), n_categories)
-    reject_rows((yhat < 0) | (yhat >= n_categories), lambda i: f"label {yhat[i]} out of range")
-    faulty = ~numerics.prob_rows_valid(probs)
-    if faulty.any():
-        # The per-row check words the first fault.
-        i = int(faulty.argmax())
-        try:
-            numerics.check_prob_vector(probs[i], "probabilities")
-        except InvalidArgumentError as exc:
-            raise DataError(str(exc), line=i + 2) from None
-    # Printed rounding can create exact ties; the stored label must still be
-    # maximal within tolerance.
-    stored = probs[np.arange(len(ids)), yhat]
-    reject_rows(stored < probs.max(axis=1) - numerics.DEFAULT_TOL,
-                lambda i: f"stored label {yhat[i]} is not an argmax of the probabilities")
-    return PredictionSet(ids=ids, yhat=yhat, probs=probs)
+    probs = np.array([r[2] for r in records], dtype=np.float64).reshape(len(ids), len(header) - 2)
+    try:
+        return PredictionSet(ids=ids, yhat=yhat, probs=probs)
+    except InvalidArgumentError as exc:
+        raise DataError(str(exc), line=exc.index + 2) from None

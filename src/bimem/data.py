@@ -31,7 +31,7 @@ def plain_cells(row: list[str]) -> bool:
 
 @dataclass
 class LabeledDataset:
-    """Target or source samples with ground truth; ids are unique integers."""
+    """Samples with ground truth: unique ids, non-negative labels, finite features."""
 
     ids: np.ndarray  # (n,) int64
     features: np.ndarray  # (n, D) float64
@@ -44,10 +44,13 @@ class LabeledDataset:
         n = self.ids.shape[0]
         if self.features.ndim != 2 or self.features.shape[0] != n or self.labels.shape[0] != n:
             raise InvalidArgumentError("inconsistent dataset field sizes")
-        if len(np.unique(self.ids)) != n:
-            raise InvalidArgumentError("dataset ids must be unique")
-        if n and self.labels.min() < 0:
-            raise InvalidArgumentError("labels must be nonnegative")
+        if not self.features.shape[1]:
+            raise InvalidArgumentError("a dataset needs at least one feature column")
+        first = np.unique(self.ids, return_index=True)[1]
+        reject_rows(~np.isin(np.arange(n), first), lambda i: f"id {self.ids[i]} is repeated")
+        reject_rows(self.labels < 0, lambda i: f"negative label {self.labels[i]}")
+        reject_rows(~np.isfinite(self.features).all(axis=1),
+                    lambda i: f"non-finite feature value in sample id {self.ids[i]}")
 
     @property
     def n_samples(self) -> int:
@@ -149,15 +152,7 @@ def write_table(path: str | Path, header: list[str], row_format: str,
 
 
 def write_dataset(dataset: LabeledDataset, path: str | Path) -> None:
-    """Write the dataset CSV with header ``id,f0,...,f{D-1},label``.
-
-    A non-finite feature, which ``read_dataset`` would reject, raises
-    ``InvalidArgumentError`` before the file is opened.
-    """
-    finite = np.isfinite(dataset.features).all(axis=1)
-    if not finite.all():
-        sample = int(dataset.ids[finite.argmin()])
-        raise InvalidArgumentError(f"non-finite feature value in sample id {sample}")
+    """Write the dataset CSV with header ``id,f0,...,f{D-1},label``."""
     dim = dataset.feature_dim
     write_table(
         path, dataset_header(dim), ",".join(["%d"] + [FLOAT_FORMAT] * dim + ["%d"]),
@@ -170,9 +165,8 @@ def read_table(
     path: str | Path,
     header_for: Callable[[int], list[str] | None],
     parse: Callable[[list[str]], Any],
-    key: str = "id",
 ) -> tuple[list[str], list]:
-    """Read a CSV file of number cells whose first column is a unique integer ``key``.
+    """Read a CSV file of number cells; its records' rules, unique ids among them, are the caller's.
 
     ``header_for(width)`` is the header a file of that many columns must
     have, or None if no width-``width`` file is valid. ``parse`` turns one
@@ -192,34 +186,29 @@ def read_table(
         if header != header_for(len(header)):
             raise DataError(f"unexpected header {header!r}", line=1)
         records: list = []
-        seen: set[int] = set()
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
                 if not plain_cells(row):
                     raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
-                row_key = int(row[0])
                 records.append(parse(row))
             except DataError as exc:
                 raise DataError(str(exc), line=line_no) from None
             except ValueError as exc:
                 raise DataError(f"unparseable value ({exc})", line=line_no) from None
-            if row_key in seen:
-                raise DataError(f"{key} {row_key} is repeated", line=line_no)
-            seen.add(row_key)
     return header, records
 
 
 def reject_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
-    """Raise ``message(i)`` at the line of the first record ``i`` that ``bad`` marks."""
+    """Raise ``message(i)`` for the first record ``i`` that ``bad`` marks, carrying ``i``."""
     if bad.any():
         i = int(bad.argmax())
-        raise DataError(message(i), line=i + 2)
+        raise InvalidArgumentError(message(i), index=i)
 
 
 def read_dataset(path: str | Path, n_categories: int | None = None) -> LabeledDataset:
-    """Parse a dataset CSV; errors carry the offending 1-based line number."""
+    """Parse a dataset CSV; a record or category fault is a ``DataError`` at its row's line."""
     header, records = read_table(
         path,
         lambda width: dataset_header(width - 2) if width >= 3 else None,
@@ -229,9 +218,11 @@ def read_dataset(path: str | Path, n_categories: int | None = None) -> LabeledDa
     features = np.array([r[1] for r in records], dtype=np.float64)
     features = features.reshape(len(ids), len(header) - 2)
     labels = np.array([r[2] for r in records], dtype=np.int64)
-    reject_rows(labels < 0, lambda i: f"negative label {labels[i]}")
-    if n_categories is not None:
-        reject_rows(labels >= n_categories,
-                    lambda i: f"label {labels[i]} >= declared categories {n_categories}")
-    reject_rows(~np.isfinite(features).all(axis=1), lambda i: "non-finite feature value")
-    return LabeledDataset(ids, features, labels)
+    try:
+        dataset = LabeledDataset(ids, features, labels)
+        if n_categories is not None:
+            reject_rows(labels >= n_categories,
+                        lambda i: f"label {labels[i]} >= declared categories {n_categories}")
+    except InvalidArgumentError as exc:
+        raise DataError(str(exc), line=exc.index + 2) from None
+    return dataset

@@ -6,7 +6,11 @@ class BimemError(Exception):
 
 
 class InvalidArgumentError(BimemError, ValueError):
-    """An argument violates an operation's precondition."""
+    """An argument violates a precondition; ``index`` is the 0-based record at fault, if any."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DataError(BimemError, ValueError):

@@ -100,6 +100,10 @@ class ClassifierParams:
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.layout, self.flat.copy())
 
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the views over one buffer, not four arrays.
+        return ClassifierParams, (self.layout, self.flat)
+
     def arrays(self) -> list[np.ndarray]:
         """Parameter arrays in a fixed order (hidden first when present)."""
         return self.layout.views(self.flat)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Default equality tolerance for float comparisons throughout the package.
+# How far below a row's maximum probability a prediction set's stored label may
+# be; printed rounding can turn an argmax into a near-tie.
 DEFAULT_TOL = 1e-9
 # Allowed deviation of a probability vector's sum from 1.
 PROB_SUM_TOL = 1e-6

@@ -100,9 +100,9 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_feature_rejected_before_the_file_is_opened(self, tmp_path, bad):
-        dataset = LabeledDataset([3, 5], [[0.5, 1.0], [1.0, bad]], [0, 1])
         with pytest.raises(InvalidArgumentError, match="non-finite feature value in sample id 5"):
-            write_dataset(dataset, tmp_path / "ds.csv")
+            write_dataset(LabeledDataset([3, 5], [[0.5, 1.0], [1.0, bad]], [0, 1]),
+                          tmp_path / "ds.csv")
         assert not (tmp_path / "ds.csv").exists()
 
     def test_header_only_file_is_empty_dataset(self, tmp_path):
@@ -153,9 +153,31 @@ TABLES = {
 }
 
 
+# Per record: a second row that breaks one of the record's rules after the
+# valid row of ``TABLES``, and the message start it must raise.
+RECORD_FAULTS = {
+    "dataset": {
+        "repeated-id": ("0,0.5,1.5,0", "id 0 is repeated"),
+        "nan-feature": ("1,nan,1.5,0", "non-finite feature value"),
+        "inf-feature": ("1,0.5,-inf,0", "non-finite feature value"),
+        "negative-label": ("1,0.5,1.5,-1", "negative label -1"),
+    },
+    "predictions": {
+        "repeated-id": ("0,0,0.75,0.25", "id 0 is repeated"),
+        "nan": ("1,0,nan,0.25", "probabilities contains non-finite"),
+        "inf": ("1,0,inf,0.25", "probabilities contains non-finite"),
+        "yhat-high": ("1,2,0.25,0.75", "label 2 out of range"),
+        "yhat-negative": ("1,-1,0.25,0.75", "label -1 out of range"),
+        "negative-probability": ("1,1,-0.25,1.25", "probabilities has negative entries"),
+        "sums-to-half": ("1,1,0.25,0.25", "probabilities sums to 0.5,"),
+        "not-an-argmax": ("1,0,0.25,0.75", "stored label 0 is not an argmax"),
+    },
+}
+
+
 def _table_faults():
-    """A file for every fault ``read_table`` owns, per reader, and the
-    predictions faults; each with the line and message start it must report."""
+    """A file for every fault ``read_table`` owns, per reader, and for every
+    ``RECORD_FAULTS`` row; each with the line and message start it must report."""
     for name, (_, header, narrow, rest, key) in TABLES.items():
         first = f"{header}\n0,{rest}\n"
         faults = {
@@ -176,14 +198,11 @@ def _table_faults():
         }
         for fault, case in faults.items():
             yield pytest.param(name, *case, id=f"{name}-{fault}")
-    first = "id,yhat,p0,p1\n0,0,0.75,0.25\n"
-    for fault, row, message in [
-        ("nan", "1,0,nan,0.25", "probabilities contains non-finite"),
-        ("inf", "1,0,inf,0.25", "probabilities contains non-finite"),
-        ("yhat-high", "1,2,0.25,0.75", "label 2 out of range"),
-        ("yhat-negative", "1,-1,0.25,0.75", "label -1 out of range"),
-    ]:
-        yield pytest.param("predictions", f"{first}{row}\n", 3, message, id=f"predictions-{fault}")
+    for name, faults in RECORD_FAULTS.items():
+        header, first = TABLES[name][1], "0," + TABLES[name][3]
+        for fault, (row, message) in faults.items():
+            yield pytest.param(name, f"{header}\n{first}\n{row}\n", 3, message,
+                               id=f"{name}-{fault}")
 
 
 @pytest.mark.parametrize("reader, text, line, message", _table_faults())
@@ -192,3 +211,40 @@ def test_table_fault_names_its_line(tmp_path, reader, text, line, message):
     path.write_text(text)
     with pytest.raises(DataError, match=f"^line {line}: {message}"):
         TABLES[reader][0](path)
+
+
+def _record(name, rows):
+    """The dataset or prediction set of ``rows``, given as CSV text rows."""
+    cells = [[float(cell) for cell in row.split(",")] for row in rows]
+    if name == "dataset":
+        return LabeledDataset([r[0] for r in cells], [r[1:-1] for r in cells],
+                              [r[-1] for r in cells])
+    return blackbox.PredictionSet([r[0] for r in cells], [r[1] for r in cells],
+                                  [r[2:] for r in cells])
+
+
+@pytest.mark.parametrize("name, fault", [
+    pytest.param(name, fault, id=f"{name}-{fault}")
+    for name, faults in RECORD_FAULTS.items() for fault in faults])
+def test_record_fault_is_refused_in_memory(name, fault):
+    """The fault a reader names by its line is refused when the record is
+    built, with the message start it has in the file and the row's index."""
+    row, message = RECORD_FAULTS[name][fault]
+    with pytest.raises(InvalidArgumentError, match=f"^{message}") as caught:
+        _record(name, ["0," + TABLES[name][3], row])
+    assert caught.value.index == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: blackbox.PredictionSet([0], [0], [1.0]), "inconsistent prediction",
+                 id="predictions-1d-probabilities"),
+    pytest.param(lambda: blackbox.PredictionSet([], [], np.zeros((0, 0))), "at least one",
+                 id="predictions-no-category"),
+    pytest.param(lambda: LabeledDataset([0, 1], np.zeros((2, 0)), [0, 1]), "at least one",
+                 id="dataset-no-feature-column"),
+])
+def test_record_of_the_wrong_shape_is_refused(build, message):
+    """A shape no header can describe: its file would be refused at line 1."""
+    with pytest.raises(InvalidArgumentError, match=message) as caught:
+        build()
+    assert caught.value.index is None

@@ -1,7 +1,9 @@
 """Tests for the classifier, loss, analytic gradients, and EMA updates."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -445,7 +447,8 @@ class TestFlatBuffer:
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["hidden", "linear"])
     def test_copies_share_no_memory(self, layout):
         student = init_params(layout, np.random.default_rng(16))
-        for other in (student.copy(), MomentumModel(student.copy(), gamma=0.9).params):
+        for other in (student.copy(), MomentumModel(student.copy(), gamma=0.9).params,
+                      pickle.loads(pickle.dumps(student)), copy.deepcopy(student)):
             assert_flat_layout(other)
             assert not np.shares_memory(other.flat, student.flat)
             assert other.flat.tobytes() == student.flat.tobytes()

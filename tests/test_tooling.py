@@ -106,6 +106,34 @@ def test_number_tables_have_one_writer():
     assert number_tables == {"write_dataset": True, "write_predictions": True}
 
 
+def test_row_rules_live_in_their_records():
+    """``reject_rows`` is called only by the two records' ``__post_init__`` and by
+    ``read_dataset``, for the declared-category rule that needs its argument,
+    and the two writers check nothing: a dataset or prediction set is valid
+    once built, so a row rule cannot grow a second copy."""
+    callers, checks = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {sub: f"{node.name}." for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for sub in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{path.stem}.{owners.get(node, '')}{node.name}"
+            for sub in ast.walk(node):
+                called = isinstance(sub, ast.Call) and getattr(
+                    sub.func, "id", getattr(sub.func, "attr", ""))
+                if called == "reject_rows":
+                    callers.add(name)
+                if node.name in ("write_dataset", "write_predictions") and (
+                        isinstance(sub, (ast.If, ast.IfExp, ast.Raise, ast.Assert))
+                        or called in ("reject_rows", "check_prob_vector", "prob_rows_valid")):
+                    checks.append(f"{name}: line {sub.lineno}")
+    assert sorted(callers) == ["blackbox.PredictionSet.__post_init__",
+                               "data.LabeledDataset.__post_init__", "data.read_dataset"]
+    assert checks == []
+
+
 def test_one_loop_steps_the_models():
     """In ``adapt.py`` only ``Run.step`` takes an SGD step or an EMA update,
     once each, so every method trains through the one loop."""

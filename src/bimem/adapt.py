@@ -23,7 +23,7 @@ import numpy as np
 
 from . import memory, metrics, model
 from .blackbox import PredictionSet
-from .data import LabeledDataset, read_table
+from .data import LabeledDataset, read_table, reject_rows
 from .errors import DataError, InvalidArgumentError
 from .memory import FlowConfig
 
@@ -40,9 +40,9 @@ TRACE_COLUMNS = [
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
-    """Hyperparameters for one adaptation run; see ``validate`` for ranges."""
+    """Hyperparameters for one adaptation run, valid once built; see ``validate`` for ranges."""
 
     method: str = "bimem"
     iterations: int = 2000
@@ -60,9 +60,12 @@ class AdaptConfig:
     seed: int = 0
     hidden_dim: int = 32
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.method not in METHODS:
-            raise InvalidArgumentError(f"unknown method {self.method!r}, expected one of {METHODS}")
+            raise InvalidArgumentError(f"unknown method {self.method!r}, 'method' is one of {METHODS}")
         if self.iterations < 0:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
         if not (1 <= _resolve_top_n(self) <= self.batch_size <= self.queue_capacity):
@@ -99,6 +102,8 @@ class AdaptConfig:
 
 @dataclass
 class TraceRow:
+    """One eval point: every accuracy is in [0, 1], so not NaN; only an empty subset's is None."""
+
     iteration: int
     acc_all: float
     acc_init_correct: float | None
@@ -106,12 +111,25 @@ class TraceRow:
     pl_acc_denoised: float
     pl_acc_blackbox: float
 
+    def __post_init__(self) -> None:
+        for name in TRACE_COLUMNS[1:]:
+            acc = getattr(self, name)
+            if not (0.0 <= acc <= 1.0 if acc is not None else name.startswith("acc_init_")):
+                raise InvalidArgumentError(f"{name} {acc!r} is not an accuracy in [0, 1]")
+
 
 @dataclass
 class RunTrace:
-    """Eval-point metrics of one run; iterations strictly increasing."""
+    """Eval-point metrics of one run: at least one row, iterations strictly increasing."""
 
     rows: list[TraceRow]
+
+    def __post_init__(self) -> None:
+        if not self.rows:
+            raise InvalidArgumentError("trace has no data rows", index=0)
+        its = [r.iteration for r in self.rows]
+        reject_rows(np.array([False] + [b <= a for a, b in zip(its, its[1:])]),
+                    lambda i: f"iteration {its[i]} does not follow {its[i - 1]}")
 
     def column(self, name: str) -> list:
         if name == "iter":
@@ -125,25 +143,21 @@ class RunTrace:
             fh.write(TRACE_HEADER + "\n")
             for r in self.rows:
                 accs = (getattr(r, name) for name in TRACE_COLUMNS[1:])
-                cells = [str(r.iteration), *("" if acc is None else repr(acc) for acc in accs)]
+                cells = [str(r.iteration), *("" if a is None else repr(float(a)) for a in accs)]
                 fh.write(",".join(cells) + "\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunTrace":
-        """Read a trace CSV; an accuracy outside [0, 1] (NaN included) or an
-        iteration that does not increase is a ``DataError``."""
+        """Read a trace CSV; a row or trace rule it breaks is a ``DataError`` at its line."""
         _, rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row)
-        if not rows:
-            raise DataError("trace has no data rows", line=2)
-        for line_no, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
-            if row.iteration <= prev.iteration:
-                raise DataError(f"iteration {row.iteration} does not follow {prev.iteration}",
-                                line=line_no)
-        return cls(rows)
+        try:
+            return cls(rows)
+        except InvalidArgumentError as exc:
+            raise DataError(str(exc), line=exc.index + 2) from None
 
 
 def _parse_trace_row(cells: list[str]) -> TraceRow:
-    row = TraceRow(
+    return TraceRow(
         iteration=int(cells[0]),
         acc_all=float(cells[1]),
         acc_init_correct=None if cells[2] == "" else float(cells[2]),
@@ -151,12 +165,6 @@ def _parse_trace_row(cells: list[str]) -> TraceRow:
         pl_acc_denoised=float(cells[4]),
         pl_acc_blackbox=float(cells[5]),
     )
-    for name in TRACE_COLUMNS[1:]:
-        acc = getattr(row, name)
-        # NaN fails this comparison as well.
-        if acc is not None and not 0.0 <= acc <= 1.0:
-            raise DataError(f"{name} {acc!r} is not an accuracy in [0, 1]")
-    return row
 
 
 @dataclass(frozen=True)
@@ -262,7 +270,6 @@ class Run:
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
                  step_hook: Callable | None = None):
-        cfg.validate()
         if step_hook is not None and cfg.method != "bimem":
             raise InvalidArgumentError(f"a step hook needs method 'bimem', got {cfg.method!r}")
         yhat, probs = preds.aligned_to(target.ids)

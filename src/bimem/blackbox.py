@@ -97,7 +97,9 @@ def train_source(
 
 def predict(params: model.ClassifierParams, dataset: LabeledDataset) -> PredictionSet:
     """Black-box style predictions for every sample: argmax labels plus probabilities."""
-    _, probs = model.forward_batch(params, dataset.features)
+    # Logits that overflow give non-finite probabilities, which PredictionSet refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, probs = model.forward_batch(params, dataset.features)
     yhat = probs.argmax(axis=1)
     return PredictionSet(ids=dataset.ids.copy(), yhat=yhat, probs=probs)
 

@@ -77,7 +77,10 @@ def cmd_predict(args, _resolved: dict) -> int:
     params = model.load_params(args.model)
     print(f"checkpoint layout: {json.dumps(asdict(params.layout))}")
     target = _read_nonempty_dataset(args.target, params.layout.n_categories)
-    preds = blackbox.export_predictions(params, target, args.out, hard_only=args.hard_only)
+    try:
+        preds = blackbox.export_predictions(params, target, args.out, hard_only=args.hard_only)
+    except InvalidArgumentError as exc:  # a misfit of the two files; predict reads no config
+        raise DataError(f"{args.model} cannot predict {args.target}: {exc}") from None
     print(f"wrote {args.out} ({preds.ids.shape[0]} records)")
     return 0
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .adapt import AdaptConfig, METHODS
+from .adapt import AdaptConfig
 from .errors import ConfigError
 from .memory import FlowConfig
 
@@ -62,7 +62,8 @@ def _require_bool(resolved: dict, key: str) -> None:
 
 
 def resolve(path: str | Path | None = None, overrides: dict | None = None) -> dict:
-    """Defaults, then file values, then overrides; unknown keys are errors."""
+    """Defaults, then file values, then overrides; an unknown key or a bad value is an error,
+    adaptation values included, so every command refuses one before it touches a file."""
     resolved = dict(DEFAULTS)
     provided: dict = {}
     if path is not None:
@@ -87,12 +88,6 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
             _require_int(resolved, key, allow_none=default is None)
         elif isinstance(default, float):
             _require_number(resolved, key)
-    if resolved["seed"] < 0:
-        raise ConfigError(f"config key 'seed' must be >= 0, got {resolved['seed']}")
-    if resolved["method"] not in METHODS:
-        raise ConfigError(
-            f"config key 'method' must be one of {METHODS}, got {resolved['method']!r}"
-        )
 
     if resolved["target_shift"] is None:
         shift = [0.0] * resolved["dim"]
@@ -109,14 +104,13 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
             f"config key 'target_shift' must have length dim={resolved['dim']}, got {len(shift)}"
         )
     resolved["target_shift"] = [float(v) for v in shift]
+    adapt_config(resolved)
     return resolved
 
 
 def adapt_config(resolved: dict) -> AdaptConfig:
-    """Build and validate the adaptation config from a resolved dict."""
-    cfg = AdaptConfig(
+    """The adaptation config of a resolved dict; building it checks every value."""
+    return AdaptConfig(
         **{key: resolved[key] for key in ADAPT_KEYS},
         flows=FlowConfig(*(resolved[key] for key in FLOW_KEYS)),
     )
-    cfg.validate()
-    return cfg

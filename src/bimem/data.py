@@ -170,8 +170,8 @@ def read_table(
 
     ``header_for(width)`` is the header a file of that many columns must
     have, or None if no width-``width`` file is valid. ``parse`` turns one
-    row of strings into a record: a ``DataError`` it raises gets the row's
-    line, and any other ``ValueError`` is an unparseable value. A row with
+    row of strings into a record: an ``InvalidArgumentError`` it raises gets
+    the row's line, and any other ``ValueError`` is an unparseable value. A row with
     whitespace, an underscore or a non-ASCII character in a cell is
     unparseable before ``parse`` sees it, so a quoted cell cannot span
     lines and every line number is a physical line. Every ``DataError``
@@ -193,7 +193,7 @@ def read_table(
                 if not plain_cells(row):
                     raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
                 records.append(parse(row))
-            except DataError as exc:
+            except InvalidArgumentError as exc:
                 raise DataError(str(exc), line=line_no) from None
             except ValueError as exc:
                 raise DataError(f"unparseable value ({exc})", line=line_no) from None

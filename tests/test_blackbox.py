@@ -92,6 +92,15 @@ class TestTrainSource:
         with pytest.raises(InvalidArgumentError):
             train_source(empty, epochs=1, lr=0.05, seed=0)
 
+    @pytest.mark.parametrize("schedule, message", [
+        (dict(epochs=-1), "epochs must be >= 0"),
+        (dict(epochs=1, batch_size=0), "batch_size must be >= 1"),
+    ])
+    def test_bad_schedule_rejected(self, schedule, message):
+        source, _ = blobs(n=4)
+        with pytest.raises(InvalidArgumentError, match=message):
+            train_source(source, lr=0.05, seed=0, **schedule)
+
 
 class TestPredictionExport:
     def test_zero_weight_model_uniform_and_tiebreak(self, tmp_path):

@@ -239,6 +239,33 @@ class TestExitCodes:
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train-source", "predict", "adapt",
+                                         "ablate", "report"])
+    def test_bad_adaptation_value_refused_before_any_file(self, workdir, capsys, command):
+        """Every command builds the adaptation config while it resolves the
+        config, so a bad adaptation value stops it before it writes a file."""
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        assert run_cli("adapt", str(out / "target.csv"), str(out / "preds.csv"), "--config", cfg,
+                       "--out", str(out / "bimem_seed0.csv")) == 0
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({"lr": -1, "top_n": 64}))
+        written = tmp / "written"
+        argv = {
+            "gen-data": ["--out-dir"],
+            "train-source": [str(out / "source.csv"), "--out"],
+            "predict": [str(out / "model.json"), str(out / "target.csv"), "--out"],
+            "adapt": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
+            "ablate": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
+            "report": [str(out / "bimem_seed0.csv"), "--out"],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(bad), *argv, str(written)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "top_n" in captured.err
+        assert captured.out == ""
+        assert not written.exists()
+
     def test_default_config_is_adapt_config_defaults(self):
         assert config.adapt_config(config.resolve()) == AdaptConfig()
 
@@ -341,6 +368,36 @@ class TestExitCodes:
                        "--out", str(written)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(checkpoint) in err and named in err
+        assert not written.exists()
+
+    @pytest.mark.parametrize(("fault", "named"), [
+        ("narrower-target", "batch shape (60, 2) incompatible with input_dim 4"),
+        ("overflowing-weights", "probabilities contains non-finite entries"),
+    ])
+    def test_checkpoint_that_cannot_predict_the_target_exit_2(self, workdir, capsys, fault,
+                                                               named):
+        """A checkpoint that reads but cannot predict the target is a fault of
+        the two files, not of the config, and nothing is written."""
+        tmp, cfg = workdir
+        out = tmp / "run"
+        run_cli("gen-data", "--config", cfg, "--out-dir", str(out))
+        checkpoint = tmp / "model.json"
+        # Finite weights whose logits overflow to +-inf, so the softmax is NaN.
+        checkpoint.write_text(json.dumps({
+            "narrower-target": {"layout": {"input_dim": 4, "hidden_dim": 0, "n_categories": 3},
+                                "out_w": [[0.1] * 4] * 3, "out_b": [0.0] * 3},
+            "overflowing-weights": {
+                "layout": {"input_dim": 2, "hidden_dim": 2, "n_categories": 3},
+                "hidden_w": [[100.0, 100.0]] * 2, "hidden_b": [0.0] * 2,
+                "out_w": [[1e308, 1e308], [0.0, 0.0], [-1e308, -1e308]], "out_b": [0.0] * 3},
+        }[fault]))
+        written = tmp / "preds.csv"
+        capsys.readouterr()
+        assert run_cli("predict", str(checkpoint), str(out / "target.csv"),
+                       "--out", str(written)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert str(checkpoint) in err and str(out / "target.csv") in err
         assert not written.exists()
 
     def test_negative_seed_gen_data_exit_1(self, workdir, capsys):

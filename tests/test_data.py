@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bimem import blackbox, metrics
-from bimem.adapt import TRACE_HEADER, RunTrace
+from bimem.adapt import TRACE_HEADER, RunTrace, TraceRow
 from bimem.data import LabeledDataset, gen_shifted_gaussians, read_dataset, write_dataset
 from bimem.errors import DataError, InvalidArgumentError
 
@@ -172,6 +172,10 @@ RECORD_FAULTS = {
         "sums-to-half": ("1,1,0.25,0.25", "probabilities sums to 0.5,"),
         "not-an-argmax": ("1,0,0.25,0.75", "stored label 0 is not an argmax"),
     },
+    "trace": {
+        "accuracy-above-one": ("1,0.5,0.5,0.5,1.5,1.0", "pl_acc_denoised 1.5 is not an accuracy"),
+        "repeated-iteration": ("0,0.5,0.5,0.5,0.5,1.0", "iteration 0 does not follow 0"),
+    },
 }
 
 
@@ -214,11 +218,13 @@ def test_table_fault_names_its_line(tmp_path, reader, text, line, message):
 
 
 def _record(name, rows):
-    """The dataset or prediction set of ``rows``, given as CSV text rows."""
+    """The dataset, prediction set or trace of ``rows``, given as CSV text rows."""
     cells = [[float(cell) for cell in row.split(",")] for row in rows]
     if name == "dataset":
         return LabeledDataset([r[0] for r in cells], [r[1:-1] for r in cells],
                               [r[-1] for r in cells])
+    if name == "trace":
+        return RunTrace([TraceRow(int(r[0]), *r[1:]) for r in cells])
     return blackbox.PredictionSet([r[0] for r in cells], [r[1] for r in cells],
                                   [r[2:] for r in cells])
 
@@ -228,11 +234,13 @@ def _record(name, rows):
     for name, faults in RECORD_FAULTS.items() for fault in faults])
 def test_record_fault_is_refused_in_memory(name, fault):
     """The fault a reader names by its line is refused when the record is
-    built, with the message start it has in the file and the row's index."""
+    built, with the message start it has in the file and the row's index. A
+    trace row's accuracy is refused by the ``TraceRow`` alone, which has no
+    index: its reader names the line it parses."""
     row, message = RECORD_FAULTS[name][fault]
     with pytest.raises(InvalidArgumentError, match=f"^{message}") as caught:
         _record(name, ["0," + TABLES[name][3], row])
-    assert caught.value.index == 1
+    assert caught.value.index == (None if fault.startswith("accuracy") else 1)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -242,6 +250,8 @@ def test_record_fault_is_refused_in_memory(name, fault):
                  id="predictions-no-category"),
     pytest.param(lambda: LabeledDataset([0, 1], np.zeros((2, 0)), [0, 1]), "at least one",
                  id="dataset-no-feature-column"),
+    pytest.param(lambda: LabeledDataset([0, 1], [0.5, 1.5], [0, 1]), "inconsistent dataset",
+                 id="dataset-1d-features"),
 ])
 def test_record_of_the_wrong_shape_is_refused(build, message):
     """A shape no header can describe: its file would be refused at line 1."""

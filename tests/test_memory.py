@@ -271,6 +271,11 @@ class TestLongTermConsolidate:
         assert not lt.initialized[1]
         np.testing.assert_allclose(lt.centroids[0], [5.0])
 
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0])
+    def test_momentum_out_of_range_rejected(self, momentum):
+        with pytest.raises(InvalidArgumentError, match="momentum must be in"):
+            LongTermCentroids(1, 1, momentum=momentum)
+
     def test_momentum_weights_old_value(self):
         # 0.1 * 10 + 0.9 * 0 = 1.0
         lt = LongTermCentroids(1, 1, momentum=0.9)
@@ -479,6 +484,15 @@ def as_rows(spec_rows):
 
 
 class TestBimemStep:
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(top_n=0), "top_n must be >= 1"),
+        (dict(capacity=3, top_n=4), "queue capacity 3 smaller than top_n 4"),
+        (dict(warmup=-1), "warmup must be >= 0"),
+    ])
+    def test_create_rejects_bad_sizes(self, sizes, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            make_state(**sizes)
+
     def test_all_flows_off_is_identity_on_memories_and_probs(self):
         state = make_state()
         batch = as_rows(BATCH_ONE)

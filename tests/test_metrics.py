@@ -128,13 +128,14 @@ class TestPartitionIdentityValidation:
             metrics.validate_partition_identity(RunTrace(rows))
 
     @pytest.mark.parametrize("row", [
-        TraceRow(0, float("nan"), 0.8, 0.2, 0.5, 0.5),
-        TraceRow(0, 0.5, float("nan"), 0.2, 0.5, 0.5),
-        TraceRow(0, 0.5, 0.8, 0.2, 0.5, float("nan")),
+        (0, float("nan"), 0.8, 0.2, 0.5, 0.5),
+        (0, 0.5, float("nan"), 0.2, 0.5, 0.5),
+        (0, 0.5, 0.8, 0.2, 0.5, float("nan")),
     ])
-    def test_nan_term_raises_data_error(self, row):
-        with pytest.raises(DataError):
-            metrics.validate_partition_identity(RunTrace([row]))
+    def test_nan_term_is_refused_when_built(self, row):
+        """A NaN term never reaches the check: its row is refused when built."""
+        with pytest.raises(InvalidArgumentError, match="nan is not an accuracy"):
+            TraceRow(*row)
 
     def test_rows_with_undefined_subsets_skipped(self):
         rows = [TraceRow(0, 0.9, None, None, 0.5, 0.5)]

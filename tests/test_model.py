@@ -86,6 +86,11 @@ class TestForward:
         with pytest.raises(InvalidArgumentError):
             forward_batch(params, one_row([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("sizes", [(0, 0, 2), (2, -1, 2), (2, 0, 0)])
+    def test_invalid_layout_rejected(self, sizes):
+        with pytest.raises(InvalidArgumentError, match="invalid layout"):
+            Layout(*sizes)
+
     def test_forward_always_emits_valid_prob(self):
         from bimem import numerics
 
@@ -292,6 +297,11 @@ class TestMomentumUpdate:
         mm = MomentumModel(init_params(Layout(2, 3, 2), rng), gamma=0.5)
         with pytest.raises(InvalidArgumentError):
             momentum_update(mm, init_params(Layout(2, 4, 2), rng))
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0])
+    def test_gamma_out_of_range_rejected(self, gamma):
+        with pytest.raises(InvalidArgumentError, match="gamma must be in"):
+            MomentumModel(zero_params(Layout(2, 0, 2)), gamma=gamma)
 
     def test_convex_combination_componentwise(self):
         rng = np.random.default_rng(9)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bimem import numerics
 from bimem.adapt import denoise_labels
+from bimem.errors import InvalidArgumentError
 from bimem.memory import _reweight_rows
 
 # Independent scalar computations, frozen:
@@ -50,6 +51,16 @@ def label_argmax(scores):
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     n = scores.shape[0]
     return denoise_labels(scores, True, np.zeros(n, dtype=int), np.ones_like(scores))
+
+
+class TestCheckProbVector:
+    @pytest.mark.parametrize("p, message", [
+        ([[0.5, 0.5]], "must be one-dimensional"),
+        ([], "must have at least one category"),
+    ])
+    def test_shape_rejected(self, p, message):
+        with pytest.raises(InvalidArgumentError, match=f"^probs {message}"):
+            numerics.check_prob_vector(p, "probs")
 
 
 class TestSoftmax:

@@ -106,32 +106,60 @@ def test_number_tables_have_one_writer():
     assert number_tables == {"write_dataset": True, "write_predictions": True}
 
 
-def test_row_rules_live_in_their_records():
-    """``reject_rows`` is called only by the two records' ``__post_init__`` and by
-    ``read_dataset``, for the declared-category rule that needs its argument,
-    and the two writers check nothing: a dataset or prediction set is valid
-    once built, so a row rule cannot grow a second copy."""
-    callers, checks = set(), []
+def _functions():
+    """``(module.Class.name, node)`` for every function and method in ``src``."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         owners = {sub: f"{node.name}." for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) for sub in node.body}
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = f"{path.stem}.{owners.get(node, '')}{node.name}"
-            for sub in ast.walk(node):
-                called = isinstance(sub, ast.Call) and getattr(
-                    sub.func, "id", getattr(sub.func, "attr", ""))
-                if called == "reject_rows":
-                    callers.add(name)
-                if node.name in ("write_dataset", "write_predictions") and (
-                        isinstance(sub, (ast.If, ast.IfExp, ast.Raise, ast.Assert))
-                        or called in ("reject_rows", "check_prob_vector", "prob_rows_valid")):
-                    checks.append(f"{name}: line {sub.lineno}")
-    assert sorted(callers) == ["blackbox.PredictionSet.__post_init__",
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.stem}.{owners.get(node, '')}{node.name}", node
+
+
+def _called(node: ast.AST) -> str | bool:
+    """The bare name a call node calls, or False for any other node."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", ""))
+
+
+READERS = ("data.read_dataset", "blackbox.read_predictions", "adapt.RunTrace.from_csv",
+           "adapt._parse_trace_row")
+
+
+def test_row_rules_live_in_their_records():
+    """``reject_rows`` is called only by the three records' ``__post_init__`` and
+    by ``read_dataset``, for the declared-category rule that needs its argument;
+    the two writers check nothing, and the readers raise only to name the line
+    of a record's fault: a dataset, prediction set or trace is valid once
+    built, so a row rule cannot grow a second copy."""
+    callers, checks, raises = set(), [], []
+    for name, node in _functions():
+        # Raises that re-raise a caught error at its line.
+        naming = {sub for handler in ast.walk(node) if isinstance(handler, ast.ExceptHandler)
+                  for sub in ast.walk(handler) if isinstance(sub, ast.Raise)
+                  and any(k.arg == "line" for k in getattr(sub.exc, "keywords", []))}
+        for sub in ast.walk(node):
+            if _called(sub) == "reject_rows":
+                callers.add(name)
+            if node.name in ("write_dataset", "write_predictions") and (
+                    isinstance(sub, (ast.If, ast.IfExp, ast.Raise, ast.Assert))
+                    or _called(sub) in ("reject_rows", "check_prob_vector", "prob_rows_valid")):
+                checks.append(f"{name}: line {sub.lineno}")
+            if name in READERS and isinstance(sub, ast.Raise) and sub not in naming:
+                raises.append(f"{name}: line {sub.lineno}")
+    assert sorted(callers) == ["adapt.RunTrace.__post_init__",
+                               "blackbox.PredictionSet.__post_init__",
                                "data.LabeledDataset.__post_init__", "data.read_dataset"]
     assert checks == []
+    assert raises == []
+
+
+def test_only_the_config_checks_itself():
+    """``AdaptConfig.validate`` runs when a config is built, and a built config
+    is frozen, so no other code calls it again."""
+    callers = [name for name, node in _functions()
+               if any(_called(sub) == "validate" for sub in ast.walk(node))]
+    assert callers == ["adapt.AdaptConfig.__post_init__"]
 
 
 def test_one_loop_steps_the_models():

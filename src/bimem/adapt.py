@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -102,7 +103,8 @@ class AdaptConfig:
 
 @dataclass
 class TraceRow:
-    """One eval point: every accuracy is in [0, 1], so not NaN; only an empty subset's is None."""
+    """One eval point at an integer iteration: every accuracy is in [0, 1], so
+    not NaN; only an empty subset's is None."""
 
     iteration: int
     acc_all: float
@@ -112,6 +114,9 @@ class TraceRow:
     pl_acc_blackbox: float
 
     def __post_init__(self) -> None:
+        # A bool is an Integral, but ``to_csv`` would write it as True or False.
+        if isinstance(self.iteration, bool) or not isinstance(self.iteration, numbers.Integral):
+            raise InvalidArgumentError(f"iteration {self.iteration!r} is not an integer")
         for name in TRACE_COLUMNS[1:]:
             acc = getattr(self, name)
             if not (0.0 <= acc <= 1.0 if acc is not None else name.startswith("acc_init_")):
@@ -389,8 +394,8 @@ class _SelfTrainingLabeller:
             if self.cfg.method == "confidence_st":
                 self.selected = _select_top_fraction(probs_all, self.labels,
                                                      self.cfg.confidence_quantile)
-        use = idx if self.selected is None else idx[self.selected[idx]]
-        return self.inputs.features[use], self.labels[use]
+        use = idx if self.selected is None else idx.compress(self.selected.take(idx))
+        return self.inputs.features.take(use, axis=0), self.labels.take(use)
 
     def all_labels(self) -> np.ndarray:
         return self.labels

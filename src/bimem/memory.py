@@ -72,7 +72,7 @@ class Rows:
         return [MemorySlot(int(i), f, p) for i, f, p in zip(self.ids, self.features, self.probs)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """Switches for the three forward and three backward memory flows."""
 

@@ -94,14 +94,21 @@ class TestAdaptConfigValidation:
                 AdaptConfig(**bad)
 
     def test_a_built_config_stays_valid(self):
-        """``replace`` builds a new config, so it is checked too; a field
-        cannot be assigned after the check."""
+        """``replace`` builds a new config, so it is checked too; a field, or a
+        flow of a config or of a shared ablation row, cannot be assigned after
+        the check, so equal configs hash equal."""
         cfg = AdaptConfig()
         with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
             replace(cfg, seed=-1)
         with pytest.raises(FrozenInstanceError):
             cfg.seed = -1
-        assert cfg == AdaptConfig()
+        for flows in (cfg.flows, ABLATION_ROWS[6][2]):
+            with pytest.raises(FrozenInstanceError):
+                flows.sm_to_st = False
+        assert cfg == AdaptConfig() and ABLATION_ROWS[6][2] == FlowConfig.all_enabled()
+        assert hash(cfg) == hash(AdaptConfig())
+        assert hash(replace(cfg, flows=FlowConfig.none())) == hash(
+            AdaptConfig(flows=FlowConfig.none()))
 
     def test_runner_rejects_mismatched_method(self):
         target, preds = tiny_instance()
@@ -489,6 +496,10 @@ class TestTraceCsv:
         # Only a subset's accuracy is None, when the subset is empty.
         pytest.param(lambda: TraceRow(0, None, 0.5, 0.5, 0.5, 1.0), "acc_all None",
                      id="accuracy-None"),
+        # ``to_csv`` would write these as 0.5 and True, which ``from_csv`` refuses.
+        *(pytest.param(lambda value=value: RunTrace([TraceRow(value, 0.5, 0.5, 0.5, 0.5, 1.0)]),
+                       f"iteration {value!r} is not an integer", id=f"iteration-{value}")
+          for value in (0.5, 1.0, True)),
         *(pytest.param(lambda its=its: RunTrace([TraceRow(i, 0.5, 0.5, 0.5, 0.5, 1.0)
                                                  for i in its]),
                        f"iteration {its[-1]} does not follow {its[-2]}",

@@ -3,12 +3,13 @@
 ``numerics.l1_distances`` runs dimension-major in row blocks above a size
 threshold; ``memory.compute_centroids`` switches by input size to a padded
 form; the calibration kernels ``centroid_weights`` and
-``sensory_calibration_probs`` run category-major, over slabs of one category
-each; ``LongTermCentroids.consolidate`` blends whole arrays in place of masked
-rows; ``model.sgd_step`` and ``model.momentum_update`` update the whole flat
-parameter buffer in one operation, through scratch buffers shared by every
-model of a layout. The references below are the row-major and per-array forms
-they replace. ``_reweight_rows`` runs row-major in place, in the layout the
+``sensory_calibration_probs``, and the model's softmax over more than
+``model.SLAB_SOFTMAX_ROWS`` rows, run category-major, over slabs of one
+category each; ``LongTermCentroids.consolidate`` blends whole arrays in place
+of masked rows; ``model.sgd_step`` and ``model.momentum_update`` update the
+whole flat parameter buffer in one operation, through scratch buffers shared
+by every model of a layout. The references below are the row-major and
+per-array forms they replace. ``_reweight_rows`` runs row-major in place, in the layout the
 queue stores, so its reference is the same computation written out of place;
 it guards the in-place write and the degenerate rows. Every output must equal
 its reference bit for bit, signs of zeros included, so traces keep their bytes.
@@ -77,21 +78,30 @@ def reference_consolidate(centroids, initialized, features, probs, momentum):
     initialized |= present
 
 
-def reference_sgd_step(weights, x, labels, lr):
-    """One SGD step on (w1, b1, w2, b2) of a tanh classifier, or (w, b) of a linear one."""
-    n = len(labels)
+def reference_forward(weights, x):
+    """Features and row-major softmax of (w1, b1, w2, b2) of a tanh classifier,
+    or (w, b) of a linear one."""
     *hidden, w, b = weights
     features = np.tanh(x @ hidden[0].T + hidden[1]) if hidden else x
-    logits = features @ w.T + b
-    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
-    dlogits = exps / exps.sum(axis=1, keepdims=True)
+    return features, reference_softmax_rows(features @ w.T + b)
+
+
+def reference_gradients(weights, x, labels):
+    """Per-array gradients of the mean cross-entropy, in ``weights`` order."""
+    n = len(labels)
+    *hidden, w, _ = weights
+    features, dlogits = reference_forward(weights, x)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     grads = [dlogits.T @ features, dlogits.sum(axis=0)]
     if hidden:
         dpre = (dlogits @ w) * (1.0 - features * features)
         grads = [dpre.T @ x, dpre.sum(axis=0), *grads]
-    for array, grad in zip(weights, grads):
+    return grads
+
+
+def reference_sgd_step(weights, x, labels, lr):
+    for array, grad in zip(weights, reference_gradients(weights, x, labels)):
         array -= lr * grad
 
 
@@ -364,7 +374,7 @@ def test_steps_match_reference_as_batches_grow_and_shrink(hidden_dim):
     mm = model.MomentumModel(model.init_params(layout, rng), 0.9)
     ref_students = [[a.copy() for a in s.arrays()] for s in students]
     ref_tracked = [a.copy() for a in mm.params.arrays()]
-    for batch in (32, 7, 1, 33, 32, 64, 5):
+    for batch in (32, 7, 1, 33, 32, model.SLAB_SOFTMAX_ROWS + 1, 64, 5):
         for student, ref_student in zip(students, ref_students):
             x = rng.normal(size=(batch, 8)) * 3.0
             labels = rng.integers(0, 5, size=batch)
@@ -375,3 +385,67 @@ def test_steps_match_reference_as_batches_grow_and_shrink(hidden_dim):
     for params, expected in [*zip(students, ref_students), (mm.params, ref_tracked)]:
         for actual, reference in zip(params.arrays(), expected):
             assert_bitwise_equal(actual, reference)
+
+
+SLAB_ROWS = model.SLAB_SOFTMAX_ROWS
+
+
+@given(
+    input_dim=st.integers(1, 10),
+    hidden_dim=st.sampled_from([0, 1, 32]),
+    n_categories=st.integers(1, 20),
+    rows=st.integers(1, 2 * SLAB_ROWS),
+    weight_scale=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    spread=st.integers(0, 3),
+)
+@example(input_dim=8, hidden_dim=32, n_categories=5, rows=500, weight_scale=1, seed=0,
+         zeros=0.0, spread=0)
+@example(input_dim=8, hidden_dim=32, n_categories=20, rows=1000, weight_scale=1, seed=1,
+         zeros=0.0, spread=0)
+@with_examples(dict(input_dim=3, hidden_dim=h, n_categories=c, rows=rows, weight_scale=2,
+                    seed=2 + c, zeros=0.1, spread=3)
+               for h in (0, 1, 32) for c in (1, 7, 8, 9, 20)
+               for rows in (SLAB_ROWS, SLAB_ROWS + 1))
+def test_forward_and_gradients_match_row_major_reference(input_dim, hidden_dim, n_categories,
+                                                         rows, weight_scale, seed, zeros,
+                                                         spread):
+    """Row counts on both sides of ``SLAB_SOFTMAX_ROWS``: the row softmax and
+    the slab softmax give the reference's bits. Large weights and inputs
+    give logits far apart, so some probabilities underflow to 0."""
+    rng = np.random.default_rng(seed)
+    layout = model.Layout(input_dim, hidden_dim, n_categories)
+    params = model.init_params(layout, rng)
+    params.flat *= 10.0 ** weight_scale
+    x = mixed_values(rng, (rows, input_dim), zeros, spread)
+    labels = rng.integers(0, n_categories, size=rows)
+    weights = [a.copy() for a in params.arrays()]
+    features, probs = model.forward_batch(params, x)
+    expected_features, expected_probs = reference_forward(weights, x)
+    assert_bitwise_equal(features, expected_features)
+    assert_bitwise_equal(probs, expected_probs)
+    assert probs.flags.c_contiguous
+    grad = model.loss_gradients(params, x, labels)
+    for actual, expected in zip(layout.views(grad), reference_gradients(weights, x, labels)):
+        assert_bitwise_equal(actual, expected)
+
+
+@pytest.mark.parametrize("rows", [SLAB_ROWS, SLAB_ROWS + 1], ids=["row-form", "slab-form"])
+def test_overflowing_logits_give_nan_where_the_row_form_does(rows):
+    """Weights near the float64 limit, as a checkpoint handed to
+    ``blackbox.predict`` may hold: some logits overflow to +-inf, so some rows
+    are NaN and the others hold exact zeros and ones."""
+    rng = np.random.default_rng(5)
+    layout = model.Layout(2, 0, 3)
+    params = model.init_params(layout, rng)
+    params.out_w[:] = [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]
+    x = rng.normal(size=(rows, 2))
+    weights = [a.copy() for a in params.arrays()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, probs = model.forward_batch(params, x)
+        _, expected = reference_forward(weights, x)
+    nan = np.isnan(expected)
+    assert 0 < nan.any(axis=1).sum() < rows
+    assert np.array_equal(np.isnan(probs), nan)
+    assert_bitwise_equal(probs[~nan], expected[~nan])

@@ -162,6 +162,15 @@ def test_only_the_config_checks_itself():
     assert callers == ["adapt.AdaptConfig.__post_init__"]
 
 
+def test_one_forward_body_runs_the_softmax():
+    """In ``model.py`` only ``_forward``, the body of ``forward_batch`` and
+    ``loss_gradients``, calls a softmax. A second whole-set forward path
+    would be invisible to the bench's ``model.forward_batch`` span."""
+    callers = [name for name, node in _functions() if name.startswith("model.") and any(
+        _called(sub) in ("softmax_rows", "softmax_slabs") for sub in ast.walk(node))]
+    assert callers == ["model._forward"]
+
+
 def test_one_loop_steps_the_models():
     """In ``adapt.py`` only ``Run.step`` takes an SGD step or an EMA update,
     once each, so every method trains through the one loop."""

@@ -263,24 +263,47 @@ def denoise_labels(
     return (calibrated_probs * pred_probs).argmax(axis=1)
 
 
+class WarmupRecord:
+    """The student's ``flat`` after each warm-up step, shared by memory runs
+    that differ in nothing but their flows.
+
+    Until a run's labeller calibrates, every input of its SGD step (the
+    student, the batch of the ``[seed, 1]`` sampler, the black-box labels that
+    ``denoise_labels`` passes through, ``lr``) is independent of the flows, so
+    one run records its warm-up steps and the others copy them. ``cfg`` is the
+    maker's config with no flows; ``target`` and ``preds`` are its inputs.
+    """
+
+    def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
+        self.target, self.preds = target, preds
+        self.cfg = replace(cfg, flows=FlowConfig.none())
+        self.flats: list[np.ndarray] = []
+
+
 class Run:
     """One run of a method, advanced one iteration at a time by ``step()``.
 
     ``rows`` starts with the evaluation at ``t = 0``; ``step_hook`` is
-    ``run_bimem``'s, so only the memory method takes one. The labeller's
-    ``batch(t, idx)`` gives the features and labels to train on from the
-    sampled rows, and ``all_labels()`` every sample's current label for the
-    trace.
+    ``run_bimem``'s, so only the memory method takes one, and so does a
+    ``warmup_record``. The labeller's ``batch(t, idx)`` gives the features and
+    labels to train on from the sampled rows, and ``all_labels()`` every
+    sample's current label for the trace.
     """
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
-                 step_hook: Callable | None = None):
-        if step_hook is not None and cfg.method != "bimem":
-            raise InvalidArgumentError(f"a step hook needs method 'bimem', got {cfg.method!r}")
+                 step_hook: Callable | None = None, warmup_record: WarmupRecord | None = None):
+        for name, given in (("step hook", step_hook), ("warm-up record", warmup_record)):
+            if given is not None and cfg.method != "bimem":
+                raise InvalidArgumentError(f"a {name} needs method 'bimem', got {cfg.method!r}")
+        if warmup_record is not None and (
+                warmup_record.target is not target or warmup_record.preds is not preds
+                or warmup_record.cfg != replace(cfg, flows=FlowConfig.none())):
+            raise InvalidArgumentError("the warm-up record was made for other inputs or config")
         yhat, probs = preds.aligned_to(target.ids)
         self.inputs = _UnlabeledInputs(ids=target.ids.copy(), features=target.features.copy(),
                                        pred_yhat=yhat, pred_probs=probs)
         self.cfg, self.step_hook, self.t = cfg, step_hook, 0
+        self.warmup_record, self.warmup = warmup_record, _resolve_warmup(cfg, len(target.ids))
         self.evaluator = _TraceEvaluator(target, yhat)
         self.student, self.mm, self.sampler = _init_models(self.inputs, cfg)
         labeller = _MemoryLabeller if cfg.method == "bimem" else _SelfTrainingLabeller
@@ -288,13 +311,23 @@ class Run:
         self.rows = [self.evaluator.row(0, self.student, self.labeller.all_labels())]
 
     def step(self) -> None:
-        """EMA, sample, label, SGD, hook, and the evaluation at an eval point."""
+        """EMA, sample, label, SGD (or its replay from the warm-up record), hook,
+        and the evaluation at an eval point."""
         self.t = t = self.t + 1
         student, mm, labeller = self.student, self.mm, self.labeller
         model.momentum_update(mm, student)
         x, labels = labeller.batch(t, self.sampler.next_batch())
-        if labels.size:
-            model.sgd_step(student, x, labels, self.cfg.lr)
+        record = self.warmup_record
+        if record is not None and (t > self.warmup or labeller.applied):
+            # Past the warm-up, or once calibrated, the student leaves the record for good.
+            record = self.warmup_record = None
+        if record is not None and t <= len(record.flats):
+            np.copyto(student.flat, record.flats[t - 1])
+        else:
+            if labels.size:
+                model.sgd_step(student, x, labels, self.cfg.lr)
+            if record is not None:
+                record.flats.append(student.flat.copy())
         if self.step_hook is not None:
             self.step_hook(t, labeller.state, labeller.calibrated_probs, labeller.applied,
                            labels, student, mm)
@@ -303,12 +336,13 @@ class Run:
 
 
 def _adapt(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig, method: str,
-           step_hook: Callable | None = None) -> tuple[model.ClassifierParams, RunTrace]:
+           step_hook: Callable | None = None,
+           warmup_record: WarmupRecord | None = None) -> tuple[model.ClassifierParams, RunTrace]:
     """The loop every method runs; returns the student and its trace."""
     if cfg.method != method:
         raise InvalidArgumentError(
             f"config method is {cfg.method!r}, this runner expects {method!r}")
-    run = Run(target, preds, cfg, step_hook)
+    run = Run(target, preds, cfg, step_hook, warmup_record)
     for _ in range(cfg.iterations):
         run.step()
     return run.student, RunTrace(run.rows)
@@ -352,13 +386,17 @@ def run_bimem(
     preds: PredictionSet,
     cfg: AdaptConfig,
     step_hook: Callable | None = None,
+    *,
+    warmup_record: WarmupRecord | None = None,
 ) -> tuple[model.ClassifierParams, RunTrace]:
     """Memory-calibrated adaptation; returns the student and its trace.
 
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
+    ``warmup_record`` replays, or records, the warm-up steps shared with the
+    other runs of its config that differ only in their flows.
     """
-    return _adapt(target, preds, cfg, "bimem", step_hook)
+    return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 
 
 def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float) -> np.ndarray:
@@ -442,22 +480,37 @@ def run_ablation_suite(
     base_cfg: AdaptConfig,
     seeds: list[int],
 ) -> list[dict]:
-    """Final accuracy (mean and stddev over seeds) for each flow combination."""
-    if not seeds:
+    """Final accuracy for each flow combination: the mean over seeds and the
+    population std (``np.std``, ddof 0).
+
+    Runs go row by row through the module's ``run_bimem``. The rows of one
+    seed share its warm-up: the first row records the student after each
+    warm-up step and the later rows copy it, which is exact, since no flow
+    acts before the first calibration.
+    """
+    if len(seeds) == 0:
         raise InvalidArgumentError("ablation needs at least one seed")
-    if len(set(seeds)) != len(seeds):
+    for seed in seeds:
+        # A bool is an Integral; a float seed would be truncated past the repeat check.
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise InvalidArgumentError(f"ablation seed {seed!r} is not an integer")
+    ints = [int(seed) for seed in seeds]
+    if len(set(ints)) != len(ints):
         # A repeated seed reruns the same deterministic run and shrinks the spread.
-        raise InvalidArgumentError(f"ablation seeds must not repeat a seed, got {list(seeds)}")
+        raise InvalidArgumentError(f"ablation seeds must not repeat a seed, got {ints}")
+    # Every config is built, and so checked, before the first run.
+    grid = [[replace(base_cfg, method="bimem", flows=flows, seed=seed) for seed in ints]
+            for _, _, flows in ABLATION_ROWS]
+    records = [WarmupRecord(target, preds, cfg) for cfg in grid[0]]
     results = []
-    for row_no, label, flows in ABLATION_ROWS:
+    for (row_no, label, flows), cfgs in zip(ABLATION_ROWS, grid):
         finals = []
-        for seed in seeds:
-            cfg = replace(base_cfg, method="bimem", flows=flows, seed=int(seed))
-            _, trace = run_bimem(target, preds, cfg)
+        for cfg, record in zip(cfgs, records):
+            _, trace = run_bimem(target, preds, cfg, warmup_record=record)
             finals.append(trace.column("acc_all")[-1])
         results.append({"row": row_no, "flows": label, **flows.as_dict(),
                         "mean_final_acc": float(np.mean(finals)),
-                        "std_final_acc": float(np.std(finals)), "n_seeds": len(seeds)})
+                        "std_final_acc": float(np.std(finals)), "n_seeds": len(ints)})
     return results
 
 

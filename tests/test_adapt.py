@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bimem import adapt, blackbox, model
+from bimem import adapt, blackbox, memory, model
 from bimem.adapt import (
     ABLATION_ROWS,
     TRACE_HEADER,
     AdaptConfig,
     RunTrace,
     TraceRow,
+    WarmupRecord,
     _select_top_fraction,
     denoise_labels,
     run,
@@ -589,3 +590,134 @@ class TestAblation:
         target, preds = tiny_instance()
         with pytest.raises(InvalidArgumentError, match="repeat a seed"):
             run_ablation_suite(target, preds, tiny_cfg(iterations=20), [0, 0])
+
+    @pytest.mark.parametrize("seeds", [
+        pytest.param([0, 0.5], id="fraction"),
+        pytest.param([0, -1], id="negative"),
+        pytest.param([True], id="bool"),
+        pytest.param([0, np.int64(0)], id="numpy-repeat"),
+        pytest.param(np.arange(0), id="empty-array"),
+    ])
+    def test_bad_seeds_rejected_before_any_run(self, monkeypatch, seeds):
+        calls = []
+        monkeypatch.setattr(adapt, "run_bimem", lambda *args, **kwargs: calls.append(args))
+        target, preds = tiny_instance()
+        with pytest.raises(InvalidArgumentError):
+            run_ablation_suite(target, preds, tiny_cfg(iterations=5), seeds)
+        assert calls == []
+
+    def test_numpy_seed_array_runs(self):
+        target, preds = tiny_instance()
+        cfg = tiny_cfg(iterations=10)
+        rows = run_ablation_suite(target, preds, cfg, np.arange(2))
+        assert rows == run_ablation_suite(target, preds, cfg, [0, 1])
+        assert all(row["n_seeds"] == 2 for row in rows)
+
+
+def _recording_hook(steps: list):
+    """A step hook that keeps every argument a test compares, as raw bytes."""
+    def hook(t, state, calibrated_probs, applied, labels, student, mm):
+        steps.append((t, applied, labels.tobytes(),
+                      None if calibrated_probs is None else calibrated_probs.tobytes(),
+                      student.flat.tobytes(), mm.params.flat.tobytes()))
+    return hook
+
+
+def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1)):
+    """The suite's runs, each through a wrapper that injects a step hook as the
+    bench's run log does: (cfg, warm-up record, student bytes, trace rows, hook steps)."""
+    runner = adapt.run_bimem
+    runs = []
+
+    def captured(target, preds, cfg, **kwargs):
+        steps = []
+        student, trace = runner(target, preds, cfg, step_hook=_recording_hook(steps), **kwargs)
+        runs.append((cfg, kwargs.get("warmup_record"), student.flat.tobytes(), trace.rows, steps))
+        return student, trace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adapt, "run_bimem", captured)
+        run_ablation_suite(target, preds, cfg, list(seeds))
+    return runs
+
+
+def _assert_runs_independent(target, preds, runs):
+    """Every suite run equals, byte for byte, a run of its config on its own."""
+    for cfg, _, student_bytes, rows, steps in runs:
+        alone = []
+        student, trace = run_bimem(target, preds, cfg, step_hook=_recording_hook(alone))
+        assert student.flat.tobytes() == student_bytes
+        assert trace.rows == rows
+        assert steps == alone
+
+
+class TestWarmupReplay:
+    """The later rows of one seed copy the first row's warm-up steps; what each
+    run computes, and what a step hook sees, is that of an independent run."""
+
+    def test_rows_equal_independent_runs(self, monkeypatch):
+        target, preds = tiny_instance()
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg())
+        assert len(runs) == 14
+        _assert_runs_independent(target, preds, runs)
+
+    def test_later_rows_replay_the_warmup(self, monkeypatch):
+        """Six rows of two seeds replay five warm-up steps each, and a record
+        holds the warm-up only."""
+        target, preds = tiny_instance()
+        sgd_step = model.sgd_step
+        calls = []
+        monkeypatch.setattr(model, "sgd_step", lambda *args: calls.append(1) or sgd_step(*args))
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg())
+        assert len(calls) == 14 * 40 - 6 * 2 * 5
+        records = {id(record): record for _, record, *_ in runs}
+        assert len(records) == 2
+        assert [len(record.flats) for record in records.values()] == [5, 5]
+
+    def test_no_warmup_shares_nothing(self, monkeypatch):
+        target, preds = tiny_instance()
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(warmup_iterations=0))
+        assert all(len(record.flats) == 0 for _, record, *_ in runs)
+        _assert_runs_independent(target, preds, runs)
+
+    def test_iterations_below_the_warmup(self, monkeypatch):
+        target, preds = tiny_instance()
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(iterations=3, eval_interval=2))
+        assert all(len(record.flats) == 3 for _, record, *_ in runs)
+        _assert_runs_independent(target, preds, runs)
+
+    def test_a_calibrated_step_leaves_the_record(self, monkeypatch):
+        """A run whose labeller calibrates inside the warm-up trains on its own
+        labels from then on, so the replay follows ``applied``, not the step count."""
+        real = memory.bimem_step
+
+        def early(state, ids, features, probs, flows):
+            calibrated, applied = real(state, ids, features, probs, flows)
+            if flows.sm_to_st and state.steps == 3:
+                # One-hot on a class next to the momentum model's: the labels change.
+                n_categories = probs.shape[1]
+                return np.eye(n_categories)[(probs.argmax(axis=1) + 1) % n_categories], True
+            return calibrated, applied
+
+        monkeypatch.setattr(memory, "bimem_step", early)
+        target, preds = tiny_instance()
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg())
+        assert any(steps[2][1] for *_, steps in runs)
+        _assert_runs_independent(target, preds, runs)
+
+    def test_a_record_for_other_runs_is_refused(self):
+        target, preds = tiny_instance()
+        other_target, other_preds = tiny_instance(seed=1)
+        cfg = tiny_cfg(iterations=5)
+        record = WarmupRecord(target, preds, cfg)
+        for bad in (replace(cfg, seed=1), replace(cfg, lr=0.1), replace(cfg, iterations=6)):
+            with pytest.raises(InvalidArgumentError, match="other inputs or config"):
+                run_bimem(target, preds, bad, warmup_record=record)
+        with pytest.raises(InvalidArgumentError, match="other inputs or config"):
+            run_bimem(other_target, other_preds, cfg, warmup_record=record)
+        vanilla = tiny_cfg(method="vanilla_st", iterations=5)
+        with pytest.raises(InvalidArgumentError, match="needs method 'bimem'"):
+            adapt.Run(target, preds, vanilla, warmup_record=WarmupRecord(target, preds, vanilla))
+        assert record.flats == []
+        run_bimem(target, preds, replace(cfg, flows=FlowConfig.none()), warmup_record=record)
+        assert len(record.flats) == 5

@@ -67,6 +67,13 @@ class AdaptConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise InvalidArgumentError(f"unknown method {self.method!r}, 'method' is one of {METHODS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type not in ("int", "int | None") or (value is None and f.type == "int | None"):
+                continue
+            # A bool is an Integral, and a float passes every range check below.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidArgumentError(f"{f.name} must be an integer, got {value!r}")
         if self.iterations < 0:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
         if not (1 <= _resolve_top_n(self) <= self.batch_size <= self.queue_capacity):
@@ -154,7 +161,7 @@ class RunTrace:
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunTrace":
         """Read a trace CSV; a row or trace rule it breaks is a ``DataError`` at its line."""
-        _, rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row)
+        rows = read_table(path, lambda width: TRACE_COLUMNS, _parse_trace_row)
         try:
             return cls(rows)
         except InvalidArgumentError as exc:

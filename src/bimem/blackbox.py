@@ -146,14 +146,13 @@ def export_predictions(
 
 def read_predictions(path: str | Path) -> PredictionSet:
     """Parse a predictions CSV; a row that breaks a record rule is a ``DataError`` at its line."""
-    header, records = read_table(
+    ids, yhat, probs = read_table(
         path,
         lambda width: predictions_header(width - 2) if width >= 3 else None,
         lambda row: (int(row[0]), int(row[1]), list(map(float, row[2:]))),
+        lambda width: np.dtype([("id", np.int64), ("yhat", np.int64),
+                                ("probs", np.float64, (width - 2,))]),
     )
-    ids = np.array([r[0] for r in records], dtype=np.int64)
-    yhat = np.array([r[1] for r in records], dtype=np.int64)
-    probs = np.array([r[2] for r in records], dtype=np.float64).reshape(len(ids), len(header) - 2)
     try:
         return PredictionSet(ids=ids, yhat=yhat, probs=probs)
     except InvalidArgumentError as exc:

@@ -9,6 +9,7 @@ lossless at 9 significant digits.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,12 +22,30 @@ from .errors import DataError, InvalidArgumentError
 FLOAT_FORMAT = "%.9g"
 
 
+# Printable ASCII but the space and the underscore. Beyond plain number syntax,
+# Python's int and float take whitespace, an underscore and non-ASCII digits;
+# every whitespace character but the space is unprintable.
+PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b"_", b"")
+
+
 def plain_cells(row: list[str]) -> bool:
-    """No cell holds what Python's int and float take beyond plain ASCII
-    number syntax: whitespace, an underscore or a non-ASCII character.
-    Every whitespace character but the space is unprintable."""
+    """No cell holds a character outside ``PLAIN_BYTES``."""
     text = "".join(row)
-    return text.isascii() and text.isprintable() and "_" not in text and " " not in text
+    return text.isascii() and not text.encode().translate(None, PLAIN_BYTES)
+
+
+def plain_line_count(body: str) -> int:
+    """How many lines ``body`` has if each is a row of ``plain_cells`` without a
+    quote, ended by CRLF or LF but the last, which may be unended; 0 for any
+    other body and for one of line ends alone, where ``np.loadtxt`` finds no
+    data. ``np.loadtxt`` splits such a body into the rows ``csv.reader``
+    gives, but skips an empty line."""
+    if not body.isascii():
+        return 0
+    ends = body.encode().translate(None, PLAIN_BYTES.replace(b'"', b""))
+    if len(ends) == len(body) or ends.replace(b"\r\n", b"").replace(b"\n", b""):
+        return 0
+    return ends.count(b"\n") + (not body.endswith("\n"))
 
 
 @dataclass
@@ -165,7 +184,8 @@ def read_table(
     path: str | Path,
     header_for: Callable[[int], list[str] | None],
     parse: Callable[[list[str]], Any],
-) -> tuple[list[str], list]:
+    fields: Callable[[int], np.dtype] | None = None,
+) -> Any:
     """Read a CSV file of number cells; its records' rules, unique ids among them, are the caller's.
 
     ``header_for(width)`` is the header a file of that many columns must
@@ -176,28 +196,49 @@ def read_table(
     unparseable before ``parse`` sees it, so a quoted cell cannot span
     lines and every line number is a physical line. Every ``DataError``
     names its 1-based line.
-    Returns the header and the records in file order.
+    Returns the records in file order.
+
+    With ``fields``, the file is a number table: ``fields(width)`` is the
+    structured dtype of one record, the one ``parse`` returns, and the records
+    come back as one C-contiguous array per field. A body of plain lines
+    (``plain_line_count``) is parsed in one ``np.loadtxt`` pass. The row pass
+    runs only if the body is not plain or that pass refuses it or skips a
+    line, and words the fault or, for a quoted cell, builds the same records.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DataError("missing header", line=1)
         if header != header_for(len(header)):
             raise DataError(f"unexpected header {header!r}", line=1)
-        records: list = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
-            try:
-                if not plain_cells(row):
-                    raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
-                records.append(parse(row))
-            except InvalidArgumentError as exc:
-                raise DataError(str(exc), line=line_no) from None
-            except ValueError as exc:
-                raise DataError(f"unparseable value ({exc})", line=line_no) from None
-    return header, records
+        body = fh.read()
+    if fields is not None and (lines := plain_line_count(body)):
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=fields(len(header)), delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            table = None  # the row pass words the fault
+        # A table short of a row skipped an empty line, which the row pass refuses.
+        if table is not None and len(table) == lines:
+            return _columns(table)
+    records: list = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if len(row) != len(header):
+            raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
+        try:
+            if not plain_cells(row):
+                raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
+            records.append(parse(row))
+        except InvalidArgumentError as exc:
+            raise DataError(str(exc), line=line_no) from None
+        except ValueError as exc:
+            raise DataError(f"unparseable value ({exc})", line=line_no) from None
+    return records if fields is None else _columns(np.array(records, fields(len(header))))
+
+
+def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each field of a structured array, as a C-contiguous array of its own."""
+    return tuple(np.ascontiguousarray(table[name]) for name in table.dtype.names)
 
 
 def reject_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
@@ -209,15 +250,13 @@ def reject_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
 
 def read_dataset(path: str | Path, n_categories: int | None = None) -> LabeledDataset:
     """Parse a dataset CSV; a record or category fault is a ``DataError`` at its row's line."""
-    header, records = read_table(
+    ids, features, labels = read_table(
         path,
         lambda width: dataset_header(width - 2) if width >= 3 else None,
         lambda row: (int(row[0]), list(map(float, row[1:-1])), int(row[-1])),
+        lambda width: np.dtype([("id", np.int64), ("features", np.float64, (width - 2,)),
+                                ("label", np.int64)]),
     )
-    ids = np.array([r[0] for r in records], dtype=np.int64)
-    features = np.array([r[1] for r in records], dtype=np.float64)
-    features = features.reshape(len(ids), len(header) - 2)
-    labels = np.array([r[2] for r in records], dtype=np.int64)
     try:
         dataset = LabeledDataset(ids, features, labels)
         if n_categories is not None:

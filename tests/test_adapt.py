@@ -94,6 +94,27 @@ class TestAdaptConfigValidation:
             with pytest.raises(InvalidArgumentError):
                 AdaptConfig(**bad)
 
+    # A valid value of every integer field; None picks the default of the last three.
+    INTEGERS = dict(iterations=5, batch_size=16, queue_capacity=64, eval_interval=5, seed=7,
+                    hidden_dim=4, top_n=8, refresh_interval=3, warmup_iterations=2)
+
+    @pytest.mark.parametrize("name, value", [
+        # Each built before integer fields were checked.
+        ("seed", 0.5), ("iterations", 2.5), ("seed", True), ("batch_size", 8.0),
+        ("eval_interval", 1.5),
+        *((name, value) for name in INTEGERS for value in (1.0, False, "1")),
+        *((name, None) for name in list(INTEGERS)[:6]),
+    ])
+    def test_integer_fields_refuse_other_types(self, name, value):
+        """A bool is an Integral, and a float passes every range check."""
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got "):
+            AdaptConfig(**{name: value})
+
+    def test_integer_fields_take_numpy_integers_and_none(self):
+        cfg = AdaptConfig(**{name: np.int64(v) for name, v in self.INTEGERS.items()})
+        assert cfg == AdaptConfig(**self.INTEGERS)
+        AdaptConfig(top_n=None, refresh_interval=None, warmup_iterations=None)
+
     def test_a_built_config_stays_valid(self):
         """``replace`` builds a new config, so it is checked too; a field, or a
         flow of a config or of a shared ablation row, cannot be assigned after

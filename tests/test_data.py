@@ -1,11 +1,18 @@
 """Tests for synthetic benchmark generation and dataset file I/O."""
 
+import dataclasses
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bimem import blackbox, metrics
+from bimem import blackbox, data, metrics
 from bimem.adapt import TRACE_HEADER, RunTrace, TraceRow
-from bimem.data import LabeledDataset, gen_shifted_gaussians, read_dataset, write_dataset
+from bimem.data import (FLOAT_FORMAT, LabeledDataset, gen_shifted_gaussians, read_dataset,
+                        write_dataset)
 from bimem.errors import DataError, InvalidArgumentError
 
 DEFAULT_SHIFT = np.array([1.5, 0, 0, 0, 0, 0, 0, 0])
@@ -184,6 +191,7 @@ def _table_faults():
     ``RECORD_FAULTS`` row; each with the line and message start it must report."""
     for name, (_, header, narrow, rest, key) in TABLES.items():
         first = f"{header}\n0,{rest}\n"
+        width = header.count(",") + 1
         faults = {
             "empty": ("", 1, "missing header"),
             "bad-header": (f"x{first}", 1, "unexpected header"),
@@ -199,6 +207,12 @@ def _table_faults():
             # A quoted newline would make every later line number one too low.
             "newline-in-quoted-cell": (first + '1,"{}\n",{}\n2,{}\n'.format(
                 *rest.split(",", 1), rest), 3, "unparseable value"),
+            # np.loadtxt skips an empty line and a comment and strips a tab;
+            # the reader refuses all three.
+            "blank-line": (first + f"\n1,{rest}\n", 3, f"expected {width} columns, got 0"),
+            "blank-last-line": (first + "\n", 3, f"expected {width} columns, got 0"),
+            "comment-row": (first + f"#1,{rest}\n", 3, "unparseable value"),
+            "tab-in-cell": (first + f"1,{rest[0]}\t{rest[1:]}\n", 3, "unparseable value"),
         }
         for fault, case in faults.items():
             yield pytest.param(name, *case, id=f"{name}-{fault}")
@@ -258,3 +272,188 @@ def test_record_of_the_wrong_shape_is_refused(build, message):
     with pytest.raises(InvalidArgumentError, match=message) as caught:
         build()
     assert caught.value.index is None
+
+
+def _outcome(read, path):
+    """What a reader gives for ``path``: every array of the record as its dtype,
+    shape, layout and bytes, or the error's type and message."""
+    try:
+        record = read(path)
+    except (DataError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(record, RunTrace):
+        return record.rows
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in (getattr(record, f.name) for f in dataclasses.fields(record))]
+
+
+def _row_pass_outcome(read, path):
+    """The outcome with every body sent to the row pass, the reader's only
+    pass before number tables were parsed by ``np.loadtxt``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "plain_line_count", lambda body: 0)
+        return _outcome(read, path)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_quoted_number_cell_reads_as_the_number(tmp_path, name):
+    """``csv.reader`` unquotes a cell, so ``"0.5"`` reads as 0.5. ``np.loadtxt``
+    refuses the quote, and the row pass builds the records."""
+    read, header, _, rest, _ = TABLES[name]
+    cells = rest.split(",")
+    k = next(i for i, cell in enumerate(cells) if "." in cell)
+    quoted = cells[:k] + [f'"{cells[k]}"'] + cells[k + 1:]
+    (tmp_path / "plain.csv").write_text(f"{header}\n0,{rest}\n")
+    (tmp_path / "quoted.csv").write_text(f"{header}\n0,{','.join(quoted)}\n")
+    assert _outcome(read, tmp_path / "quoted.csv") == _outcome(read, tmp_path / "plain.csv")
+
+
+@pytest.mark.parametrize("name", ["dataset", "predictions"])
+def test_every_column_is_an_array_of_its_own(tmp_path, name):
+    """C-contiguous, as the readers built each column from a list before the
+    numpy pass: a strided view of the parsed table could sum in another order."""
+    path = tmp_path / "table.csv"
+    path.write_text(f"{TABLES[name][1]}\n0,{TABLES[name][3]}\n1,{TABLES[name][3]}\n")
+    record = TABLES[name][0](path)
+    for f in dataclasses.fields(record):
+        column = getattr(record, f.name)
+        assert column.flags.c_contiguous and column.flags.owndata, f.name
+
+
+@pytest.mark.parametrize("reader, text, line, message",
+                         [case for case in _table_faults() if case.values[0] != "trace"])
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_table_fault_matches_the_row_pass(tmp_path, reader, text, line, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    assert _outcome(TABLES[reader][0], path) == _row_pass_outcome(TABLES[reader][0], path)
+
+
+# Cells that break a number cell's syntax, or that np.loadtxt might read
+# otherwise than Python's int and float: quotes, comments, whitespace, float
+# spellings in an integer cell and integers past int64.
+ODD_CELLS = ["", "abc", "1 ", "\t1", "\x0b1", "1_0", "#1", '"0.5"', '"1"', "'1'", "1.0", "1e3",
+             "+5", "007", "-0", "nan", "-inf", "1e400", "0x10", "\u0663", "9223372036854775807",
+             "9223372036854775808", "-9223372036854775809", "\r"]
+
+
+@st.composite
+def number_tables(draw, name):
+    """The text of a dataset or predictions CSV. Its rows are valid or break a
+    record rule (a repeated id, a non-finite feature, a negative label, a row
+    off the simplex or whose label is out of range or not an argmax); up to
+    three faults then swap a cell for an odd one, drop a cell or put in an
+    empty line. Lines end in LF or CRLF, the last one or not."""
+    columns = draw(st.integers(1, 3))
+    if name == "dataset":
+        header = data.dataset_header(columns)
+    else:
+        header = blackbox.predictions_header(columns)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        key = str(draw(st.integers(0, 5)))
+        if name == "dataset":
+            style = draw(st.sampled_from([repr, FLOAT_FORMAT.__mod__]))
+            values = draw(st.lists(st.floats(), min_size=columns, max_size=columns))
+            rows.append([key, *map(style, values), str(draw(st.integers(-1, 3)))])
+        else:
+            weights = draw(st.lists(st.integers(0, 9), min_size=columns, max_size=columns))
+            probs = [w / (sum(weights) or 1) for w in weights]
+            yhat = draw(st.sampled_from([int(np.argmax(probs)), 0, columns]))
+            rows.append([key, str(yhat), *(FLOAT_FORMAT % p for p in probs)])
+    for _ in range(draw(st.integers(0, 3))):
+        filled = [row for row in rows if row]
+        fault = draw(st.sampled_from(["cell", "drop", "empty-line"] if filled else ["empty-line"]))
+        if fault == "empty-line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+            continue
+        row = draw(st.sampled_from(filled))
+        k = draw(st.integers(0, len(row) - 1))
+        if fault == "cell":
+            row[k] = draw(st.sampled_from(ODD_CELLS))
+        else:
+            del row[k]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.mark.parametrize("name", ["dataset", "predictions"])
+@given(table=st.data())
+@example(table=None)
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_number_table_matches_the_row_pass(tmp_path_factory, name, table):
+    """Each reader gives what its row pass alone gives: equal records, byte
+    for byte, or the same error and message. The explicit example is a body
+    of empty lines alone, where ``np.loadtxt`` would warn of no data."""
+    if table is None:
+        text = f"{TABLES[name][1]}\r\n\r\n\n"
+    else:
+        text = table.draw(number_tables(name))
+    path = tmp_path_factory.getbasetemp() / f"differential-{name}.csv"
+    path.write_text(text, newline="")
+    read = TABLES[name][0]
+    assert _outcome(read, path) == _row_pass_outcome(read, path)
+
+
+@pytest.mark.parametrize("name, row", [
+    ("dataset", "9223372036854775808,0.5,1.5,0"),
+    ("dataset", "0,0.5,1.5,-9223372036854775809"),
+    ("predictions", "99999999999999999999,0,0.75,0.25"),
+    ("predictions", "0,9223372036854775808,0.75,0.25"),
+])
+def test_an_integer_cell_past_int64_overflows(tmp_path, name, row):
+    """``np.loadtxt`` refuses the cell, and the row pass parses it as a Python
+    int, which does not fit the int64 column: an ``OverflowError``, as the
+    readers raised before the numpy pass."""
+    path = tmp_path / "table.csv"
+    path.write_text(f"{TABLES[name][1]}\n{row}\n")
+    with pytest.raises(OverflowError):
+        TABLES[name][0](path)
+    assert _outcome(TABLES[name][0], path) == _row_pass_outcome(TABLES[name][0], path)
+
+
+# numpy's text parser is pinned as the BLAS kernels are in
+# test_kernel_bitwise.py: a numpy build that parses a cell otherwise than
+# Python's int and float fails here, not by changing a record.
+def _loadtxt(cells, dtype):
+    """``np.loadtxt``'s parse of one cell per line, with ``read_table``'s options."""
+    return np.loadtxt(io.StringIO("\n".join(cells)), dtype=dtype, delimiter=",", comments=None,
+                      quotechar=None, ndmin=1)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+FLOAT_SPELLINGS = ["nan", "-nan", "+nan", "NaN", "NAN", "inf", "-inf", "+inf", "Inf", "infinity",
+                   "-Infinity", "INFINITY", "1e309", "-1e400", "1e-400", "2e-324", "3e-324",
+                   "+0", "-0", "-0.0", ".5", "5.", "1E5", "+1.5e-3", "007.50", "1e+05"]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=20),
+       st.sampled_from([repr, FLOAT_FORMAT.__mod__]))
+@example(EDGE_FLOATS, repr)
+@example(EDGE_FLOATS, FLOAT_FORMAT.__mod__)
+def test_numpy_float_parse_is_python_float(values, style):
+    cells = [style(value) for value in values]
+    assert _loadtxt(cells, np.float64).tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def test_numpy_float_spellings_parse_as_python_float():
+    parsed = _loadtxt(FLOAT_SPELLINGS, np.float64)
+    assert parsed.tobytes() == np.array([float(c) for c in FLOAT_SPELLINGS]).tobytes()
+
+
+@given(st.lists(st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 3),
+                          st.integers(0, 2**63 - 1)), min_size=1, max_size=20))
+@example([("+", 0, 5), ("", 2, 7), ("-", 0, 0), ("+", 0, 0), ("-", 0, 2**63)])
+def test_numpy_int_parse_is_python_int(parts):
+    cells = [sign + "0" * zeros + str(magnitude) for sign, zeros, magnitude in parts]
+    assert _loadtxt(cells, np.int64).tolist() == [int(cell) for cell in cells]
+
+
+@pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
+                                  "99999999999999999999", "1.0", "1e3", "0x10", "-", "+-1"])
+def test_numpy_refuses_what_is_not_an_int64_cell(cell):
+    """Past int64, the row pass words the outcome; a numpy that parsed ``1.0``
+    as an integer would accept a cell Python's ``int`` refuses."""
+    with pytest.raises(ValueError):
+        _loadtxt([cell], np.int64)

@@ -197,22 +197,25 @@ class _TraceEvaluator:
         self.features = target.features
         self.truth = target.labels
         self.mask_correct = yhat == target.labels
+        self.n_correct = int(np.count_nonzero(self.mask_correct))
         self.pl_acc_blackbox = metrics.accuracy(yhat, target.labels)
 
     def row(
         self, iteration: int, student: model.ClassifierParams, denoised: np.ndarray
     ) -> TraceRow:
         _, probs = model.forward_batch(student, self.features)
-        pred = probs.argmax(axis=1)
-        mc = self.mask_correct
+        right = probs.argmax(axis=1) == self.truth
+        # Each accuracy is an exact count of right predictions over a subset's
+        # size, divided once, as ``metrics.accuracy``'s mean divides it.
+        n, n_correct = len(right), self.n_correct
+        n_right = np.count_nonzero(right)
+        n_right_correct = np.count_nonzero(right & self.mask_correct)
         return TraceRow(
             iteration=iteration,
-            acc_all=metrics.accuracy(pred, self.truth),
-            acc_init_correct=(
-                metrics.accuracy(pred[mc], self.truth[mc]) if mc.any() else None
-            ),
+            acc_all=n_right / n,
+            acc_init_correct=n_right_correct / n_correct if n_correct else None,
             acc_init_incorrect=(
-                metrics.accuracy(pred[~mc], self.truth[~mc]) if (~mc).any() else None
+                (n_right - n_right_correct) / (n - n_correct) if n > n_correct else None
             ),
             pl_acc_denoised=metrics.accuracy(denoised, self.truth),
             pl_acc_blackbox=self.pl_acc_blackbox,
@@ -383,6 +386,10 @@ class _MemoryLabeller:
 
     def all_labels(self) -> np.ndarray:
         inputs = self.inputs
+        if not self.state.sources:
+            # Nothing to calibrate against: the black-box labels pass through
+            # without the whole-set forward pass.
+            return denoise_labels(None, False, inputs.pred_yhat, inputs.pred_probs)
         feats, probs = model.forward_batch(self.mm.params, inputs.features)
         cal, applied = memory.sensory_calibration_probs(feats, probs, self.state.sources)
         return denoise_labels(cal, applied, inputs.pred_yhat, inputs.pred_probs)
@@ -407,15 +414,19 @@ def run_bimem(
 
 
 def _select_top_fraction(probs: np.ndarray, labels: np.ndarray, quantile: float) -> np.ndarray:
-    """Per predicted class, mark the top ceil(q * n_c) samples by confidence."""
-    mask = np.zeros(labels.shape[0], dtype=bool)
-    for c in range(probs.shape[1]):
-        members = np.flatnonzero(labels == c)
-        k = math.ceil(quantile * members.size)
-        if k == 0:
-            continue
-        order = members[np.argsort(-probs[members, c], kind="stable")]
-        mask[order[:k]] = True
+    """Per predicted class, mark the top ceil(q * n_c) samples by confidence.
+
+    ``labels`` holds class indices below ``probs.shape[1]``. Ties keep index
+    order: one stable sort by class, then by falling own-class probability,
+    ranks each sample within its class.
+    """
+    n = labels.shape[0]
+    order = np.lexsort((-probs[np.arange(n), labels], labels))
+    counts = np.bincount(labels, minlength=probs.shape[1])
+    sorted_labels = labels[order]
+    rank = np.arange(n) - (np.cumsum(counts) - counts)[sorted_labels]
+    mask = np.empty(n, dtype=bool)
+    mask[order] = rank < np.ceil(quantile * counts)[sorted_labels]
     return mask
 
 

@@ -13,15 +13,26 @@ from pathlib import Path
 import numpy as np
 
 from . import model, numerics
-from .data import FLOAT_FORMAT, LabeledDataset, read_table, reject_rows, write_table
+from .data import (FLOAT_FORMAT, LabeledDataset, printed, read_table, reject_rows,
+                   write_table)
 from .errors import DataError, InvalidArgumentError
 
 HARD_LABEL_SMOOTHING = 0.1
+# A bound on how far printing a row at FLOAT_FORMAT moves its sum: 9 significant
+# digits move each value by at most 5e-9 of itself, so a row summing to about 1
+# by at most about 5e-9, and float sums add far less at any realistic width.
+PRINTED_SUM_SHIFT = 1e-8
 
 
 @dataclass
 class PredictionSet:
-    """Exported black-box predictions: ids, hard labels, full probabilities."""
+    """Exported black-box predictions: ids, hard labels, full probabilities.
+
+    Every row, and every row as ``write_predictions`` prints it, is on the
+    simplex within ``numerics.PROB_SUM_TOL`` and has its label among the
+    largest probabilities within ``numerics.DEFAULT_TOL``, so a set that
+    builds also reads back from its file.
+    """
 
     ids: np.ndarray  # (n,) int64
     yhat: np.ndarray  # (n,) int64
@@ -40,19 +51,32 @@ class PredictionSet:
         reject_rows(~np.isin(np.arange(n), first), lambda i: f"id {self.ids[i]} is repeated")
         reject_rows((self.yhat < 0) | (self.yhat >= self.n_categories),
                     lambda i: f"label {self.yhat[i]} out of range")
-        faulty = ~numerics.prob_rows_valid(self.probs)
-        if faulty.any():
-            # The per-row check words the first fault.
-            i = int(faulty.argmax())
-            try:
-                numerics.check_prob_vector(self.probs[i], "probabilities")
-            except InvalidArgumentError as exc:
-                raise InvalidArgumentError(str(exc), index=i) from None
-        # Printed rounding can create exact ties; the stored label must still be
-        # maximal within tolerance.
-        stored = self.probs[np.arange(n), self.yhat]
-        reject_rows(stored < self.probs.max(axis=1) - numerics.DEFAULT_TOL,
-                    lambda i: f"stored label {self.yhat[i]} is not an argmax of the probabilities")
+        # write_predictions prints each value at FLOAT_FORMAT, which moves a
+        # row's sum by under PRINTED_SUM_SHIFT and keeps an exact argmax one,
+        # so only a row nearer a bound can break a rule once printed.
+        near = np.flatnonzero(
+            (np.abs(self.probs.sum(axis=1) - 1.0) > numerics.PROB_SUM_TOL - PRINTED_SUM_SHIFT)
+            | (self.probs[np.arange(n), self.yhat] < self.probs.max(axis=1)))
+        checked = [(self.probs, "")]
+        if near.size:
+            shown = self.probs.copy()
+            shown[near] = printed(self.probs[near])
+            checked.append((shown, f" once printed as {FLOAT_FORMAT}"))
+        for probs, suffix in checked:
+            faulty = ~numerics.prob_rows_valid(probs)
+            if faulty.any():
+                # The per-row check words the first fault.
+                i = int(faulty.argmax())
+                try:
+                    numerics.check_prob_vector(probs[i], "probabilities")
+                except InvalidArgumentError as exc:
+                    raise InvalidArgumentError(f"{exc}{suffix}", index=i) from None
+            # Printed rounding can create exact ties; the stored label must still be
+            # maximal within tolerance.
+            stored = probs[np.arange(n), self.yhat]
+            reject_rows(stored < probs.max(axis=1) - numerics.DEFAULT_TOL,
+                        lambda i: f"stored label {self.yhat[i]} is not an argmax of the "
+                                  f"probabilities{suffix}")
         self._row_of = {int(i): k for k, i in enumerate(self.ids)}
 
     @property

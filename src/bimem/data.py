@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import locale
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,6 +156,12 @@ def dataset_header(feature_dim: int) -> list[str]:
     return ["id"] + [f"f{i}" for i in range(feature_dim)] + ["label"]
 
 
+def printed(values: np.ndarray) -> np.ndarray:
+    """``values`` as a number table reads them back once written at ``FLOAT_FORMAT``."""
+    cells = [float(FLOAT_FORMAT % value) for value in values.ravel().tolist()]
+    return np.array(cells, dtype=np.float64).reshape(values.shape)
+
+
 def write_table(path: str | Path, header: list[str], row_format: str,
                 rows: Iterable[tuple]) -> None:
     """Write a CSV of number cells: the header, then ``row_format % row`` per row.
@@ -195,7 +202,9 @@ def read_table(
     whitespace, an underscore or a non-ASCII character in a cell is
     unparseable before ``parse`` sees it, so a quoted cell cannot span
     lines and every line number is a physical line. Every ``DataError``
-    names its 1-based line.
+    names its 1-based line. A byte that the codec ``open`` reads text with
+    cannot decode is a fault at its line, raised once the lines before it
+    have passed the rules above.
     Returns the records in file order.
 
     With ``fields``, the file is a number table: ``fields(width)`` is the
@@ -205,35 +214,62 @@ def read_table(
     runs only if the body is not plain or that pass refuses it or skips a
     line, and words the fault or, for a quoted cell, builds the same records.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise DataError("missing header", line=1)
-        if header != header_for(len(header)):
-            raise DataError(f"unexpected header {header!r}", line=1)
-        body = fh.read()
-    if fields is not None and (lines := plain_line_count(body)):
+    text, undecodable = _decoded(Path(path).read_bytes(), path)
+    lines = io.StringIO(text, newline="")
+    header = next(csv.reader(lines), None)
+    if header is None:
+        raise undecodable or DataError("missing header", line=1)
+    if header != header_for(len(header)):
+        raise DataError(f"unexpected header {header!r}", line=1)
+    body = lines.read()
+    dtype = None if fields is None else fields(len(header))
+    table = None
+    if dtype is not None and (n_lines := plain_line_count(body)):
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=fields(len(header)), delimiter=",",
+            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
                                comments=None, quotechar=None, ndmin=1)
         except ValueError:
-            table = None  # the row pass words the fault
+            pass  # the row pass words the fault
         # A table short of a row skipped an empty line, which the row pass refuses.
-        if table is not None and len(table) == lines:
-            return _columns(table)
-    records: list = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if len(row) != len(header):
-            raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
-        try:
-            if not plain_cells(row):
-                raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
-            records.append(parse(row))
-        except InvalidArgumentError as exc:
-            raise DataError(str(exc), line=line_no) from None
-        except ValueError as exc:
-            raise DataError(f"unparseable value ({exc})", line=line_no) from None
-    return records if fields is None else _columns(np.array(records, fields(len(header))))
+        if table is not None and len(table) != n_lines:
+            table = None
+    if table is None:
+        records: list = []
+        for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if len(row) != len(header):
+                raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
+            try:
+                if not plain_cells(row):
+                    raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
+                record = parse(row)
+                # A number table's record takes its dtype here, so that an integer
+                # past int64 is refused at its line.
+                records.append(record if dtype is None else np.array(record, dtype))
+            except InvalidArgumentError as exc:
+                raise DataError(str(exc), line=line_no) from None
+            except ValueError as exc:
+                raise DataError(f"unparseable value ({exc})", line=line_no) from None
+            except OverflowError:
+                raise DataError("unparseable value (an integer cell outside int64)",
+                                line=line_no) from None
+        table = records if dtype is None else np.array(records, dtype)
+    if undecodable is not None:
+        raise undecodable
+    return table if dtype is None else _columns(table)
+
+
+def _decoded(raw: bytes, path: str | Path) -> tuple[str, DataError | None]:
+    """``raw`` decoded by the codec ``open`` reads text with, and None; or, if a
+    byte does not decode, the lines before that byte's line and the fault at it."""
+    encoding = locale.getpreferredencoding(False)
+    try:
+        return raw.decode(encoding), None
+    except UnicodeDecodeError as exc:
+        # Each line ended as ``csv.reader`` ends a row.
+        ended = [line for line in io.StringIO(raw[:exc.start].decode(encoding), newline="")
+                 if line.endswith(("\n", "\r"))]
+        return "".join(ended), DataError(
+            f"byte {raw[exc.start]:#04x} of {path} is not {encoding} text", line=len(ended) + 1)
 
 
 def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -232,8 +232,9 @@ class _StepScratch:
 
     Every buffer is overwritten before it is read, so all models of a layout
     share one set, and nothing a public function returns is a view of it.
-    The per-row buffers hold the largest batch seen so far; the views for
-    the last batch size are kept, since batches mostly repeat their size.
+    The per-row buffers hold the largest batch seen so far; the views of
+    every batch size served are kept until the buffers grow, since a run
+    serves a few sizes over and over (``confidence_st`` masks its batches).
     """
 
     def __init__(self, layout: Layout):
@@ -242,15 +243,18 @@ class _StepScratch:
         self.grad_views = layout.views(self.grad)
         self.finite = np.empty(layout.n_params, dtype=bool)
         self.ema = np.empty(layout.n_params)
-        self._full = self._last = _RowBuffers.allocate(layout, 0)
+        self._full = _RowBuffers.allocate(layout, 0)
+        self._heads: dict[int, _RowBuffers] = {}
 
     def rows(self, n: int) -> _RowBuffers:
         """The per-row buffers for a batch of ``n`` rows."""
-        if len(self._last.logits) != n:
+        head = self._heads.get(n)
+        if head is None:
             if len(self._full.logits) < n:
                 self._full = _RowBuffers.allocate(self.layout, n)
-            self._last = self._full.head(n)
-        return self._last
+                self._heads.clear()
+            head = self._heads[n] = self._full.head(n)
+        return head
 
 
 # One scratch per distinct layout, kept here rather than on the parameters so
@@ -350,7 +354,8 @@ def sgd_step(
 
 def momentum_update(mm: MomentumModel, student: ClassifierParams) -> MomentumModel:
     """EMA update of the momentum parameters toward the student's."""
-    if mm.params.layout != student.layout:
+    # A run's models share one layout object; comparing its fields costs more.
+    if mm.params.layout is not student.layout and mm.params.layout != student.layout:
         raise InvalidArgumentError(
             f"layout mismatch: {mm.params.layout} vs {student.layout}"
         )

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bimem import adapt, blackbox, memory, model
 from bimem.adapt import (
@@ -410,6 +412,23 @@ class TestRun:
                         [*by_hand.student.arrays(), *by_hand.mm.params.arrays()], strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    def test_labels_pass_through_without_a_forward_pass_until_calibrated(self, monkeypatch):
+        """While the memories give no source, every sample's label is the
+        black box's, and the momentum model does not run over the whole set."""
+        target, preds = tiny_instance()
+        by_hand = adapt.Run(target, preds, tiny_cfg())
+        for _ in range(by_hand.warmup):
+            by_hand.step()
+        assert not by_hand.labeller.state.sources
+
+        def no_forward_pass(*args):
+            raise AssertionError("a forward pass")
+
+        monkeypatch.setattr(model, "forward_batch", no_forward_pass)
+        labels = by_hand.labeller.all_labels()
+        assert labels is not by_hand.inputs.pred_yhat
+        assert labels.tolist() == by_hand.inputs.pred_yhat.tolist()
+
 
 class TestVanilla:
     def test_refresh_beyond_iterations_trains_on_fixed_labels(self):
@@ -472,6 +491,31 @@ class TestConfidence:
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
         mask = _select_top_fraction(probs, labels, 0.5)
         np.testing.assert_array_equal(mask, [True, False, True, False])
+
+    @given(c=st.integers(1, 6), n=st.integers(0, 40),
+           q=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(c=5, n=500, q=0.5, levels=1000, seed=0)
+    def test_mask_matches_a_per_class_stable_sort(self, c, n, q, levels, seed):
+        """Few probability levels give ties, and few rows leave classes empty."""
+        rng = np.random.default_rng(seed)
+        probs = rng.integers(0, levels, size=(n, c)) / levels
+        labels = rng.integers(0, c, size=n)
+        expected = reference_select_top_fraction(probs, labels, q)
+        assert np.array_equal(_select_top_fraction(probs, labels, q), expected)
+
+
+def reference_select_top_fraction(probs, labels, quantile):
+    """One flatnonzero, gather and stable argsort per class, as the mask was once built."""
+    mask = np.zeros(labels.shape[0], dtype=bool)
+    for c in range(probs.shape[1]):
+        members = np.flatnonzero(labels == c)
+        k = math.ceil(quantile * members.size)
+        if k == 0:
+            continue
+        order = members[np.argsort(-probs[members, c], kind="stable")]
+        mask[order[:k]] = True
+    return mask
 
 
 class TestTraceCsv:

@@ -4,8 +4,10 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bimem import adapt, blackbox, cli, metrics, model
+from bimem import adapt, blackbox, cli, metrics, model, numerics
 from bimem.blackbox import (
     PredictionSet,
     export_predictions,
@@ -15,7 +17,7 @@ from bimem.blackbox import (
     train_source,
     write_predictions,
 )
-from bimem.data import LabeledDataset, gen_shifted_gaussians
+from bimem.data import FLOAT_FORMAT, LabeledDataset, gen_shifted_gaussians
 from bimem.errors import DataError, InvalidArgumentError
 
 
@@ -175,6 +177,73 @@ class TestPredictionExport:
         )
         smoothed = smooth_hard_labels(preds)
         np.testing.assert_array_equal(smoothed.probs.argmax(axis=1), preds.yhat)
+
+
+@st.composite
+def rows_at_a_bound(draw):
+    """Prediction rows of one width, each within 1e-12 of a rule's bound: a
+    sum of 1 +- ``PROB_SUM_TOL``, or a label ``DEFAULT_TOL`` below the largest
+    probability. Printing at 9 significant digits can move either across."""
+    c = draw(st.integers(2, 20))
+    rows, labels = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        off = draw(st.floats(-1e-12, 1e-12))
+        if draw(st.booleans()):
+            w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=c, max_size=c)))
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            row = w / w.sum() * (1.0 + sign * (numerics.PROB_SUM_TOL + off))
+            label = int(row.argmax())
+        else:
+            # Label 0 holds a, and a + gap is the largest probability.
+            gap = numerics.DEFAULT_TOL + off
+            if c == 2:
+                row = np.array([(1.0 - gap) / 2, (1.0 + gap) / 2])
+            else:
+                a = draw(st.floats(1 / 3, 0.49))
+                w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=c - 2,
+                                           max_size=c - 2)))
+                row = np.array([a, a + gap, *(w / w.sum() * (1.0 - 2 * a - gap))])
+            label = 0
+        order = draw(st.permutations(range(c)))
+        rows.append(row[order])
+        labels.append(order.index(label))
+    return np.array(rows), np.array(labels)
+
+
+class TestPrintedRows:
+    @given(table=rows_at_a_bound())
+    @example(table=(np.array([[0.6000005004, 0.40000049950000005]]), np.array([0])))
+    @example(table=(np.array([[0.09999999984, 0.10000000083] + [0.079999999933] * 10]),
+                    np.array([0])))
+    def test_a_set_that_builds_reads_back(self, tmp_path_factory, table):
+        """Every set ``PredictionSet`` builds is read back from its file, with
+        the values printed. The examples are the two rows of
+        ``test_a_row_that_breaks_a_rule_once_printed_is_refused``."""
+        probs, yhat = table
+        try:
+            preds = PredictionSet(ids=np.arange(len(yhat)), yhat=yhat, probs=probs)
+        except InvalidArgumentError:
+            return
+        path = tmp_path_factory.getbasetemp() / "near-bound.csv"
+        write_predictions(preds, path)
+        loaded = read_predictions(path)
+        expected = [[float(FLOAT_FORMAT % p) for p in row] for row in probs.tolist()]
+        assert loaded.probs.tobytes() == np.array(expected).tobytes()
+        assert loaded.yhat.tolist() == yhat.tolist()
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.6000005004, 0.40000049950000005],
+         "probabilities sums to 1.000001000000000.*, expected 1 within 1e-06 once printed"),
+        # Printing rounds label 0 down to 0.0999999998 and the largest up to 0.100000001.
+        ([0.09999999984, 0.10000000083] + [0.079999999933] * 10,
+         "stored label 0 is not an argmax of the probabilities once printed"),
+    ], ids=["sum", "label"])
+    def test_a_row_that_breaks_a_rule_once_printed_is_refused(self, row, message):
+        """The row keeps both rules as built, and its set was built before
+        printed rows were checked, but its file was refused."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}") as caught:
+            PredictionSet(ids=[0, 1], yhat=[1, 0], probs=[np.eye(len(row))[1], row])
+        assert caught.value.index == 1
 
 
 class TestReadPredictionsValidation:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import locale
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,7 +281,7 @@ def _outcome(read, path):
     shape, layout and bytes, or the error's type and message."""
     try:
         record = read(path)
-    except (DataError, OverflowError) as exc:
+    except DataError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(record, RunTrace):
         return record.rows
@@ -403,13 +405,43 @@ def test_number_table_matches_the_row_pass(tmp_path_factory, name, table):
 ])
 def test_an_integer_cell_past_int64_overflows(tmp_path, name, row):
     """``np.loadtxt`` refuses the cell, and the row pass parses it as a Python
-    int, which does not fit the int64 column: an ``OverflowError``, as the
-    readers raised before the numpy pass."""
+    int, which does not fit the int64 column: a ``DataError`` at its line, as
+    for any other cell that is not a number of its column."""
     path = tmp_path / "table.csv"
-    path.write_text(f"{TABLES[name][1]}\n{row}\n")
-    with pytest.raises(OverflowError):
+    path.write_text(f"{TABLES[name][1]}\n0,{TABLES[name][3]}\n{row}\n")
+    with pytest.raises(DataError, match="^line 3: unparseable value"):
         TABLES[name][0](path)
     assert _outcome(TABLES[name][0], path) == _row_pass_outcome(TABLES[name][0], path)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@pytest.mark.parametrize("case", ["in-header", "past-8-kb", "after-a-short-row"])
+def test_an_undecodable_byte_is_refused_at_its_line(tmp_path, name, case):
+    """A byte the codec cannot decode is a ``DataError`` naming the file and
+    its line, raised after the lines before it are read: a fault on an
+    earlier line comes first, even past the 8 KB a text file decodes at once."""
+    encoding = locale.getpreferredencoding(False)
+    try:
+        b"\xff".decode(encoding)
+    except UnicodeDecodeError:
+        pass
+    else:
+        pytest.skip(f"{encoding} decodes every byte")
+    read, header, _, rest, _ = TABLES[name]
+    lines = [header] + [f"{k},{rest}" for k in range(1000)]
+    assert len("\n".join(lines[:900])) > 8192
+    line, message = 901, f"byte 0xff of {re.escape(str(tmp_path))}.* is not {encoding} text"
+    if case == "in-header":
+        lines[0] += "\xff"
+        line = 1
+    elif case == "after-a-short-row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        line, message = 3, "expected"
+    text = "\n".join(lines[:900] + [lines[900] + "\xff"] + lines[901:]) + "\n"
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(DataError, match=f"^line {line}: {message}"):
+        read(path)
 
 
 # numpy's text parser is pinned as the BLAS kernels are in

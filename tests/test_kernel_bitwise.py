@@ -13,6 +13,8 @@ per-array forms they replace. ``_reweight_rows`` runs row-major in place, in the
 queue stores, so its reference is the same computation written out of place;
 it guards the in-place write and the degenerate rows. Every output must equal
 its reference bit for bit, signs of zeros included, so traces keep their bytes.
+Stacked ``matmul``, which would run several seeds as one array, is pinned to
+its 2-D products the same way.
 """
 
 import numpy as np
@@ -385,6 +387,67 @@ def test_steps_match_reference_as_batches_grow_and_shrink(hidden_dim):
     for params, expected in [*zip(students, ref_students), (mm.params, ref_tracked)]:
         for actual, reference in zip(params.arrays(), expected):
             assert_bitwise_equal(actual, reference)
+
+
+def test_kept_row_buffers_match_fresh_ones(monkeypatch):
+    """Batch sizes that come back take the views kept for them, and a size
+    past the buffers drops every kept view; each step equals one taken on
+    buffers made for it alone."""
+    monkeypatch.setattr(model, "_SCRATCH", {})
+    rng = np.random.default_rng(34)
+    layout = model.Layout(8, 32, 5)
+    student = model.init_params(layout, rng)
+    scratch, kept = layout._step_scratch, []
+    for batch in (32, 20, 13, 32, 20, 64, 20):
+        x = rng.normal(size=(batch, 8)) * 3.0
+        labels = rng.integers(0, 5, size=batch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_SCRATCH", {})
+            alone = model.ClassifierParams(model.Layout(8, 32, 5), student.flat.copy())
+            assert alone.layout._step_scratch is not scratch
+            model.sgd_step(alone, x, labels, 0.05)
+        model.sgd_step(student, x, labels, 0.05)
+        assert_bitwise_equal(student.flat, alone.flat)
+        kept.append(scratch.rows(batch))
+    assert kept[3] is kept[0] and kept[4] is kept[1]
+    assert kept[6] is not kept[4] and np.shares_memory(kept[6].logits, kept[5].logits)
+
+
+@given(
+    seeds=st.integers(1, 5),
+    rows=st.integers(1, 64),
+    input_dim=st.integers(1, 10),
+    hidden_dim=st.sampled_from([1, 7, 32]),
+    n_categories=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(seeds=5, rows=32, input_dim=8, hidden_dim=32, n_categories=5, seed=0)
+@example(seeds=4, rows=32, input_dim=8, hidden_dim=32, n_categories=20, seed=1)
+def test_stacked_matmul_slices_match_their_2d_products(seeds, rows, input_dim, hidden_dim,
+                                                       n_categories, seed):
+    """A leading seed axis leaves each product's bits as they are: every slice
+    of a stacked ``matmul`` equals the 2-D product, for the forward pass's
+    ``x @ W.T`` and the gradient's ``dlogits.T @ features``, ``dlogits @ W``
+    and ``dpre.T @ x``. Pinned for this numpy and BLAS build, which running
+    several seeds as one stacked array relies on."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(seeds, rows, input_dim)) * 3.0
+    hidden_w = rng.normal(size=(seeds, hidden_dim, input_dim))
+    features = np.tanh(rng.normal(size=(seeds, rows, hidden_dim)))
+    out_w = rng.normal(size=(seeds, n_categories, hidden_dim))
+    dlogits = rng.normal(size=(seeds, rows, n_categories)) / rows
+    dpre = rng.normal(size=(seeds, rows, hidden_dim)) / rows
+    products = [
+        (x, hidden_w.transpose(0, 2, 1)),
+        (features, out_w.transpose(0, 2, 1)),
+        (dlogits.transpose(0, 2, 1), features),
+        (dlogits, out_w),
+        (dpre.transpose(0, 2, 1), x),
+    ]
+    for a, b in products:
+        stacked = np.matmul(a, b)
+        for s in range(seeds):
+            assert_bitwise_equal(stacked[s], np.matmul(a[s], b[s]))
 
 
 SLAB_ROWS = model.SLAB_SOFTMAX_ROWS

@@ -14,7 +14,8 @@ from .adapt import (
     run_confidence_st,
     run_vanilla_st,
 )
-from .blackbox import PredictionSet, export_predictions, predict, read_predictions, train_source
+from .blackbox import (PredictionSet, Scenario, export_predictions, predict, read_predictions,
+                       train_source)
 from .data import LabeledDataset, gen_shifted_gaussians, read_dataset, write_dataset
 from .memory import BiMemState, FlowConfig, MemorySlot, bimem_step
 from .model import ClassifierParams, Layout, MomentumModel
@@ -32,6 +33,7 @@ __all__ = [
     "MomentumModel",
     "PredictionSet",
     "RunTrace",
+    "Scenario",
     "TraceRow",
     "bimem_step",
     "export_predictions",

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import memory, metrics, model
+from . import memory, metrics, model, numerics
 from .blackbox import PredictionSet
 from .data import LabeledDataset, read_table, reject_rows
 from .errors import DataError, InvalidArgumentError
@@ -67,13 +67,7 @@ class AdaptConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise InvalidArgumentError(f"unknown method {self.method!r}, 'method' is one of {METHODS}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type not in ("int", "int | None") or (value is None and f.type == "int | None"):
-                continue
-            # A bool is an Integral, and a float passes every range check below.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidArgumentError(f"{f.name} must be an integer, got {value!r}")
+        numerics.check_field_types(self)
         if self.iterations < 0:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
         if not (1 <= _resolve_top_n(self) <= self.batch_size <= self.queue_capacity):

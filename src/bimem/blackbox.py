@@ -7,12 +7,15 @@ mode stands in for APIs that return labels without probabilities.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import model, numerics
+from . import data, model, numerics
 from .data import (FLOAT_FORMAT, LabeledDataset, printed, read_table, reject_rows,
                    write_table)
 from .errors import DataError, InvalidArgumentError
@@ -92,6 +95,16 @@ class PredictionSet:
         return self.yhat[rows], self.probs[rows]
 
 
+def training_faults(epochs: int, lr: float, batch_size: int) -> Iterator[tuple[str, str]]:
+    """``train_source``'s range rules, as ``data.gaussian_faults`` gives the generator's."""
+    if epochs < 0:
+        yield "epochs", f"must be >= 0, got {epochs}"
+    if not math.isfinite(lr):
+        yield "lr", f"must be finite, got {lr}"
+    if batch_size < 1:
+        yield "batch_size", f"must be >= 1, got {batch_size}"
+
+
 def train_source(
     source: LabeledDataset,
     epochs: int,
@@ -104,10 +117,8 @@ def train_source(
     """Supervised cross-entropy training of the source model; deterministic per seed."""
     if source.n_samples == 0:
         raise InvalidArgumentError("source dataset is empty")
-    if epochs < 0:
-        raise InvalidArgumentError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise InvalidArgumentError(f"batch_size must be >= 1, got {batch_size}")
+    for argument, fault in training_faults(epochs, lr, batch_size):
+        raise InvalidArgumentError(f"{argument} {fault}")
     if n_categories is None:
         n_categories = int(source.labels.max()) + 1
     layout = model.Layout(source.feature_dim, hidden_dim, n_categories)
@@ -117,6 +128,53 @@ def train_source(
         idx = sampler.next_batch()
         model.sgd_step(params, source.features.take(idx, axis=0), source.labels.take(idx), lr)
     return params
+
+
+# The Scenario field of each argument named otherwise.
+_FIELD_OF = {"feature_dim": "dim", "epochs": "source_epochs", "lr": "source_lr",
+             "batch_size": "source_batch_size"}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A run's inputs: the source and target sets ``generate`` draws by
+    ``data.gen_shifted_gaussians`` and the source model ``train`` fits by
+    ``train_source``. Each field is an argument of one of the two, whose range
+    rules, and the layout's, the record passes once built."""
+
+    n_categories: int = 5
+    dim: int = 8
+    n_per_class: int = 100
+    class_separation: float = 4.0
+    target_shift: tuple[float, ...] | None = None  # None: (1.5, 0, ..., 0)
+    target_rotation_deg: float = 25.0
+    noise_sigma: float = 1.0
+    source_epochs: int = 50
+    source_lr: float = 0.05
+    source_batch_size: int = 32
+    source_hidden_dim: int = 32
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        numerics.check_field_types(self)
+        shift = (1.5,) + (0.0,) * (self.dim - 1) if self.target_shift is None else self.target_shift
+        object.__setattr__(self, "target_shift", tuple(map(float, shift)))
+        faults = chain(data.gaussian_faults(*self._generator_args()),
+                       training_faults(self.source_epochs, self.source_lr, self.source_batch_size))
+        for argument, fault in faults:
+            raise InvalidArgumentError(f"{_FIELD_OF.get(argument, argument)} {fault}")
+        model.Layout(self.dim, self.source_hidden_dim, self.n_categories)
+
+    def _generator_args(self) -> tuple:
+        return (self.n_categories, self.dim, self.n_per_class, self.class_separation,
+                self.target_shift, self.target_rotation_deg, self.noise_sigma, self.seed)
+
+    def generate(self) -> tuple[LabeledDataset, LabeledDataset]:
+        return data.gen_shifted_gaussians(*self._generator_args())
+
+    def train(self, source: LabeledDataset) -> model.ClassifierParams:
+        return train_source(source, self.source_epochs, self.source_lr, self.seed,
+                            self.source_batch_size, self.source_hidden_dim, self.n_categories)
 
 
 def predict(params: model.ClassifierParams, dataset: LabeledDataset) -> PredictionSet:

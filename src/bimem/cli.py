@@ -37,16 +37,7 @@ def _read_nonempty_dataset(path, n_categories: int) -> data.LabeledDataset:
 
 
 def cmd_gen_data(args, resolved: dict) -> int:
-    source, target = data.gen_shifted_gaussians(
-        n_categories=resolved["n_categories"],
-        feature_dim=resolved["dim"],
-        n_per_class=resolved["n_per_class"],
-        class_separation=resolved["class_separation"],
-        target_shift=resolved["target_shift"],
-        target_rotation_deg=resolved["target_rotation_deg"],
-        noise_sigma=resolved["noise_sigma"],
-        seed=resolved["seed"],
-    )
+    source, target = config.scenario(resolved).generate()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data.write_dataset(source, out_dir / "source.csv")
@@ -58,15 +49,7 @@ def cmd_gen_data(args, resolved: dict) -> int:
 
 def cmd_train_source(args, resolved: dict) -> int:
     source = _read_nonempty_dataset(args.source, resolved["n_categories"])
-    params = blackbox.train_source(
-        source,
-        epochs=resolved["source_epochs"],
-        lr=resolved["source_lr"],
-        seed=resolved["seed"],
-        batch_size=resolved["source_batch_size"],
-        hidden_dim=resolved["hidden_dim"],
-        n_categories=resolved["n_categories"],
-    )
+    params = config.scenario(resolved).train(source)
     model.save_params(params, args.out)
     print(f"wrote {args.out}")
     return 0

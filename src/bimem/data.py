@@ -14,7 +14,7 @@ import locale
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -104,35 +104,18 @@ def gen_shifted_gaussians(
 
     Target class means are the source means rotated about the origin in the
     first two coordinates by ``target_rotation_deg`` and translated by
-    ``target_shift``. Deterministic per seed.
+    ``target_shift``. Deterministic per seed; ``gaussian_faults`` holds the ranges.
     """
-    if n_categories < 2:
-        raise InvalidArgumentError(f"n_categories must be >= 2, got {n_categories}")
-    if feature_dim < 2:
-        raise InvalidArgumentError(f"feature_dim must be >= 2, got {feature_dim}")
-    if n_per_class < 1:
-        raise InvalidArgumentError(f"n_per_class must be >= 1, got {n_per_class}")
-    if noise_sigma <= 0:
-        raise InvalidArgumentError(f"noise_sigma must be > 0, got {noise_sigma}")
-    shift = np.asarray(target_shift, dtype=np.float64)
-    if shift.shape != (feature_dim,):
-        raise InvalidArgumentError(
-            f"target_shift must have dimension {feature_dim}, got shape {shift.shape}"
-        )
-    if not np.isfinite(shift).all():
-        raise InvalidArgumentError(f"target_shift must be finite, got {shift.tolist()}")
-    for name, value in (("class_separation", class_separation),
-                        ("target_rotation_deg", target_rotation_deg), ("noise_sigma", noise_sigma)):
-        if not math.isfinite(value):
-            raise InvalidArgumentError(f"{name} must be finite, got {value}")
-
+    for argument, fault in gaussian_faults(n_categories, feature_dim, n_per_class, class_separation,
+                                           target_shift, target_rotation_deg, noise_sigma, seed):
+        raise InvalidArgumentError(f"{argument} {fault}")
     rng = np.random.default_rng(seed)
     source_means = class_means(n_categories, feature_dim, class_separation)
     theta = math.radians(target_rotation_deg)
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     target_means = source_means.copy()
     target_means[:, :2] = source_means[:, :2] @ rot.T
-    target_means = target_means + shift
+    target_means = target_means + np.asarray(target_shift, dtype=np.float64)
 
     def draw(means: np.ndarray) -> LabeledDataset:
         feats = np.concatenate(
@@ -150,6 +133,28 @@ def gen_shifted_gaussians(
         )
 
     return draw(source_means), draw(target_means)
+
+
+def gaussian_faults(n_categories: int, feature_dim: int, n_per_class: int, class_separation: float,
+                    target_shift: np.ndarray, target_rotation_deg: float, noise_sigma: float,
+                    seed: int) -> Iterator[tuple[str, str]]:
+    """``gen_shifted_gaussians``'s range rules: each argument that breaks one,
+    in order, as ``(argument, fault)`` for the message "<argument> <fault>"."""
+    for name, value, low in (("n_categories", n_categories, 2), ("feature_dim", feature_dim, 2),
+                             ("n_per_class", n_per_class, 1), ("seed", seed, 0)):
+        if value < low:
+            yield name, f"must be >= {low}, got {value}"
+    if noise_sigma <= 0:
+        yield "noise_sigma", f"must be > 0, got {noise_sigma}"
+    shift = np.asarray(target_shift, dtype=np.float64)
+    if shift.shape != (feature_dim,):
+        yield "target_shift", f"must have dimension {feature_dim}, got shape {shift.shape}"
+    elif not np.isfinite(shift).all():
+        yield "target_shift", f"must be finite, got {shift.tolist()}"
+    for name, value in (("class_separation", class_separation),
+                        ("target_rotation_deg", target_rotation_deg), ("noise_sigma", noise_sigma)):
+        if not math.isfinite(value):
+            yield name, f"must be finite, got {value}"
 
 
 def dataset_header(feature_dim: int) -> list[str]:
@@ -216,7 +221,7 @@ def read_table(
     """
     text, undecodable = _decoded(Path(path).read_bytes(), path)
     lines = io.StringIO(text, newline="")
-    header = next(csv.reader(lines), None)
+    _, header = next(_numbered(csv.reader(lines), 1), (1, None))
     if header is None:
         raise undecodable or DataError("missing header", line=1)
     if header != header_for(len(header)):
@@ -235,7 +240,7 @@ def read_table(
             table = None
     if table is None:
         records: list = []
-        for line_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        for line_no, row in _numbered(csv.reader(io.StringIO(body, newline="")), 2):
             if len(row) != len(header):
                 raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
@@ -256,6 +261,20 @@ def read_table(
     if undecodable is not None:
         raise undecodable
     return table if dtype is None else _columns(table)
+
+
+def _numbered(reader: Iterator[list[str]], line_no: int) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a ``csv.reader``, numbered from ``line_no``. A row it cannot
+    read, as one with a cell past its field limit, is a ``DataError`` at its line."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"unreadable row ({exc})", line=line_no) from None
+        yield line_no, row
+        line_no += 1
 
 
 def _decoded(raw: bytes, path: str | Path) -> tuple[str, DataError | None]:

@@ -1,4 +1,4 @@
-"""Deterministic vector arithmetic shared by every other module.
+"""Deterministic vector arithmetic and record field types, shared by every other module.
 
 Probability vectors are plain float64 numpy arrays on the simplex; feature
 vectors are float64 arrays of fixed dimension. All tie-breaks resolve to the
@@ -7,7 +7,9 @@ lowest index so that identical inputs always produce identical trajectories.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,6 +30,40 @@ L1_BLOCK_BYTES = 1 << 20
 # costs more to allocate and fill than the blocked form's calls.
 L1_BROADCAST_PAIRS = 512
 L1_BROADCAST_BYTES = 1 << 17
+
+
+def _number(value) -> bool:
+    # A bool is an Integral, and would pass every numeric range check.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# The values a field takes by its annotation, and the words a refusal uses.
+TYPE_RULES = {
+    "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "float": (_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "tuple[float, ...]": (lambda v: (isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
+                          and all(map(_number, v)), "a list of numbers"),
+}
+
+
+def type_fault(annotation: str, value) -> str | None:
+    """What a field annotated ``annotation`` must be, if ``value`` is not that;
+    ``X | None`` also takes None, and an annotation without a rule anything."""
+    kind, _, optional = annotation.partition(" | ")
+    if kind not in TYPE_RULES or (value is None and optional == "None"):
+        return None
+    holds, what = TYPE_RULES[kind]
+    return None if holds(value) else what
+
+
+def check_field_types(record) -> None:
+    """Raise for the first field of the dataclass ``record`` that its annotation refuses."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        what = type_fault(f.type, value)
+        if what is not None:
+            raise InvalidArgumentError(f"{f.name} must be {what}, got {value!r}")
 
 
 def check_prob_vector(p: Sequence[float] | np.ndarray, name: str = "p") -> np.ndarray:

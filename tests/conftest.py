@@ -4,12 +4,11 @@ every property test runs under."""
 
 import time
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
 import bimem
-from bimem.adapt import AdaptConfig
+from bimem import AdaptConfig, Scenario
 
 # Property tests draw the same examples on every run and read no saved
 # examples, so a stored failure from another checkout cannot change a verdict.
@@ -17,7 +16,6 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
-DEFAULT_SHIFT = np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _memory_state_bytes(state) -> tuple:
@@ -43,18 +41,9 @@ def benchmark_pipelines():
     """Default benchmark: per seed, the generated target set and its black-box predictions."""
     pipelines = {}
     for seed in BENCHMARK_SEEDS:
-        source, target = bimem.gen_shifted_gaussians(
-            n_categories=5,
-            feature_dim=8,
-            n_per_class=100,
-            class_separation=4.0,
-            target_shift=DEFAULT_SHIFT,
-            target_rotation_deg=25.0,
-            noise_sigma=1.0,
-            seed=seed,
-        )
-        params = bimem.train_source(source, epochs=50, lr=0.05, seed=seed)
-        pipelines[seed] = (target, bimem.predict(params, target))
+        scenario = Scenario(seed=seed)
+        source, target = scenario.generate()
+        pipelines[seed] = (target, bimem.predict(scenario.train(source), target))
     return pipelines
 
 

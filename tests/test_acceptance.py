@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bimem
-from bimem import memory, metrics, model, numerics
+from bimem import Scenario, memory, metrics, model, numerics
 from bimem.adapt import AdaptConfig, denoise_labels, run_ablation_suite, run_bimem
 from bimem.cli import main as cli_main
 from bimem.memory import FlowConfig
@@ -166,11 +166,10 @@ def test_criterion_1_invariant_battery(memory_state_bytes):
         np.testing.assert_allclose(base, moved, atol=1e-9)
 
     # trace partition identity at 1e-9 on a real run
-    source, target = bimem.gen_shifted_gaussians(
-        3, 2, 20, 4.0, np.array([1.0, 0.0]), 20.0, 1.0, 7
-    )
-    params = bimem.train_source(source, epochs=10, lr=0.05, seed=7, hidden_dim=8)
-    preds = bimem.predict(params, target)
+    scenario = Scenario(n_categories=3, dim=2, n_per_class=20, target_shift=(1.0, 0.0),
+                        target_rotation_deg=20.0, source_epochs=10, source_hidden_dim=8, seed=7)
+    source, target = scenario.generate()
+    preds = bimem.predict(scenario.train(source), target)
     cfg = AdaptConfig(
         method="bimem", iterations=30, batch_size=8, top_n=4, queue_capacity=16,
         warmup_iterations=4, eval_interval=10, hidden_dim=8, seed=7,
@@ -198,13 +197,10 @@ def test_criterion_1_invariant_battery(memory_state_bytes):
 def test_criterion_2_oracle_equivalence():
     """Fifty training iterations match the straight-line reference to 1e-10."""
     start = time.monotonic()
-    source, target = bimem.gen_shifted_gaussians(
-        n_categories=3, feature_dim=2, n_per_class=100, class_separation=4.0,
-        target_shift=np.array([1.0, 0.0]), target_rotation_deg=20.0,
-        noise_sigma=1.0, seed=11,
-    )
-    src_params = bimem.train_source(source, epochs=20, lr=0.05, seed=11, hidden_dim=8)
-    preds = bimem.predict(src_params, target)
+    scenario = Scenario(n_categories=3, dim=2, target_shift=(1.0, 0.0), target_rotation_deg=20.0,
+                        source_epochs=20, source_hidden_dim=8, seed=11)
+    source, target = scenario.generate()
+    preds = bimem.predict(scenario.train(source), target)
     assert target.n_samples == 300
 
     cfg = AdaptConfig(

@@ -26,7 +26,7 @@ from bimem.adapt import (
     run_confidence_st,
     run_vanilla_st,
 )
-from bimem.data import LabeledDataset, gen_shifted_gaussians
+from bimem.data import LabeledDataset
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
 from bimem.model import EpochSampler
@@ -36,12 +36,12 @@ GOLDEN_DIR = Path(__file__).parent / "data"
 
 def tiny_instance(seed=0, n_per_class=20, c=3, d=2, separation=4.0, rotation_deg=20.0,
                   source_epochs=20, source_hidden=8):
-    source, target = gen_shifted_gaussians(
-        c, d, n_per_class, separation, np.array([1.0] + [0.0] * (d - 1)), rotation_deg, 1.0, seed
-    )
-    params = blackbox.train_source(source, epochs=source_epochs, lr=0.05, seed=seed,
-                                   hidden_dim=source_hidden)
-    return target, blackbox.predict(params, target)
+    scenario = blackbox.Scenario(
+        n_categories=c, dim=d, n_per_class=n_per_class, class_separation=separation,
+        target_shift=(1.0,) + (0.0,) * (d - 1), target_rotation_deg=rotation_deg,
+        source_epochs=source_epochs, source_hidden_dim=source_hidden, seed=seed)
+    source, target = scenario.generate()
+    return target, blackbox.predict(scenario.train(source), target)
 
 
 def tiny_cfg(**kw):
@@ -116,6 +116,23 @@ class TestAdaptConfigValidation:
         cfg = AdaptConfig(**{name: np.int64(v) for name, v in self.INTEGERS.items()})
         assert cfg == AdaptConfig(**self.INTEGERS)
         AdaptConfig(top_n=None, refresh_interval=None, warmup_iterations=None)
+
+    # A valid value of every float field.
+    FLOATS = dict(lr=0.1, gamma=0.5, gamma_prime=0.9, confidence_quantile=0.25)
+
+    @pytest.mark.parametrize("name, value", [(name, value) for name in FLOATS
+                                             for value in (True, False, "0.1", None)])
+    def test_float_fields_refuse_other_types(self, name, value):
+        """A bool passes the range checks, and a string used to raise a bare
+        ``TypeError``."""
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a number, got "):
+            AdaptConfig(**{name: value})
+
+    def test_float_fields_take_integers_and_numpy_floats(self):
+        assert AdaptConfig(lr=1, gamma=0, gamma_prime=0, confidence_quantile=1) == AdaptConfig(
+            lr=1.0, gamma=0.0, gamma_prime=0.0, confidence_quantile=1.0)
+        cfg = AdaptConfig(**{name: np.float64(v) for name, v in self.FLOATS.items()})
+        assert cfg == AdaptConfig(**self.FLOATS)
 
     def test_a_built_config_stays_valid(self):
         """``replace`` builds a new config, so it is checked too; a field, or a

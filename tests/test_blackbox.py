@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bimem import adapt, blackbox, cli, metrics, model, numerics
+from bimem import adapt, blackbox, cli, config, metrics, model, numerics
 from bimem.blackbox import (
     PredictionSet,
+    Scenario,
     export_predictions,
     predict,
     read_predictions,
@@ -23,16 +24,8 @@ from bimem.errors import DataError, InvalidArgumentError
 
 def blobs(seed=0, n=80):
     """Two linearly separable Gaussian blobs (means 8 apart, sigma 1)."""
-    return gen_shifted_gaussians(
-        n_categories=2,
-        feature_dim=2,
-        n_per_class=n,
-        class_separation=4.0,
-        target_shift=np.zeros(2),
-        target_rotation_deg=0.0,
-        noise_sigma=1.0,
-        seed=seed,
-    )
+    return Scenario(n_categories=2, dim=2, n_per_class=n, target_shift=(0.0, 0.0),
+                    target_rotation_deg=0.0, seed=seed).generate()
 
 
 class TestTrainSource:
@@ -102,6 +95,76 @@ class TestTrainSource:
         source, _ = blobs(n=4)
         with pytest.raises(InvalidArgumentError, match=message):
             train_source(source, lr=0.05, seed=0, **schedule)
+
+
+class TestScenario:
+    def test_defaults_are_the_config_defaults(self):
+        assert config.scenario(config.resolve()) == Scenario()
+        assert Scenario().target_shift == (1.5,) + (0.0,) * 7
+        assert Scenario(dim=2).target_shift == (1.5, 0.0)
+
+    def test_shift_is_kept_as_a_tuple_of_floats(self):
+        """So a built record is hashable and equal to one given another spelling."""
+        spelled = Scenario(target_shift=np.array([1.5, 0, 0, 0, 0, 0, 0, 0]))
+        assert spelled == Scenario(target_shift=[1.5] + [0] * 7) == Scenario()
+        assert hash(spelled) == hash(Scenario())
+        assert all(type(v) is float for v in spelled.target_shift)
+
+    def test_stages_make_the_direct_calls(self):
+        scenario = Scenario(n_categories=3, dim=4, n_per_class=10, target_shift=(0.5, 1, 0, 0),
+                            source_epochs=2, source_lr=0.1, source_batch_size=8,
+                            source_hidden_dim=4, seed=6)
+        source, target = scenario.generate()
+        direct = gen_shifted_gaussians(3, 4, 10, 4.0, np.array([0.5, 1, 0, 0]), 25.0, 1.0, 6)
+        for got, want in zip((source, target), direct):
+            for name in ("ids", "features", "labels"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        want = train_source(direct[0], epochs=2, lr=0.1, seed=6, batch_size=8, hidden_dim=4,
+                            n_categories=3)
+        assert [a.tobytes() for a in scenario.train(source).arrays()] == [
+            a.tobytes() for a in want.arrays()]
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(n_categories=1), "n_categories must be >= 2, got 1"),
+        (dict(dim=1), "dim must be >= 2, got 1"),
+        (dict(dim=-1), "dim must be >= 2, got -1"),
+        (dict(n_per_class=0), "n_per_class must be >= 1"),
+        (dict(noise_sigma=0.0), "noise_sigma must be > 0"),
+        (dict(noise_sigma=np.inf), "noise_sigma must be finite"),
+        (dict(class_separation=np.nan), "class_separation must be finite"),
+        (dict(target_rotation_deg=-np.inf), "target_rotation_deg must be finite"),
+        (dict(target_shift=(1.0, 0.0)), r"target_shift must have dimension 8, got shape \(2,\)"),
+        (dict(target_shift=(np.nan,) * 8), "target_shift must be finite"),
+        (dict(source_epochs=-1), "source_epochs must be >= 0"),
+        (dict(source_lr=np.nan), "source_lr must be finite"),
+        (dict(source_batch_size=0), "source_batch_size must be >= 1"),
+        (dict(source_hidden_dim=-1), "invalid layout"),
+        (dict(seed=-1), "seed must be >= 0"),
+    ])
+    def test_a_bad_value_names_its_field(self, bad, message):
+        """The generator's and ``train_source``'s own rules, under the field's name."""
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            Scenario(**bad)
+
+    @pytest.mark.parametrize("name, value, what", [
+        *((name, value, "an integer") for name in ("n_categories", "dim", "n_per_class",
+                                                   "source_epochs", "source_batch_size",
+                                                   "source_hidden_dim", "seed")
+          for value in (8.0, True)),
+        *((name, value, "a number") for name in ("class_separation", "target_rotation_deg",
+                                                 "noise_sigma", "source_lr")
+          for value in (False, "1.0")),
+        ("target_shift", "1.5", "a list of numbers"),
+        ("target_shift", (True,) * 8, "a list of numbers"),
+        ("target_shift", np.zeros((2, 4)), "a list of numbers"),
+    ])
+    def test_a_value_of_another_type_names_its_field(self, name, value, what):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be {what}, got "):
+            Scenario(**{name: value})
+
+    def test_numpy_numbers_are_taken(self):
+        assert Scenario(n_categories=np.int64(5), class_separation=np.float32(4.0),
+                        source_lr=np.float64(0.05)) == Scenario()
 
 
 class TestPredictionExport:

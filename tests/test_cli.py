@@ -206,6 +206,30 @@ class TestAblateCommand:
         assert resolved["method"] == "bimem"
 
 
+def refused_before_any_file(workdir, capsys, command, bad, named):
+    """``command`` run with the config ``bad`` exits 1 naming ``named``, and writes nothing."""
+    tmp, cfg = workdir
+    out = prepared_run(tmp, cfg)
+    assert run_cli("adapt", str(out / "target.csv"), str(out / "preds.csv"), "--config", cfg,
+                   "--out", str(out / "bimem_seed0.csv")) == 0
+    (tmp / "bad.json").write_text(json.dumps(bad))
+    written = tmp / "written"
+    argv = {
+        "gen-data": ["--out-dir"],
+        "train-source": [str(out / "source.csv"), "--out"],
+        "predict": [str(out / "model.json"), str(out / "target.csv"), "--out"],
+        "adapt": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
+        "ablate": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
+        "report": [str(out / "bimem_seed0.csv"), "--out"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(tmp / "bad.json"), *argv, str(written)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and named in captured.err
+    assert captured.out == ""
+    assert not written.exists()
+
+
 class TestExitCodes:
     def test_unknown_config_key_exit_1_names_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -224,9 +248,12 @@ class TestExitCodes:
             ('{"target_shift": [1, 2]}', "target_shift"),
             ('{"target_shift": [NaN, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),
             ('{"target_shift": [Infinity, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),
+            # Once blamed on target_shift, or passed on to the generator's feature_dim.
+            ('{"dim": -1}', ": dim must be >= 2, got -1"),
+            ('{"dim": 1}', ": dim must be >= 2, got 1"),
             ("[1]", "JSON object"),
             ('{"lr": ', "not valid JSON"),
-            # Every key rejects a value of the wrong type, typed from its default.
+            # Every key rejects a value of the wrong type, typed by its record field.
             *(pytest.param(json.dumps({key: "x"}), repr(key), id=f"{key}-str")
               for key in config.DEFAULTS),
         ],
@@ -239,32 +266,21 @@ class TestExitCodes:
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("command", ["gen-data", "train-source", "predict", "adapt",
-                                         "ablate", "report"])
+    COMMANDS = ["gen-data", "train-source", "predict", "adapt", "ablate", "report"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_bad_adaptation_value_refused_before_any_file(self, workdir, capsys, command):
         """Every command builds the adaptation config while it resolves the
         config, so a bad adaptation value stops it before it writes a file."""
-        tmp, cfg = workdir
-        out = prepared_run(tmp, cfg)
-        assert run_cli("adapt", str(out / "target.csv"), str(out / "preds.csv"), "--config", cfg,
-                       "--out", str(out / "bimem_seed0.csv")) == 0
-        bad = tmp / "bad.json"
-        bad.write_text(json.dumps({"lr": -1, "top_n": 64}))
-        written = tmp / "written"
-        argv = {
-            "gen-data": ["--out-dir"],
-            "train-source": [str(out / "source.csv"), "--out"],
-            "predict": [str(out / "model.json"), str(out / "target.csv"), "--out"],
-            "adapt": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
-            "ablate": [str(out / "target.csv"), str(out / "preds.csv"), "--out"],
-            "report": [str(out / "bimem_seed0.csv"), "--out"],
-        }[command]
-        capsys.readouterr()
-        assert run_cli(command, "--config", str(bad), *argv, str(written)) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("config error:") and "top_n" in captured.err
-        assert captured.out == ""
-        assert not written.exists()
+        refused_before_any_file(workdir, capsys, command, {"lr": -1, "top_n": 64}, "top_n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("bad, named", [({"n_per_class": 0}, "n_per_class must be >= 1"),
+                                            ({"source_epochs": -1}, "source_epochs must be >= 0")])
+    def test_bad_data_or_source_value_refused_before_any_file(self, workdir, capsys, command,
+                                                              bad, named):
+        """So does the scenario, which holds the data and source keys."""
+        refused_before_any_file(workdir, capsys, command, bad, named)
 
     def test_default_config_is_adapt_config_defaults(self):
         assert config.adapt_config(config.resolve()) == AdaptConfig()

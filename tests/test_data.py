@@ -11,18 +11,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bimem import blackbox, data, metrics
+from bimem import Scenario, blackbox, data, metrics
 from bimem.adapt import TRACE_HEADER, RunTrace, TraceRow
 from bimem.data import (FLOAT_FORMAT, LabeledDataset, gen_shifted_gaussians, read_dataset,
                         write_dataset)
 from bimem.errors import DataError, InvalidArgumentError
 
-DEFAULT_SHIFT = np.array([1.5, 0, 0, 0, 0, 0, 0, 0])
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def default_benchmark(seed):
-    return gen_shifted_gaussians(5, 8, 100, 4.0, DEFAULT_SHIFT, 25.0, 1.0, seed)
+    return Scenario(seed=seed).generate()
 
 
 class TestGeneration:
@@ -76,13 +75,10 @@ class TestGeneration:
         with pytest.raises(InvalidArgumentError, match=argument):
             gen_shifted_gaussians(**args)
 
-    def test_default_benchmark_initial_accuracy_band(self):
+    def test_default_benchmark_initial_accuracy_band(self, benchmark_pipelines):
         # Regression band: the source model's target accuracy must leave a
         # meaningful amount of label noise for adaptation to correct.
-        for seed in range(5):
-            source, target = default_benchmark(seed)
-            params = blackbox.train_source(source, epochs=50, lr=0.05, seed=seed)
-            preds = blackbox.predict(params, target)
+        for seed, (target, preds) in benchmark_pipelines.items():
             acc = metrics.accuracy(preds.yhat, target.labels)
             assert 0.55 <= acc <= 0.85, f"seed {seed}: initial accuracy {acc}"
 
@@ -441,6 +437,24 @@ def test_an_undecodable_byte_is_refused_at_its_line(tmp_path, name, case):
     path = tmp_path / "table.csv"
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(DataError, match=f"^line {line}: {message}"):
+        read(path)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@pytest.mark.parametrize("line", [1, 3])
+def test_a_cell_past_the_csv_field_limit_is_refused_at_its_line(tmp_path, name, line):
+    """``csv.reader`` refuses a cell longer than its field limit, here a quoted
+    one of 200 000 characters, in the header or in a row after a valid one."""
+    read, header, _, rest, _ = TABLES[name]
+    cell = '"' + "1" * 200_000 + '"'
+    lines = [header, f"0,{rest}", f"1,{rest}"]
+    if line == 1:
+        lines[0] = f"{header},{cell}"
+    else:
+        lines[2] = f"1,{cell},{rest.split(',', 1)[1]}"
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^line {line}: unreadable row .*field limit"):
         read(path)
 
 

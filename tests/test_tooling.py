@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,10 +10,11 @@ from pathlib import Path
 import numpy as np
 
 import bimem
+from bimem import Scenario, export_predictions, write_dataset
 from bimem.memory import Rows, SensoryMemory, ShortTermMemory
 
 SRC = Path(bimem.__file__).parent
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Definitions reached only from outside ``src``, each with the reason.
 EXTERNAL = {
@@ -133,6 +135,17 @@ READERS = ("data.read_dataset", "blackbox.read_predictions", "adapt.RunTrace.fro
            "adapt._parse_trace_row")
 
 
+def test_one_scenario_builds_the_inputs():
+    """Within ``src`` only ``Scenario.generate`` draws the data and only
+    ``Scenario.train`` trains the source model, so a new axis of a run's
+    inputs has one home."""
+    callers = sorted((_called(sub), name) for name, node in _functions()
+                     for sub in ast.walk(node)
+                     if _called(sub) in ("gen_shifted_gaussians", "train_source"))
+    assert callers == [("gen_shifted_gaussians", "blackbox.Scenario.generate"),
+                       ("train_source", "blackbox.Scenario.train")]
+
+
 def test_row_rules_live_in_their_records():
     """``reject_rows`` is called only by the three records' ``__post_init__`` and
     by ``read_dataset``, for the declared-category rule that needs its argument;
@@ -220,18 +233,21 @@ def test_one_config_pass_in_the_cli():
     assert declarations == ["build_parser"]
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
+def _load_bench(monkeypatch, name: str):
+    """``bench/<name>.py`` as a module, its sibling imports found next to it
+    and ``sys.path`` restored afterwards."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up in sys.modules while the file runs.
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
-    return tracing
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_resolves(monkeypatch):
     """A renamed or moved function would turn its per-layer metric into an absent phase."""
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_bench(monkeypatch, "tracing")
     missing = [path for _, path in tracing.TARGETS if tracing.resolve(path) is None]
     assert tracing.TARGETS and missing == []
 
@@ -239,7 +255,7 @@ def test_every_traced_name_resolves(monkeypatch):
 def test_traced_functions_are_not_imported_by_name(monkeypatch):
     """The bench wraps module attributes; a name bound by ``from .module import
     name`` at import time would keep calling the unwrapped function."""
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_bench(monkeypatch, "tracing")
     functions = {tuple(path.split(".")) for _, path in tracing.TARGETS if path.count(".") == 1}
     bound = []
     for path in sorted(SRC.glob("*.py")):
@@ -255,7 +271,7 @@ def test_traced_functions_are_not_imported_by_name(monkeypatch):
 
 def test_evicting_spans_return_rows_with_their_count(monkeypatch):
     """The bench counts evicted slots as ``len()`` of what each evicting span returns."""
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load_bench(monkeypatch, "tracing")
     paths = dict(tracing.TARGETS)
     assert sorted(paths[name] for name in tracing.EVICTING) == [
         "memory.SensoryMemory.refresh", "memory.ShortTermMemory.push"]
@@ -271,3 +287,25 @@ def test_evicting_spans_return_rows_with_their_count(monkeypatch):
     assert len(queue.push(batch([0, 1, 2]))) == 0
     assert len(queue.push(batch([3, 4, 5]))) == 2
     assert len(queue.push(batch([6, 7, 8, 9]))) == 4
+
+
+def test_bench_inputs_are_the_scenarios(monkeypatch, tmp_path):
+    """The target and predictions files the bench prepares for each data spec
+    are, byte for byte, those written from a ``Scenario`` with its values."""
+    # run.py pins the BLAS threads in os.environ when it loads; a copy takes them.
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    run = _load_bench(monkeypatch, "run")
+    for spec in (run.DEFAULT_DATA, run.TWENTY_CLASS_DATA):
+        bench = tmp_path / f"bench-{spec.n_categories}"
+        ours = tmp_path / f"ours-{spec.n_categories}"
+        bench.mkdir()
+        ours.mkdir()
+        run.prepare(bimem, spec, bench)
+        scenario = Scenario(n_categories=spec.n_categories, n_per_class=spec.n_per_class,
+                            class_separation=spec.class_separation,
+                            target_rotation_deg=spec.rotation_deg)
+        source, target = scenario.generate()
+        export_predictions(scenario.train(source), target, ours / "preds.csv")
+        write_dataset(target, ours / "target.csv")
+        for name in ("target.csv", "preds.csv"):
+            assert (ours / name).read_bytes() == (bench / name).read_bytes(), name

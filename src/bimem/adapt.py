@@ -13,6 +13,7 @@ fixed interval. A labeller's state is its attributes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import numbers
@@ -267,14 +268,26 @@ def denoise_labels(
     return (calibrated_probs * pred_probs).argmax(axis=1)
 
 
+def _long_term_key(flows: FlowConfig) -> tuple[bool, bool]:
+    """The forward flows that write a run's long-term memory: SM->LT, and
+    ST->LT once the queue is filled."""
+    return flows.sm_to_lt, flows.sm_to_st and flows.st_to_lt
+
+
 class WarmupRecord:
-    """The student's ``flat`` after each warm-up step, shared by memory runs
+    """The warm-up steps of a memory run, shared by the runs of its config
     that differ in nothing but their flows.
 
     Until a run's labeller calibrates, every input of its SGD step (the
     student, the batch of the ``[seed, 1]`` sampler, the black-box labels that
     ``denoise_labels`` passes through, ``lr``) is independent of the flows, so
-    one run records its warm-up steps and the others copy them. ``cfg`` is the
+    one run records the student's ``flat`` after each warm-up step and the
+    others copy it. Its memories then depend only on its forward flows: the
+    record also keeps each step's ``calibrated_probs`` (a read-only copy, which
+    every later run's step hook shares) and steps one forward-only
+    ``BiMemState`` per long-term key of the ``ABLATION_ROWS`` (SM->ST on in
+    each), so a later run that the states cover takes its memories from them
+    at the warm-up's end instead of memorizing every batch. ``cfg`` is the
     maker's config with no flows; ``target`` and ``preds`` are its inputs.
     """
 
@@ -282,6 +295,46 @@ class WarmupRecord:
         self.target, self.preds = target, preds
         self.cfg = replace(cfg, flows=FlowConfig.none())
         self.flats: list[np.ndarray] = []
+        # A run of key (False, False) keeps an empty long-term memory: it needs no state.
+        self.keys = sorted({_long_term_key(f) for _, _, f in ABLATION_ROWS} - {(False, False)})
+        # One state per key, each stepped once per recorded step; None once a
+        # forward step reports a calibration.
+        self.states: dict[tuple[bool, bool], memory.BiMemState] | None = None
+        self.probs: list[np.ndarray] = []
+
+    def append(self, student: model.ClassifierParams, labeller: "_MemoryLabeller") -> None:
+        """Record a warm-up step of a run that trained on the black-box labels."""
+        if not self.flats:
+            self.states = {key: labeller.new_state() for key in self.keys}
+        self.flats.append(student.flat.copy())
+        if not self.states:
+            return
+        probs = labeller.calibrated_probs.copy()
+        probs.flags.writeable = False
+        self.probs.append(probs)
+        batch = labeller.state.sensory.rows
+        for (sm_to_lt, st_to_lt), state in self.states.items():
+            forward = FlowConfig(True, sm_to_lt, st_to_lt, False, False, False)
+            if memory.bimem_step(state, *batch.columns, forward)[1]:
+                self.states, self.probs = None, []
+                return
+
+    def holds(self, flows: FlowConfig, warmup: int) -> bool:
+        """Whether the record gives a run of ``flows`` its memories at the end
+        of a warm-up of ``warmup`` steps."""
+        key = _long_term_key(flows)
+        return (bool(self.states) and len(self.probs) >= warmup
+                and (key in self.states or key == (False, False)))
+
+    def restore(self, state: memory.BiMemState, flows: FlowConfig) -> None:
+        """Give ``state`` copies of the memories of a run of ``flows`` at the warm-up's end."""
+        some = next(iter(self.states.values()))
+        state.sensory = copy.deepcopy(some.sensory)
+        if flows.sm_to_st:
+            state.short_term = copy.deepcopy(some.short_term)
+        if (key := _long_term_key(flows)) in self.states:
+            state.long_term = copy.deepcopy(self.states[key].long_term)
+        state.steps = some.steps
 
 
 class Run:
@@ -291,7 +344,9 @@ class Run:
     ``run_bimem``'s, so only the memory method takes one, and so does a
     ``warmup_record``. The labeller's ``batch(t, idx)`` gives the features and
     labels to train on from the sampled rows, and ``all_labels()`` every
-    sample's current label for the trace.
+    sample's current label for the trace. On the first ``replayed`` steps the
+    record holds the whole warm-up: the memory labeller's ``replay`` gives its
+    labels without stepping the memories, which the last warm-up step restores.
     """
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
@@ -308,6 +363,8 @@ class Run:
                                        pred_yhat=yhat, pred_probs=probs)
         self.cfg, self.step_hook, self.t = cfg, step_hook, 0
         self.warmup_record, self.warmup = warmup_record, _resolve_warmup(cfg, len(target.ids))
+        self.replayed = self.warmup if warmup_record is not None and warmup_record.holds(
+            cfg.flows, self.warmup) else 0
         self.evaluator = _TraceEvaluator(target, yhat)
         self.student, self.mm, self.sampler = _init_models(self.inputs, cfg)
         labeller = _MemoryLabeller if cfg.method == "bimem" else _SelfTrainingLabeller
@@ -315,23 +372,27 @@ class Run:
         self.rows = [self.evaluator.row(0, self.student, self.labeller.all_labels())]
 
     def step(self) -> None:
-        """EMA, sample, label, SGD (or its replay from the warm-up record), hook,
-        and the evaluation at an eval point."""
+        """EMA, sample, label, SGD (or their replay from the warm-up record),
+        hook, and the evaluation at an eval point."""
         self.t = t = self.t + 1
         student, mm, labeller = self.student, self.mm, self.labeller
         model.momentum_update(mm, student)
-        x, labels = labeller.batch(t, self.sampler.next_batch())
+        idx = self.sampler.next_batch()
         record = self.warmup_record
-        if record is not None and (t > self.warmup or labeller.applied):
-            # Past the warm-up, or once calibrated, the student leaves the record for good.
-            record = self.warmup_record = None
+        if record is not None and t <= self.replayed:
+            labels = labeller.replay(t, idx, record)
+        else:
+            x, labels = labeller.batch(t, idx)
+            if record is not None and (t > self.warmup or labeller.applied):
+                # Past the warm-up, or once calibrated, the student leaves the record for good.
+                record = self.warmup_record = None
         if record is not None and t <= len(record.flats):
             np.copyto(student.flat, record.flats[t - 1])
         else:
             if labels.size:
                 model.sgd_step(student, x, labels, self.cfg.lr)
             if record is not None:
-                record.flats.append(student.flat.copy())
+                record.append(student, labeller)
         if self.step_hook is not None:
             self.step_hook(t, labeller.state, labeller.calibrated_probs, labeller.applied,
                            labels, student, mm)
@@ -357,17 +418,22 @@ class _MemoryLabeller:
     denoised labels; the full set is calibrated from the last step's sources."""
 
     def __init__(self, inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel):
-        self.inputs, self.mm, self.flows = inputs, mm, cfg.flows
-        self.state = memory.BiMemState.create(
-            n_categories=inputs.pred_probs.shape[1],
-            feature_dim=mm.params.layout.feature_dim,
+        self.inputs, self.cfg, self.mm, self.flows = inputs, cfg, mm, cfg.flows
+        self.state = self.new_state()
+        # The last step's memory output, which the step hook reads.
+        self.calibrated_probs, self.applied = None, False
+
+    def new_state(self) -> memory.BiMemState:
+        """Empty memories of this run's sizes."""
+        cfg = self.cfg
+        return memory.BiMemState.create(
+            n_categories=self.inputs.pred_probs.shape[1],
+            feature_dim=self.mm.params.layout.feature_dim,
             queue_capacity=cfg.queue_capacity,
             top_n=_resolve_top_n(cfg),
             centroid_momentum=cfg.gamma_prime,
-            warmup=_resolve_warmup(cfg, len(inputs.ids)),
+            warmup=_resolve_warmup(cfg, len(self.inputs.ids)),
         )
-        # The last step's memory output, which the step hook reads.
-        self.calibrated_probs, self.applied = None, False
 
     def batch(self, t: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inputs = self.inputs
@@ -377,6 +443,14 @@ class _MemoryLabeller:
             self.state, inputs.ids.take(idx), feats, probs, self.flows)
         return x, denoise_labels(self.calibrated_probs, self.applied, inputs.pred_yhat.take(idx),
                                  inputs.pred_probs.take(idx, axis=0))
+
+    def replay(self, t: int, idx: np.ndarray, record: WarmupRecord) -> np.ndarray:
+        """A warm-up step's black-box labels and recorded probabilities, with
+        the memories left as they are until the last warm-up step restores them."""
+        self.calibrated_probs, self.applied = record.probs[t - 1], False
+        if t == self.state.warmup:
+            record.restore(self.state, self.flows)
+        return self.inputs.pred_yhat.take(idx)
 
     def all_labels(self) -> np.ndarray:
         inputs = self.inputs
@@ -402,7 +476,11 @@ def run_bimem(
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
     ``warmup_record`` replays, or records, the warm-up steps shared with the
-    other runs of its config that differ only in their flows.
+    other runs of its config that differ only in their flows. On a replayed
+    warm-up step ``state`` is not stepped: it holds the memories of step 0
+    until the last warm-up step, where it becomes the restored memories, so a
+    hook should not read memory on the steps before; its ``calibrated_probs``
+    is the record's read-only array, shared with the other replayed runs.
     """
     return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 
@@ -497,8 +575,9 @@ def run_ablation_suite(
 
     Runs go row by row through the module's ``run_bimem``. The rows of one
     seed share its warm-up: the first row records the student after each
-    warm-up step and the later rows copy it, which is exact, since no flow
-    acts before the first calibration.
+    warm-up step and the memories of the later rows' forward flows, and the
+    later rows copy them, which is exact, since no flow acts on the labels
+    before the first calibration.
     """
     if len(seeds) == 0:
         raise InvalidArgumentError("ablation needs at least one seed")

@@ -169,6 +169,14 @@ class ShortTermMemory:
                             np.zeros((size, self.n_categories)))
         self.rows = self._window[0:0]
 
+    def __getstate__(self) -> dict:
+        # Copies and pickles rebuild ``rows`` as a view of their own window.
+        return {**self.__dict__, "rows": len(self.rows)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rows = self._window[self._front:self._front + state["rows"]]
+
     @property
     def queue(self) -> list[MemorySlot]:
         return self.rows.views()

@@ -37,13 +37,24 @@ def _number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _float(value) -> bool:
+    # An integer past the largest float is a number that float() refuses.
+    if not _number(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 # The values a field takes by its annotation, and the words a refusal uses.
 TYPE_RULES = {
     "int": (lambda v: _number(v) and isinstance(v, numbers.Integral), "an integer"),
-    "float": (_number, "a number"),
+    "float": (_float, "a number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "tuple[float, ...]": (lambda v: (isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
-                          and all(map(_number, v)), "a list of numbers"),
+                          and all(map(_float, v)), "a list of numbers"),
 }
 
 

@@ -120,11 +120,13 @@ class TestAdaptConfigValidation:
     # A valid value of every float field.
     FLOATS = dict(lr=0.1, gamma=0.5, gamma_prime=0.9, confidence_quantile=0.25)
 
-    @pytest.mark.parametrize("name, value", [(name, value) for name in FLOATS
-                                             for value in (True, False, "0.1", None)])
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in FLOATS for value in (True, False, "0.1", None)),
+        pytest.param("lr", 10**400, id="lr-past-float"),
+    ])
     def test_float_fields_refuse_other_types(self, name, value):
-        """A bool passes the range checks, and a string used to raise a bare
-        ``TypeError``."""
+        """A bool passes the range checks, a string used to raise a bare
+        ``TypeError``, and an integer past the largest float a bare ``OverflowError``."""
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be a number, got "):
             AdaptConfig(**{name: value})
 
@@ -696,16 +698,26 @@ class TestAblation:
         assert all(row["n_seeds"] == 2 for row in rows)
 
 
-def _recording_hook(steps: list):
-    """A step hook that keeps every argument a test compares, as raw bytes."""
+def _memory_bytes(state: memory.BiMemState) -> tuple:
+    """What a step leaves in the memories: sensory and live queue rows,
+    long-term centroids and coverage, the step count and the warnings."""
+    rows = (*state.sensory.rows.columns, *state.short_term.rows.columns,
+            state.long_term.centroids, state.long_term.initialized)
+    return tuple(a.tobytes() for a in rows) + (state.steps, dict(state.warnings))
+
+
+def _recording_hook(steps: list, memory_at=()):
+    """A step hook that keeps every argument a test compares, as raw bytes, and
+    the memories at the steps ``memory_at``."""
     def hook(t, state, calibrated_probs, applied, labels, student, mm):
         steps.append((t, applied, labels.tobytes(),
                       None if calibrated_probs is None else calibrated_probs.tobytes(),
-                      student.flat.tobytes(), mm.params.flat.tobytes()))
+                      student.flat.tobytes(), mm.params.flat.tobytes(),
+                      _memory_bytes(state) if t in memory_at else None))
     return hook
 
 
-def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1)):
+def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1), memory_at=()):
     """The suite's runs, each through a wrapper that injects a step hook as the
     bench's run log does: (cfg, warm-up record, student bytes, trace rows, hook steps)."""
     runner = adapt.run_bimem
@@ -713,7 +725,8 @@ def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1)):
 
     def captured(target, preds, cfg, **kwargs):
         steps = []
-        student, trace = runner(target, preds, cfg, step_hook=_recording_hook(steps), **kwargs)
+        hook = _recording_hook(steps, memory_at)
+        student, trace = runner(target, preds, cfg, step_hook=hook, **kwargs)
         runs.append((cfg, kwargs.get("warmup_record"), student.flat.tobytes(), trace.rows, steps))
         return student, trace
 
@@ -723,11 +736,11 @@ def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1)):
     return runs
 
 
-def _assert_runs_independent(target, preds, runs):
+def _assert_runs_independent(target, preds, runs, memory_at=()):
     """Every suite run equals, byte for byte, a run of its config on its own."""
     for cfg, _, student_bytes, rows, steps in runs:
         alone = []
-        student, trace = run_bimem(target, preds, cfg, step_hook=_recording_hook(alone))
+        student, trace = run_bimem(target, preds, cfg, step_hook=_recording_hook(alone, memory_at))
         assert student.flat.tobytes() == student_bytes
         assert trace.rows == rows
         assert steps == alone
@@ -735,7 +748,9 @@ def _assert_runs_independent(target, preds, runs):
 
 class TestWarmupReplay:
     """The later rows of one seed copy the first row's warm-up steps; what each
-    run computes, and what a step hook sees, is that of an independent run."""
+    run computes is that of an independent run, and so is what a step hook
+    sees, but for its ``state`` on a replayed warm-up step: that equals the
+    independent run's from the last warm-up step on."""
 
     def test_rows_equal_independent_runs(self, monkeypatch):
         target, preds = tiny_instance()
@@ -803,3 +818,53 @@ class TestWarmupReplay:
         assert record.flats == []
         run_bimem(target, preds, replace(cfg, flows=FlowConfig.none()), warmup_record=record)
         assert len(record.flats) == 5
+
+    # Twelve warm-up steps push 48 rows into the 16-row queue: it evicts from
+    # the fifth push on and moves back to the start of its 32-row window at
+    # the ninth, so every memory is full when the record restores it.
+    FILLING = dict(iterations=20, warmup_iterations=12, eval_interval=5)
+
+    def test_restored_memories_equal_independent_runs(self, monkeypatch):
+        """Each row's memories at the warm-up's last step, the restored ones,
+        and at the step after equal those of the row run on its own."""
+        target, preds = tiny_instance()
+        at = (12, 13)
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(**self.FILLING), memory_at=at)
+        assert [cfg.flows for cfg, *_ in runs] == [f for _, _, f in ABLATION_ROWS for _ in (0, 1)]
+        _assert_runs_independent(target, preds, runs, memory_at=at)
+        for cfg, *_, steps in runs:
+            # The queue is full, and every row that writes the long-term memory has written it.
+            _, _, _, queue_ids, _, _, _, initialized, count, warnings = steps[11][-1]
+            assert len(queue_ids) == (16 * 8 if cfg.flows.sm_to_st else 0)
+            assert np.frombuffer(initialized, bool).any() == cfg.flows.sm_to_lt
+            assert (count, warnings) == (12, {})
+
+    def test_later_rows_restore_their_memories(self, monkeypatch):
+        """Six rows of two seeds skip their labeller on twelve warm-up steps,
+        and each record steps one memory per long-term key instead."""
+        target, preds = tiny_instance()
+        cfg = tiny_cfg(**self.FILLING)
+        calls = {"bimem_step": 0, "forward_batch": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(memory, "bimem_step")
+        counted(model, "forward_batch")
+        for _, _, flows in ABLATION_ROWS:
+            for seed in (0, 1):
+                run_bimem(target, preds, replace(cfg, flows=flows, seed=seed))
+        alone, calls = calls, {"bimem_step": 0, "forward_batch": 0}
+        runs = _suite_runs(monkeypatch, target, preds, cfg)
+        assert calls == {"bimem_step": alone["bimem_step"] - 6 * 2 * 12 + 2 * 2 * 12,
+                         "forward_batch": alone["forward_batch"] - 6 * 2 * 12}
+        assert alone["bimem_step"] == 14 * 20
+        records = {id(record): record for _, record, *_ in runs}.values()
+        assert [sorted(record.states) for record in records] == [[(True, False), (True, True)]] * 2
+        assert [len(record.probs) for record in records] == [12, 12]
+        assert not any(probs.flags.writeable for record in records for probs in record.probs)

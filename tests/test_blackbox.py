@@ -157,6 +157,10 @@ class TestScenario:
         ("target_shift", "1.5", "a list of numbers"),
         ("target_shift", (True,) * 8, "a list of numbers"),
         ("target_shift", np.zeros((2, 4)), "a list of numbers"),
+        # Each once a bare OverflowError: float() cannot hold the integer.
+        pytest.param("class_separation", 10**400, "a number", id="class_separation-past-float"),
+        pytest.param("target_shift", (10**400,) + (0.0,) * 7, "a list of numbers",
+                     id="target_shift-past-float"),
     ])
     def test_a_value_of_another_type_names_its_field(self, name, value, what):
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be {what}, got "):

@@ -245,6 +245,8 @@ class TestExitCodes:
             ('{"flow_sm_to_st": 1}', "flow_sm_to_st"),
             ('{"lr": "0.1"}', "lr"),
             ('{"lr": NaN}', "lr"),
+            # Once a bare OverflowError: float() cannot hold the integer.
+            pytest.param('{"lr": 1' + "0" * 400 + "}", "'lr' must be a number", id="lr-past-float"),
             ('{"target_shift": [1, 2]}', "target_shift"),
             ('{"target_shift": [NaN, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),
             ('{"target_shift": [Infinity, 0, 0, 0, 0, 0, 0, 0]}', "target_shift"),

@@ -1,6 +1,8 @@
 """Unit, example, and property tests for the three memories and their flows."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -171,6 +173,33 @@ class TestShortTermQueue:
             st.push(random_rows(rng, 3, start_id=7 + 3 * step))
             calibrate_short_term(st, rng.normal(size=(3, 2)), {})
         assert all(np.array_equal(a, b) for a, b in zip(evicted.columns, kept))
+
+    @pytest.mark.parametrize("duplicate", [
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda st: pickle.loads(pickle.dumps(st)), id="pickle"),
+    ])
+    def test_a_copy_calibrates_and_pushes_as_the_original(self, duplicate):
+        """A copy's ``rows`` view its own window, so a calibration before the
+        next push reaches the rows that push keeps; the original stays as it was."""
+        rng = np.random.default_rng(8)
+        st = ShortTermMemory(capacity=4, feature_dim=2, n_categories=3)
+        for start in range(0, 12, 3):  # front 3 of a window of 8, past one compaction
+            st.push(random_rows(rng, 3, start_id=start))
+        centroids, incoming = rng.normal(size=(3, 2)), random_rows(rng, 3, start_id=12)
+
+        def calibrated_push(queue):
+            calibrate_short_term(queue, centroids, {})
+            evicted = queue.push(incoming)
+            return [column.tobytes() for rows in (evicted, queue.rows) for column in rows.columns]
+
+        before = [column.copy() for column in st.rows.columns]
+        twin = duplicate(st)
+        assert (twin._front, len(twin.rows)) == (st._front, len(st.rows)) == (3, 4)
+        assert np.shares_memory(twin.rows.probs, twin._window.probs)
+        assert not np.shares_memory(twin._window.probs, st._window.probs)
+        got = calibrated_push(twin)
+        assert all(np.array_equal(a, b) for a, b in zip(st.rows.columns, before))
+        assert got == calibrated_push(st)
 
     def test_push_into_full_large_queue_allocates_its_rows_only(self):
         """One push into a full queue of 1024 rows allocates O(top_n) bytes, not O(capacity),

@@ -191,24 +191,41 @@ def test_one_forward_body_runs_the_softmax():
     assert callers == ["model._forward"]
 
 
+def _calls_by_owner(path: Path) -> list[tuple[str, ast.Call]]:
+    """``(owner, call)`` for every call in the module at ``path``; the owner is
+    the dotted name of the innermost function or class around it."""
+    def visit(node: ast.AST, owner: str):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(sub, f"{owner}.{sub.name}" if owner else sub.name)
+                continue
+            if isinstance(sub, ast.Call):
+                yield owner, sub
+            yield from visit(sub, owner)
+
+    return list(visit(ast.parse(path.read_text()), ""))
+
+
 def test_one_loop_steps_the_models():
     """In ``adapt.py`` only ``Run.step`` takes an SGD step or an EMA update,
     once each, so every method trains through the one loop."""
-    steps = []
-
-    def visit(node: ast.AST, owner: str) -> None:
-        for sub in ast.iter_child_nodes(node):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(sub, f"{owner}.{sub.name}" if owner else sub.name)
-                continue
-            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in ("sgd_step", "momentum_update")
-                    and isinstance(sub.func.value, ast.Name) and sub.func.value.id == "model"):
-                steps.append(f"{owner}: model.{sub.func.attr}")
-            visit(sub, owner)
-
-    visit(ast.parse((SRC / "adapt.py").read_text()), "")
+    steps = [f"{owner}: model.{call.func.attr}" for owner, call in _calls_by_owner(SRC / "adapt.py")
+             if isinstance(call.func, ast.Attribute)
+             and call.func.attr in ("sgd_step", "momentum_update")
+             and isinstance(call.func.value, ast.Name) and call.func.value.id == "model"]
     assert sorted(steps) == ["Run.step: model.momentum_update", "Run.step: model.sgd_step"]
+
+
+def test_one_forward_memorization_path():
+    """In ``adapt.py`` only the memory labeller's batch and the warm-up
+    record's forward step call ``memory.bimem_step``, and nothing calls one of
+    its phases on its own, so the bench's ``memory.bimem_step`` span sees
+    every memory step."""
+    phases = ("bimem_step", "refresh", "select_hard", "push", "long_term_consolidate",
+              "calibrate_short_term")
+    calls = [f"{owner}: {_called(call)}" for owner, call in _calls_by_owner(SRC / "adapt.py")
+             if _called(call) in phases]
+    assert sorted(calls) == ["WarmupRecord.append: bimem_step", "_MemoryLabeller.batch: bimem_step"]
 
 
 def test_one_config_pass_in_the_cli():

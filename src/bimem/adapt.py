@@ -275,56 +275,74 @@ def _long_term_key(flows: FlowConfig) -> tuple[bool, bool]:
 
 
 class WarmupRecord:
-    """The warm-up steps of a memory run, shared by the runs of its config
-    that differ in nothing but their flows.
+    """The warm-up of a memory run, shared by the runs of its config that
+    differ in nothing but their flows.
 
-    Until a run's labeller calibrates, every input of its SGD step (the
-    student, the batch of the ``[seed, 1]`` sampler, the black-box labels that
-    ``denoise_labels`` passes through, ``lr``) is independent of the flows, so
-    one run records the student's ``flat`` after each warm-up step and the
-    others copy it. Its memories then depend only on its forward flows: the
-    record also keeps each step's ``calibrated_probs`` (a read-only copy, which
-    every later run's step hook shares) and steps one forward-only
-    ``BiMemState`` per long-term key of the ``ABLATION_ROWS`` (SM->ST on in
-    each), so a later run that the states cover takes its memories from them
-    at the warm-up's end instead of memorizing every batch. ``cfg`` is the
-    maker's config with no flows; ``target`` and ``preds`` are its inputs.
+    ``BiMemState.backward_ready`` keeps calibration off through the warm-up,
+    so until its end a run's models, sampler and trace do not depend on the
+    flows, and its memories only on the forward ones. The first run given the
+    record makes it: its step hook, ``append``, keeps each step's arguments
+    and steps one forward-only ``BiMemState`` per long-term key of the
+    ``ABLATION_ROWS`` (SM->ST on in each), and ``_adapt`` keeps a copy of the
+    run at the warm-up's end, which later runs resume from. ``cfg`` is the
+    maker's with no flows.
     """
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
         self.target, self.preds = target, preds
         self.cfg = replace(cfg, flows=FlowConfig.none())
-        self.flats: list[np.ndarray] = []
         # A run of key (False, False) keeps an empty long-term memory: it needs no state.
         self.keys = sorted({_long_term_key(f) for _, _, f in ABLATION_ROWS} - {(False, False)})
-        # One state per key, each stepped once per recorded step; None once a
-        # forward step reports a calibration.
+        # One state per key: None until a run makes the record, empty once a step calibrates.
         self.states: dict[tuple[bool, bool], memory.BiMemState] | None = None
-        self.probs: list[np.ndarray] = []
+        # Per warm-up step, read-only copies of the hook's probabilities, labels and flats.
+        self.steps: list[tuple[np.ndarray, ...]] = []
+        # The maker at the warm-up's end, if it gets there with its states.
+        self.run: Run | None = None
 
-    def append(self, student: model.ClassifierParams, labeller: "_MemoryLabeller") -> None:
-        """Record a warm-up step of a run that trained on the black-box labels."""
-        if not self.flats:
-            self.states = {key: labeller.new_state() for key in self.keys}
-        self.flats.append(student.flat.copy())
-        if not self.states:
-            return
-        probs = labeller.calibrated_probs.copy()
-        probs.flags.writeable = False
-        self.probs.append(probs)
-        batch = labeller.state.sensory.rows
-        for (sm_to_lt, st_to_lt), state in self.states.items():
-            forward = FlowConfig(True, sm_to_lt, st_to_lt, False, False, False)
-            if memory.bimem_step(state, *batch.columns, forward)[1]:
-                self.states, self.probs = None, []
-                return
+    def start(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
+              step_hook: Callable | None) -> tuple["Run", bool]:
+        """The run of ``cfg`` and whether it makes the record. The first run
+        does; a later one resumes from the warm-up's end when the record holds
+        a run and the memories of its flows, and starts on its own otherwise."""
+        if (target is not self.target or preds is not self.preds
+                or replace(cfg, flows=FlowConfig.none()) != self.cfg):
+            raise InvalidArgumentError("the warm-up record was made for other inputs or config")
+        if self.states is None:
+            run = Run(target, preds, cfg, lambda *args: self.append(step_hook, *args))
+            self.states = {key: run.labeller.new_state() for key in self.keys}
+            return run, True
+        key = _long_term_key(cfg.flows)
+        if self.run is None or (key not in self.states and key != (False, False)):
+            return Run(target, preds, cfg, step_hook), False
+        run = copy.deepcopy(self.run)
+        run.cfg, run.labeller.cfg, run.step_hook = cfg, cfg, step_hook
+        state = run.labeller.state = run.labeller.new_state()
+        self.restore(state, cfg.flows)
+        # The models take each recorded step's flats, ending on the warm-up's last: their own.
+        for t, (probs, labels, student, momentum) in enumerate(self.steps if step_hook else (), 1):
+            np.copyto(run.student.flat, student)
+            np.copyto(run.mm.params.flat, momentum)
+            step_hook(t, state, probs, False, labels, run.student, run.mm)
+        return run, False
 
-    def holds(self, flows: FlowConfig, warmup: int) -> bool:
-        """Whether the record gives a run of ``flows`` its memories at the end
-        of a warm-up of ``warmup`` steps."""
-        key = _long_term_key(flows)
-        return (bool(self.states) and len(self.probs) >= warmup
-                and (key in self.states or key == (False, False)))
+    def append(self, hook: Callable | None, t: int, state: memory.BiMemState,
+               calibrated_probs: np.ndarray, applied: bool, labels: np.ndarray,
+               student: model.ClassifierParams, mm: model.MomentumModel) -> None:
+        """The maker's step hook: record a warm-up step, then call the maker's own ``hook``."""
+        if self.states and t <= state.warmup:
+            step = tuple(a.copy() for a in (calibrated_probs, labels, student.flat, mm.params.flat))
+            for array in step:
+                array.flags.writeable = False
+            self.steps.append(step)
+            calibrated = applied
+            for (sm_to_lt, st_to_lt), forward in self.states.items():
+                flows = FlowConfig(True, sm_to_lt, st_to_lt, False, False, False)
+                calibrated |= memory.bimem_step(forward, *state.sensory.rows.columns, flows)[1]
+            if calibrated:
+                self.states, self.steps = {}, []
+        if hook is not None:
+            hook(t, state, calibrated_probs, applied, labels, student, mm)
 
     def restore(self, state: memory.BiMemState, flows: FlowConfig) -> None:
         """Give ``state`` copies of the memories of a run of ``flows`` at the warm-up's end."""
@@ -341,30 +359,21 @@ class Run:
     """One run of a method, advanced one iteration at a time by ``step()``.
 
     ``rows`` starts with the evaluation at ``t = 0``; ``step_hook`` is
-    ``run_bimem``'s, so only the memory method takes one, and so does a
-    ``warmup_record``. The labeller's ``batch(t, idx)`` gives the features and
-    labels to train on from the sampled rows, and ``all_labels()`` every
-    sample's current label for the trace. On the first ``replayed`` steps the
-    record holds the whole warm-up: the memory labeller's ``replay`` gives its
-    labels without stepping the memories, which the last warm-up step restores.
+    ``run_bimem``'s, so only the memory method takes one. The labeller's
+    ``batch(t, idx)`` gives the features and labels to train on from the
+    sampled rows, and ``all_labels()`` every sample's current label for the
+    trace.
     """
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
-                 step_hook: Callable | None = None, warmup_record: WarmupRecord | None = None):
-        for name, given in (("step hook", step_hook), ("warm-up record", warmup_record)):
-            if given is not None and cfg.method != "bimem":
-                raise InvalidArgumentError(f"a {name} needs method 'bimem', got {cfg.method!r}")
-        if warmup_record is not None and (
-                warmup_record.target is not target or warmup_record.preds is not preds
-                or warmup_record.cfg != replace(cfg, flows=FlowConfig.none())):
-            raise InvalidArgumentError("the warm-up record was made for other inputs or config")
+                 step_hook: Callable | None = None):
+        if step_hook is not None and cfg.method != "bimem":
+            raise InvalidArgumentError(f"a step hook needs method 'bimem', got {cfg.method!r}")
         yhat, probs = preds.aligned_to(target.ids)
         self.inputs = _UnlabeledInputs(ids=target.ids.copy(), features=target.features.copy(),
                                        pred_yhat=yhat, pred_probs=probs)
         self.cfg, self.step_hook, self.t = cfg, step_hook, 0
-        self.warmup_record, self.warmup = warmup_record, _resolve_warmup(cfg, len(target.ids))
-        self.replayed = self.warmup if warmup_record is not None and warmup_record.holds(
-            cfg.flows, self.warmup) else 0
+        self.warmup = _resolve_warmup(cfg, len(target.ids))
         self.evaluator = _TraceEvaluator(target, yhat)
         self.student, self.mm, self.sampler = _init_models(self.inputs, cfg)
         labeller = _MemoryLabeller if cfg.method == "bimem" else _SelfTrainingLabeller
@@ -372,27 +381,13 @@ class Run:
         self.rows = [self.evaluator.row(0, self.student, self.labeller.all_labels())]
 
     def step(self) -> None:
-        """EMA, sample, label, SGD (or their replay from the warm-up record),
-        hook, and the evaluation at an eval point."""
+        """EMA, sample, label, SGD, hook, and the evaluation at an eval point."""
         self.t = t = self.t + 1
         student, mm, labeller = self.student, self.mm, self.labeller
         model.momentum_update(mm, student)
-        idx = self.sampler.next_batch()
-        record = self.warmup_record
-        if record is not None and t <= self.replayed:
-            labels = labeller.replay(t, idx, record)
-        else:
-            x, labels = labeller.batch(t, idx)
-            if record is not None and (t > self.warmup or labeller.applied):
-                # Past the warm-up, or once calibrated, the student leaves the record for good.
-                record = self.warmup_record = None
-        if record is not None and t <= len(record.flats):
-            np.copyto(student.flat, record.flats[t - 1])
-        else:
-            if labels.size:
-                model.sgd_step(student, x, labels, self.cfg.lr)
-            if record is not None:
-                record.append(student, labeller)
+        x, labels = labeller.batch(t, self.sampler.next_batch())
+        if labels.size:
+            model.sgd_step(student, x, labels, self.cfg.lr)
         if self.step_hook is not None:
             self.step_hook(t, labeller.state, labeller.calibrated_probs, labeller.applied,
                            labels, student, mm)
@@ -407,9 +402,16 @@ def _adapt(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig, metho
     if cfg.method != method:
         raise InvalidArgumentError(
             f"config method is {cfg.method!r}, this runner expects {method!r}")
-    run = Run(target, preds, cfg, step_hook, warmup_record)
-    for _ in range(cfg.iterations):
+    if warmup_record is None:
+        run, making = Run(target, preds, cfg, step_hook), False
+    else:
+        run, making = warmup_record.start(target, preds, cfg, step_hook)
+    while run.t < cfg.iterations:
         run.step()
+        if making and run.t == run.warmup:
+            run.step_hook = None  # in the copy, the record's hook would make a reference cycle
+            warmup_record.run = copy.deepcopy(run) if warmup_record.states else None
+            run.step_hook = step_hook
     return run.student, RunTrace(run.rows)
 
 
@@ -418,7 +420,7 @@ class _MemoryLabeller:
     denoised labels; the full set is calibrated from the last step's sources."""
 
     def __init__(self, inputs: _UnlabeledInputs, cfg: AdaptConfig, mm: model.MomentumModel):
-        self.inputs, self.cfg, self.mm, self.flows = inputs, cfg, mm, cfg.flows
+        self.inputs, self.cfg, self.mm = inputs, cfg, mm
         self.state = self.new_state()
         # The last step's memory output, which the step hook reads.
         self.calibrated_probs, self.applied = None, False
@@ -440,17 +442,9 @@ class _MemoryLabeller:
         x = inputs.features.take(idx, axis=0)
         feats, probs = model.forward_batch(self.mm.params, x)
         self.calibrated_probs, self.applied = memory.bimem_step(
-            self.state, inputs.ids.take(idx), feats, probs, self.flows)
+            self.state, inputs.ids.take(idx), feats, probs, self.cfg.flows)
         return x, denoise_labels(self.calibrated_probs, self.applied, inputs.pred_yhat.take(idx),
                                  inputs.pred_probs.take(idx, axis=0))
-
-    def replay(self, t: int, idx: np.ndarray, record: WarmupRecord) -> np.ndarray:
-        """A warm-up step's black-box labels and recorded probabilities, with
-        the memories left as they are until the last warm-up step restores them."""
-        self.calibrated_probs, self.applied = record.probs[t - 1], False
-        if t == self.state.warmup:
-            record.restore(self.state, self.flows)
-        return self.inputs.pred_yhat.take(idx)
 
     def all_labels(self) -> np.ndarray:
         inputs = self.inputs
@@ -475,12 +469,12 @@ def run_bimem(
 
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
-    ``warmup_record`` replays, or records, the warm-up steps shared with the
-    other runs of its config that differ only in their flows. On a replayed
-    warm-up step ``state`` is not stepped: it holds the memories of step 0
-    until the last warm-up step, where it becomes the restored memories, so a
-    hook should not read memory on the steps before; its ``calibrated_probs``
-    is the record's read-only array, shared with the other replayed runs.
+    ``warmup_record`` shares the warm-up with the other runs of its config
+    that differ only in their flows: the first run records it, and a later one
+    resumes at its end, its hook called with each recorded step's arguments.
+    On those steps ``state`` is the restored memories, and ``calibrated_probs``
+    and ``labels`` are the record's read-only copies, shared with the other
+    resumed runs.
     """
     return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 
@@ -574,10 +568,10 @@ def run_ablation_suite(
     population std (``np.std``, ddof 0).
 
     Runs go row by row through the module's ``run_bimem``. The rows of one
-    seed share its warm-up: the first row records the student after each
-    warm-up step and the memories of the later rows' forward flows, and the
-    later rows copy them, which is exact, since no flow acts on the labels
-    before the first calibration.
+    seed share its warm-up: the first row records it with the memories of
+    the later rows' forward flows, and the later rows resume from a copy of
+    the first row's run at the warm-up's end, which is exact, since no flow
+    acts on the labels before the first calibration.
     """
     if len(seeds) == 0:
         raise InvalidArgumentError("ablation needs at least one seed")

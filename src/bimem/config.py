@@ -40,7 +40,7 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
     if path is not None:
         try:
             provided = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, an undecodable byte, or an integer too long for int()
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(provided, dict):
             raise ConfigError("config file must contain a JSON object")

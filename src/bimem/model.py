@@ -42,6 +42,11 @@ class Layout:
         if self.input_dim < 1 or self.n_categories < 1 or self.hidden_dim < 0:
             raise InvalidArgumentError(f"invalid layout {self}")
 
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the layout from its fields: a copied
+        # ``_step_scratch`` would keep ``grad_views`` that no longer view ``grad``.
+        return Layout, (self.input_dim, self.hidden_dim, self.n_categories)
+
     @property
     def feature_dim(self) -> int:
         """Dimension of the feature handed to the memories."""

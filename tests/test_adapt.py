@@ -1,7 +1,9 @@
 """Tests for the adaptation loops, baselines, traces, and the ablation grid."""
 
+import gc
 import hashlib
 import math
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -717,15 +719,16 @@ def _recording_hook(steps: list, memory_at=()):
     return hook
 
 
-def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1), memory_at=()):
+def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1), memory_at=(), hooked=True):
     """The suite's runs, each through a wrapper that injects a step hook as the
-    bench's run log does: (cfg, warm-up record, student bytes, trace rows, hook steps)."""
+    bench's run log does, unless not ``hooked``: (cfg, warm-up record, student
+    bytes, trace rows, hook steps or None)."""
     runner = adapt.run_bimem
     runs = []
 
     def captured(target, preds, cfg, **kwargs):
-        steps = []
-        hook = _recording_hook(steps, memory_at)
+        steps = [] if hooked else None
+        hook = _recording_hook(steps, memory_at) if hooked else None
         student, trace = runner(target, preds, cfg, step_hook=hook, **kwargs)
         runs.append((cfg, kwargs.get("warmup_record"), student.flat.tobytes(), trace.rows, steps))
         return student, trace
@@ -740,17 +743,19 @@ def _assert_runs_independent(target, preds, runs, memory_at=()):
     """Every suite run equals, byte for byte, a run of its config on its own."""
     for cfg, _, student_bytes, rows, steps in runs:
         alone = []
-        student, trace = run_bimem(target, preds, cfg, step_hook=_recording_hook(alone, memory_at))
+        hook = None if steps is None else _recording_hook(alone, memory_at)
+        student, trace = run_bimem(target, preds, cfg, step_hook=hook)
         assert student.flat.tobytes() == student_bytes
         assert trace.rows == rows
-        assert steps == alone
+        assert steps is None or steps == alone
 
 
 class TestWarmupReplay:
-    """The later rows of one seed copy the first row's warm-up steps; what each
-    run computes is that of an independent run, and so is what a step hook
-    sees, but for its ``state`` on a replayed warm-up step: that equals the
-    independent run's from the last warm-up step on."""
+    """The later rows of one seed resume from a copy of the first row's run at
+    the warm-up's end; what each run computes is that of an independent run,
+    and so is what a step hook sees, but for its ``state`` on a replayed
+    warm-up step: that is the restored memories, which equal the independent
+    run's at the last warm-up step."""
 
     def test_rows_equal_independent_runs(self, monkeypatch):
         target, preds = tiny_instance()
@@ -758,29 +763,62 @@ class TestWarmupReplay:
         assert len(runs) == 14
         _assert_runs_independent(target, preds, runs)
 
-    def test_later_rows_replay_the_warmup(self, monkeypatch):
-        """Six rows of two seeds replay five warm-up steps each, and a record
-        holds the warm-up only."""
+    def test_rows_without_a_hook_equal_independent_runs(self, monkeypatch):
+        """The CLI's ``ablate`` and criterion 5 give the suite no step hook."""
         target, preds = tiny_instance()
-        sgd_step = model.sgd_step
-        calls = []
-        monkeypatch.setattr(model, "sgd_step", lambda *args: calls.append(1) or sgd_step(*args))
+        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(**self.FILLING), hooked=False)
+        assert len(runs) == 14 and all(steps is None for *_, steps in runs)
+        assert all(record.run is not None for _, record, *_ in runs)
+        _assert_runs_independent(target, preds, runs)
+
+    def test_records_are_freed_with_the_suite(self, monkeypatch):
+        """No reference cycle keeps a record, its steps and its run alive once
+        the suite returns; the next suite call would otherwise hold them
+        until a full collection."""
+        target, preds = tiny_instance()
+        runner, records = adapt.run_bimem, []
+
+        def captured(target, preds, cfg, **kwargs):
+            records.append(weakref.ref(kwargs["warmup_record"]))
+            return runner(target, preds, cfg, **kwargs)
+
+        monkeypatch.setattr(adapt, "run_bimem", captured)
+        gc.disable()
+        try:
+            run_ablation_suite(target, preds, tiny_cfg(), [0, 1])
+            freed = [record() is None for record in records]
+        finally:
+            gc.enable()
+        assert freed == [True] * 14
+
+    def test_later_rows_replay_the_warmup(self, monkeypatch):
+        """Six rows of two seeds skip five warm-up steps each, SGD and EMA
+        alike, and a record holds the warm-up only."""
+        target, preds = tiny_instance()
+        calls = {"sgd_step": 0, "momentum_update": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(model, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(model, name, counted)
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg())
-        assert len(calls) == 14 * 40 - 6 * 2 * 5
+        assert calls == {"sgd_step": 14 * 40 - 6 * 2 * 5, "momentum_update": 14 * 40 - 6 * 2 * 5}
         records = {id(record): record for _, record, *_ in runs}
         assert len(records) == 2
-        assert [len(record.flats) for record in records.values()] == [5, 5]
+        assert [len(record.steps) for record in records.values()] == [5, 5]
+        assert [record.run.t for record in records.values()] == [5, 5]
 
     def test_no_warmup_shares_nothing(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(warmup_iterations=0))
-        assert all(len(record.flats) == 0 for _, record, *_ in runs)
+        assert all(record.steps == [] and record.run is None for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_iterations_below_the_warmup(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(iterations=3, eval_interval=2))
-        assert all(len(record.flats) == 3 for _, record, *_ in runs)
+        # The maker never reaches the warm-up's end, so the later rows run on their own.
+        assert all(len(record.steps) == 3 and record.run is None for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_a_calibrated_step_leaves_the_record(self, monkeypatch):
@@ -812,12 +850,12 @@ class TestWarmupReplay:
                 run_bimem(target, preds, bad, warmup_record=record)
         with pytest.raises(InvalidArgumentError, match="other inputs or config"):
             run_bimem(other_target, other_preds, cfg, warmup_record=record)
-        vanilla = tiny_cfg(method="vanilla_st", iterations=5)
-        with pytest.raises(InvalidArgumentError, match="needs method 'bimem'"):
-            adapt.Run(target, preds, vanilla, warmup_record=WarmupRecord(target, preds, vanilla))
-        assert record.flats == []
+        vanilla = WarmupRecord(target, preds, tiny_cfg(method="vanilla_st", iterations=5))
+        with pytest.raises(InvalidArgumentError, match="other inputs or config"):
+            run_bimem(target, preds, cfg, warmup_record=vanilla)
+        assert record.steps == [] and record.states is None
         run_bimem(target, preds, replace(cfg, flows=FlowConfig.none()), warmup_record=record)
-        assert len(record.flats) == 5
+        assert len(record.steps) == 5 and record.run.t == 5
 
     # Twelve warm-up steps push 48 rows into the 16-row queue: it evicts from
     # the fifth push on and moves back to the start of its 32-row window at
@@ -839,9 +877,24 @@ class TestWarmupReplay:
             assert np.frombuffer(initialized, bool).any() == cfg.flows.sm_to_lt
             assert (count, warnings) == (12, {})
 
+    def test_a_maker_with_flows_leaves_later_rows_their_own_memories(self):
+        """The first run given a record may have any flows: a later row resumes
+        with fresh memories, restored for its own flows only."""
+        target, preds = tiny_instance()
+        cfg, at = tiny_cfg(**self.FILLING), (12, 13)
+        record, runs = WarmupRecord(target, preds, cfg), []
+        for _, _, flows in reversed(ABLATION_ROWS):
+            steps, row_cfg = [], replace(cfg, flows=flows)
+            student, trace = run_bimem(target, preds, row_cfg, step_hook=_recording_hook(steps, at),
+                                       warmup_record=record)
+            runs.append((row_cfg, record, student.flat.tobytes(), trace.rows, steps))
+        assert record.run is not None
+        _assert_runs_independent(target, preds, runs, memory_at=at)
+
     def test_later_rows_restore_their_memories(self, monkeypatch):
-        """Six rows of two seeds skip their labeller on twelve warm-up steps,
-        and each record steps one memory per long-term key instead."""
+        """Six rows of two seeds skip their labeller on twelve warm-up steps
+        and the evaluations at 0, 5 and 10, and each record steps one memory
+        per long-term key instead."""
         target, preds = tiny_instance()
         cfg = tiny_cfg(**self.FILLING)
         calls = {"bimem_step": 0, "forward_batch": 0}
@@ -862,9 +915,10 @@ class TestWarmupReplay:
         alone, calls = calls, {"bimem_step": 0, "forward_batch": 0}
         runs = _suite_runs(monkeypatch, target, preds, cfg)
         assert calls == {"bimem_step": alone["bimem_step"] - 6 * 2 * 12 + 2 * 2 * 12,
-                         "forward_batch": alone["forward_batch"] - 6 * 2 * 12}
+                         "forward_batch": alone["forward_batch"] - 6 * 2 * (12 + 3)}
         assert alone["bimem_step"] == 14 * 20
         records = {id(record): record for _, record, *_ in runs}.values()
         assert [sorted(record.states) for record in records] == [[(True, False), (True, True)]] * 2
-        assert [len(record.probs) for record in records] == [12, 12]
-        assert not any(probs.flags.writeable for record in records for probs in record.probs)
+        assert [len(record.steps) for record in records] == [12, 12]
+        assert not any(array.flags.writeable
+                       for record in records for step in record.steps for array in step)

@@ -255,6 +255,9 @@ class TestExitCodes:
             ('{"dim": 1}', ": dim must be >= 2, got 1"),
             ("[1]", "JSON object"),
             ('{"lr": ', "not valid JSON"),
+            # Once bare ValueError tracebacks: past int's 4300-digit limit, and undecodable.
+            pytest.param('{"lr": 1' + "0" * 5000 + "}", "not valid JSON", id="lr-past-digit-limit"),
+            pytest.param(b'{"lr": 0.1\xff}', "not valid JSON", id="undecodable-byte"),
             # Every key rejects a value of the wrong type, typed by its record field.
             *(pytest.param(json.dumps({key: "x"}), repr(key), id=f"{key}-str")
               for key in config.DEFAULTS),
@@ -262,7 +265,7 @@ class TestExitCodes:
     )
     def test_rejected_config_exit_1_names_key(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(text)
+        cfg.write_bytes(text) if isinstance(text, bytes) else cfg.write_text(text)
         assert run_cli("gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "d")) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err

@@ -415,6 +415,21 @@ class TestStepScratch:
         momentum_update(mm, student)
         assert (set(vars(student)), set(vars(mm.params))) == before
 
+    def test_copied_and_unpickled_models_step_as_a_copy(self, layout):
+        """A model deep-copied or unpickled after its layout has stepped takes
+        the step a ``.copy()`` takes: the copy's layout finds the shared
+        scratch, whose gradient views view its gradient."""
+        rng = np.random.default_rng(21)
+        student = init_params(layout, rng)
+        x = rng.normal(size=(5, layout.input_dim))
+        labels = rng.integers(0, layout.n_categories, size=5)
+        sgd_step(student, x, labels, lr=0.5)
+        copies = [student.copy(), copy.deepcopy(student), pickle.loads(pickle.dumps(student))]
+        for other in copies:
+            sgd_step(other, x, labels, lr=0.5)
+        assert copies[0].flat.tobytes() != student.flat.tobytes()
+        assert [other.flat.tobytes() for other in copies] == [copies[0].flat.tobytes()] * 3
+
 
 def assert_flat_layout(params):
     """``flat`` is one contiguous buffer that the named arrays tile in ``arrays()`` order."""

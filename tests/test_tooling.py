@@ -228,6 +228,28 @@ def test_one_forward_memorization_path():
     assert sorted(calls) == ["WarmupRecord.append: bimem_step", "_MemoryLabeller.batch: bimem_step"]
 
 
+def test_the_run_loop_knows_no_warmup_record():
+    """Only ``WarmupRecord`` and ``_adapt`` know the flow ablation's shared
+    warm-up: no code in ``Run`` or ``_MemoryLabeller`` names the record or a
+    replay, and ``Run.__init__`` takes no record."""
+    classes = {node.name: node for node in ast.parse((SRC / "adapt.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    for owner in ("Run", "_MemoryLabeller"):
+        names = set(_referenced_names(classes[owner]))
+        for sub in ast.walk(classes[owner]):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(sub.name)
+            elif isinstance(sub, ast.arg):
+                names.add(sub.arg)
+        assert not [name for name in names if "warmuprecord" in name.lower().replace("_", "")
+                    or "replay" in name.lower()], owner
+    init = next(node for node in classes["Run"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert [arg.arg for arg in (*init.args.posonlyargs, *init.args.args, *init.args.kwonlyargs)
+            ] == ["self", "target", "preds", "cfg", "step_hook"]
+    assert init.args.vararg is None and init.args.kwarg is None
+
+
 def test_one_config_pass_in_the_cli():
     """``cli.main`` is the only caller of ``config.resolve``, and ``--config`` is
     declared once, so a new subcommand or flag cannot resolve the config again."""

@@ -567,11 +567,11 @@ def run_ablation_suite(
     """Final accuracy for each flow combination: the mean over seeds and the
     population std (``np.std``, ddof 0).
 
-    Runs go row by row through the module's ``run_bimem``. The rows of one
-    seed share its warm-up: the first row records it with the memories of
-    the later rows' forward flows, and the later rows resume from a copy of
-    the first row's run at the warm-up's end, which is exact, since no flow
-    acts on the labels before the first calibration.
+    Runs go seed by seed through the module's ``run_bimem``, one warm-up
+    record alive at a time. The rows of one seed share its warm-up: the first
+    row records it with the memories of the later rows' forward flows, and the
+    later rows resume from a copy of the first row's run at the warm-up's end,
+    exact since no flow acts on the labels before the first calibration.
     """
     if len(seeds) == 0:
         raise InvalidArgumentError("ablation needs at least one seed")
@@ -584,19 +584,18 @@ def run_ablation_suite(
         # A repeated seed reruns the same deterministic run and shrinks the spread.
         raise InvalidArgumentError(f"ablation seeds must not repeat a seed, got {ints}")
     # Every config is built, and so checked, before the first run.
-    grid = [[replace(base_cfg, method="bimem", flows=flows, seed=seed) for seed in ints]
-            for _, _, flows in ABLATION_ROWS]
-    records = [WarmupRecord(target, preds, cfg) for cfg in grid[0]]
-    results = []
-    for (row_no, label, flows), cfgs in zip(ABLATION_ROWS, grid):
-        finals = []
-        for cfg, record in zip(cfgs, records):
+    grid = [[replace(base_cfg, method="bimem", flows=flows, seed=seed)
+             for _, _, flows in ABLATION_ROWS] for seed in ints]
+    finals: list[list[float]] = [[] for _ in ABLATION_ROWS]
+    for cfgs in grid:
+        record = WarmupRecord(target, preds, cfgs[0])
+        for row_finals, cfg in zip(finals, cfgs):
             _, trace = run_bimem(target, preds, cfg, warmup_record=record)
-            finals.append(trace.column("acc_all")[-1])
-        results.append({"row": row_no, "flows": label, **flows.as_dict(),
-                        "mean_final_acc": float(np.mean(finals)),
-                        "std_final_acc": float(np.std(finals)), "n_seeds": len(ints)})
-    return results
+            row_finals.append(trace.column("acc_all")[-1])
+    return [{"row": row_no, "flows": label, **flows.as_dict(),
+             "mean_final_acc": float(np.mean(row_finals)),
+             "std_final_acc": float(np.std(row_finals)), "n_seeds": len(ints)}
+            for (row_no, label, flows), row_finals in zip(ABLATION_ROWS, finals)]
 
 
 def write_ablation_table(rows: list[dict], path: str | Path) -> None:

@@ -10,6 +10,7 @@ run time in ``adapt``, the last two because they depend on the dataset size.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -38,12 +39,21 @@ def resolve(path: str | Path | None = None, overrides: dict | None = None) -> di
     resolved = dict(DEFAULTS)
     provided: dict = {}
     if path is not None:
+        objects: list[list[tuple]] = []  # every JSON object's pairs, the file's own last
+
+        def keep_pairs(pairs: list[tuple]) -> dict:
+            objects.append(pairs)
+            return dict(pairs)
+
         try:
-            provided = json.loads(Path(path).read_text())
+            provided = json.loads(Path(path).read_text(), object_pairs_hook=keep_pairs)
         except ValueError as exc:  # bad JSON, an undecodable byte, or an integer too long for int()
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(provided, dict):
             raise ConfigError("config file must contain a JSON object")
+        for key, count in Counter(key for key, _ in objects[-1]).items():
+            if count > 1:  # json.loads would keep the last value
+                raise ConfigError(f"config key {key!r} is repeated")
     for source in (provided, overrides or {}):
         for key, value in source.items():
             if key not in DEFAULTS:

@@ -8,7 +8,6 @@ lossless at 9 significant digits.
 
 from __future__ import annotations
 
-import csv
 import io
 import locale
 import math
@@ -23,10 +22,10 @@ from .errors import DataError, InvalidArgumentError
 FLOAT_FORMAT = "%.9g"
 
 
-# Printable ASCII but the space and the underscore. Beyond plain number syntax,
-# Python's int and float take whitespace, an underscore and non-ASCII digits;
-# every whitespace character but the space is unprintable.
-PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b"_", b"")
+# Printable ASCII but the space, the underscore and the quote, which no writer
+# puts in a cell. Python's int and float also take whitespace, an underscore and
+# non-ASCII digits; every whitespace character but the space is unprintable.
+PLAIN_BYTES = bytes(range(0x21, 0x7F)).translate(None, b'_"')
 
 
 def plain_cells(row: list[str]) -> bool:
@@ -36,14 +35,11 @@ def plain_cells(row: list[str]) -> bool:
 
 
 def plain_line_count(body: str) -> int:
-    """How many lines ``body`` has if each is a row of ``plain_cells`` without a
-    quote, ended by CRLF or LF but the last, which may be unended; 0 for any
-    other body and for one of line ends alone, where ``np.loadtxt`` finds no
-    data. ``np.loadtxt`` splits such a body into the rows ``csv.reader``
-    gives, but skips an empty line."""
-    if not body.isascii():
-        return 0
-    ends = body.encode().translate(None, PLAIN_BYTES.replace(b'"', b""))
+    """How many lines ``body`` has if each is a row of ``plain_cells``, ended by
+    CRLF or LF but the last, which may be unended; 0 for any other body and for
+    one of line ends alone, where ``np.loadtxt`` finds no data. ``np.loadtxt``
+    splits such a body into the rows ``_cells`` gives, but skips an empty line."""
+    ends = body.encode().translate(None, PLAIN_BYTES)
     if len(ends) == len(body) or ends.replace(b"\r\n", b"").replace(b"\n", b""):
         return 0
     return ends.count(b"\n") + (not body.endswith("\n"))
@@ -200,30 +196,30 @@ def read_table(
 ) -> Any:
     """Read a CSV file of number cells; its records' rules, unique ids among them, are the caller's.
 
-    ``header_for(width)`` is the header a file of that many columns must
-    have, or None if no width-``width`` file is valid. ``parse`` turns one
-    row of strings into a record: an ``InvalidArgumentError`` it raises gets
-    the row's line, and any other ``ValueError`` is an unparseable value. A row with
-    whitespace, an underscore or a non-ASCII character in a cell is
-    unparseable before ``parse`` sees it, so a quoted cell cannot span
-    lines and every line number is a physical line. Every ``DataError``
-    names its 1-based line. A byte that the codec ``open`` reads text with
-    cannot decode is a fault at its line, raised once the lines before it
-    have passed the rules above.
-    Returns the records in file order.
+    A line ends in LF or CRLF and splits into cells at every comma, as
+    ``write_table`` writes it. ``header_for(width)`` is the header a file of
+    that many columns must have, or None if no width-``width`` file is valid.
+    ``parse`` turns one row of strings into a record: an ``InvalidArgumentError``
+    it raises gets the row's line, and any other ``ValueError`` is an
+    unparseable value. A row with a quote, whitespace, an underscore or a
+    non-ASCII character in a cell is unparseable before its width is checked.
+    Every ``DataError`` names its 1-based line. A byte that the codec ``open``
+    reads text with cannot decode is a fault at its line, raised once the
+    lines before it have passed the rules above. Returns the records in file order.
 
     With ``fields``, the file is a number table: ``fields(width)`` is the
     structured dtype of one record, the one ``parse`` returns, and the records
     come back as one C-contiguous array per field. A body of plain lines
     (``plain_line_count``) is parsed in one ``np.loadtxt`` pass. The row pass
-    runs only if the body is not plain or that pass refuses it or skips a
-    line, and words the fault or, for a quoted cell, builds the same records.
+    runs only to word the fault: if the body is not plain, or that pass
+    refuses it or skips a line.
     """
     text, undecodable = _decoded(Path(path).read_bytes(), path)
-    lines = io.StringIO(text, newline="")
-    _, header = next(_numbered(csv.reader(lines), 1), (1, None))
-    if header is None:
+    lines = io.StringIO(text, newline="\n")
+    first = lines.readline()
+    if not first:
         raise undecodable or DataError("missing header", line=1)
+    header = _cells(first)
     if header != header_for(len(header)):
         raise DataError(f"unexpected header {header!r}", line=1)
     body = lines.read()
@@ -240,12 +236,14 @@ def read_table(
             table = None
     if table is None:
         records: list = []
-        for line_no, row in _numbered(csv.reader(io.StringIO(body, newline="")), 2):
+        for line_no, row in enumerate(map(_cells, io.StringIO(body, newline="\n")), 2):
+            # Before the width: a line cut by a quoted line break is unparseable, not short.
+            if not plain_cells(row):
+                raise DataError("unparseable value (a quote, whitespace, an underscore or a "
+                                "non-ASCII character in a cell)", line=line_no)
             if len(row) != len(header):
                 raise DataError(f"expected {len(header)} columns, got {len(row)}", line=line_no)
             try:
-                if not plain_cells(row):
-                    raise ValueError("whitespace, an underscore or a non-ASCII character in a cell")
                 record = parse(row)
                 # A number table's record takes its dtype here, so that an integer
                 # past int64 is refused at its line.
@@ -263,18 +261,10 @@ def read_table(
     return table if dtype is None else _columns(table)
 
 
-def _numbered(reader: Iterator[list[str]], line_no: int) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a ``csv.reader``, numbered from ``line_no``. A row it cannot
-    read, as one with a cell past its field limit, is a ``DataError`` at its line."""
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise DataError(f"unreadable row ({exc})", line=line_no) from None
-        yield line_no, row
-        line_no += 1
+def _cells(line: str) -> list[str]:
+    """A line's cells: split at every comma, its LF or CRLF end cut; an empty line has none."""
+    line = line[:-1].removesuffix("\r") if line.endswith("\n") else line
+    return line.split(",") if line else []
 
 
 def _decoded(raw: bytes, path: str | Path) -> tuple[str, DataError | None]:
@@ -284,11 +274,10 @@ def _decoded(raw: bytes, path: str | Path) -> tuple[str, DataError | None]:
     try:
         return raw.decode(encoding), None
     except UnicodeDecodeError as exc:
-        # Each line ended as ``csv.reader`` ends a row.
-        ended = [line for line in io.StringIO(raw[:exc.start].decode(encoding), newline="")
-                 if line.endswith(("\n", "\r"))]
-        return "".join(ended), DataError(
-            f"byte {raw[exc.start]:#04x} of {path} is not {encoding} text", line=len(ended) + 1)
+        ended = raw[:raw.rfind(b"\n", 0, exc.start) + 1]
+        return ended.decode(encoding), DataError(
+            f"byte {raw[exc.start]:#04x} of {path} is not {encoding} text",
+            line=ended.count(b"\n") + 1)
 
 
 def _columns(table: np.ndarray) -> tuple[np.ndarray, ...]:

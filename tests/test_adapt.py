@@ -665,7 +665,7 @@ class TestAblation:
         target, preds = tiny_instance()
         run_ablation_suite(target, preds, tiny_cfg(iterations=5), [0, 1])
         assert len(calls) == 14
-        assert calls[::2] == calls[1::2] == [flows for _, _, flows in ABLATION_ROWS]
+        assert calls[:7] == calls[7:] == [flows for _, _, flows in ABLATION_ROWS]
 
     def test_empty_seeds_rejected(self):
         target, preds = tiny_instance()
@@ -791,6 +791,25 @@ class TestWarmupReplay:
             gc.enable()
         assert freed == [True] * 14
 
+    def test_one_record_is_alive_at_a_time(self, monkeypatch):
+        """Seeds are the outer loop: a seed's record, its steps and its run are
+        freed before the next seed's first row runs, with no collection."""
+        target, preds = tiny_instance()
+        runner, records, alive = adapt.run_bimem, [], []
+
+        def captured(target, preds, cfg, **kwargs):
+            records.append(weakref.ref(kwargs["warmup_record"]))
+            alive.append(len({id(record()) for record in records if record() is not None}))
+            return runner(target, preds, cfg, **kwargs)
+
+        monkeypatch.setattr(adapt, "run_bimem", captured)
+        gc.disable()
+        try:
+            run_ablation_suite(target, preds, tiny_cfg(), [0, 1, 2])
+        finally:
+            gc.enable()
+        assert alive == [1] * 21
+
     def test_later_rows_replay_the_warmup(self, monkeypatch):
         """Six rows of two seeds skip five warm-up steps each, SGD and EMA
         alike, and a record holds the warm-up only."""
@@ -868,7 +887,7 @@ class TestWarmupReplay:
         target, preds = tiny_instance()
         at = (12, 13)
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(**self.FILLING), memory_at=at)
-        assert [cfg.flows for cfg, *_ in runs] == [f for _, _, f in ABLATION_ROWS for _ in (0, 1)]
+        assert [cfg.flows for cfg, *_ in runs] == [f for _ in (0, 1) for _, _, f in ABLATION_ROWS]
         _assert_runs_independent(target, preds, runs, memory_at=at)
         for cfg, *_, steps in runs:
             # The queue is full, and every row that writes the long-term memory has written it.

@@ -254,6 +254,10 @@ class TestExitCodes:
             ('{"dim": -1}', ": dim must be >= 2, got -1"),
             ('{"dim": 1}', ": dim must be >= 2, got 1"),
             ("[1]", "JSON object"),
+            # Once resolved silently to the last value.
+            ('{"seed": 1, "seed": 2}', "config key 'seed' is repeated"),
+            ('{"flow_sm_to_st": true, "flow_sm_to_st": false}',
+             "config key 'flow_sm_to_st' is repeated"),
             ('{"lr": ', "not valid JSON"),
             # Once bare ValueError tracebacks: past int's 4300-digit limit, and undecodable.
             pytest.param('{"lr": 1' + "0" * 5000 + "}", "not valid JSON", id="lr-past-digit-limit"),

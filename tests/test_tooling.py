@@ -94,6 +94,17 @@ def test_one_function_reads_csv():
     assert readers == ["data.read_table"]
 
 
+def test_csv_is_imported_only_by_its_writers():
+    """No reader unquotes a cell: the lab's CSV files have one dialect, the one
+    ``data.write_table`` writes, and the ``csv`` module serves only the two
+    ``csv.writer`` tables."""
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+                 or (isinstance(node, ast.ImportFrom) and node.module == "csv")]
+    assert importers == ["adapt", "metrics"]
+
+
 def test_number_tables_have_one_writer():
     """The dataset and predictions CSVs are written through ``data.write_table``.
     ``csv.writer`` is left to the two tables with text cells that may need

@@ -280,79 +280,69 @@ class WarmupRecord:
 
     ``BiMemState.backward_ready`` keeps calibration off through the warm-up,
     so until its end a run's models, sampler and trace do not depend on the
-    flows, and its memories only on the forward ones. The first run given the
-    record makes it: its step hook, ``append``, keeps each step's arguments
-    and steps one forward-only ``BiMemState`` per long-term key of the
-    ``ABLATION_ROWS`` (SM->ST on in each), and ``_adapt`` keeps a copy of the
-    run at the warm-up's end, which later runs resume from. ``cfg`` is the
-    maker's with no flows.
+    flows, and its memories only on the forward ones. The first ``start``
+    runs the warm-up once, as a ``Run`` of the config with every forward flow
+    on (``FORWARD``): its step hook, ``append``, keeps each step's arguments
+    and steps one more ``BiMemState`` with SM->LT alone. Every run then
+    resumes from a copy of that run at the warm-up's end. ``cfg`` is the
+    config with no flows.
     """
+
+    FORWARD = FlowConfig(True, True, True, False, False, False)
+    SM_TO_LT = FlowConfig(False, True, False, False, False, False)
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
         self.target, self.preds = target, preds
         self.cfg = replace(cfg, flows=FlowConfig.none())
-        # A run of key (False, False) keeps an empty long-term memory: it needs no state.
-        self.keys = sorted({_long_term_key(f) for _, _, f in ABLATION_ROWS} - {(False, False)})
-        # One state per key: None until a run makes the record, empty once a step calibrates.
-        self.states: dict[tuple[bool, bool], memory.BiMemState] | None = None
         # Per warm-up step, read-only copies of the hook's probabilities, labels and flats.
         self.steps: list[tuple[np.ndarray, ...]] = []
-        # The maker at the warm-up's end, if it gets there with its states.
+        # The warm-up run, at its end once ``start`` has run it.
         self.run: Run | None = None
+        # The memories of SM->LT alone; None once a warm-up step calibrates.
+        self.sm_to_lt: memory.BiMemState | None = None
 
     def start(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
-              step_hook: Callable | None) -> tuple["Run", bool]:
-        """The run of ``cfg`` and whether it makes the record. The first run
-        does; a later one resumes from the warm-up's end when the record holds
-        a run and the memories of its flows, and starts on its own otherwise."""
+              step_hook: Callable | None) -> "Run":
+        """The run of ``cfg``: a copy of the warm-up run at its end, with the
+        memories of ``cfg``'s flows and ``step_hook`` called on each warm-up
+        step, or a run on its own when no memory the record holds is its."""
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
-        if self.states is None:
-            run = Run(target, preds, cfg, lambda *args: self.append(step_hook, *args))
-            self.states = {key: run.labeller.new_state() for key in self.keys}
-            return run, True
+        if self.run is None:
+            self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD), self.append)
+            self.sm_to_lt = run.labeller.new_state()
+            while self.sm_to_lt is not None and run.t < min(run.warmup, cfg.iterations):
+                run.step()
+            run.step_hook = None  # the record's hook would make a reference cycle
         key = _long_term_key(cfg.flows)
-        if self.run is None or (key not in self.states and key != (False, False)):
-            return Run(target, preds, cfg, step_hook), False
+        if self.sm_to_lt is None or key == (False, True):
+            return Run(target, preds, cfg, step_hook)
         run = copy.deepcopy(self.run)
         run.cfg, run.labeller.cfg, run.step_hook = cfg, cfg, step_hook
-        state = run.labeller.state = run.labeller.new_state()
-        self.restore(state, cfg.flows)
+        state, empty = run.labeller.state, run.labeller.new_state()
+        if not cfg.flows.sm_to_st:
+            state.short_term = empty.short_term
+        if key != (True, True):
+            state.long_term = copy.deepcopy(self.sm_to_lt.long_term) if key[0] else empty.long_term
         # The models take each recorded step's flats, ending on the warm-up's last: their own.
         for t, (probs, labels, student, momentum) in enumerate(self.steps if step_hook else (), 1):
             np.copyto(run.student.flat, student)
             np.copyto(run.mm.params.flat, momentum)
             step_hook(t, state, probs, False, labels, run.student, run.mm)
-        return run, False
+        return run
 
-    def append(self, hook: Callable | None, t: int, state: memory.BiMemState,
-               calibrated_probs: np.ndarray, applied: bool, labels: np.ndarray,
-               student: model.ClassifierParams, mm: model.MomentumModel) -> None:
-        """The maker's step hook: record a warm-up step, then call the maker's own ``hook``."""
-        if self.states and t <= state.warmup:
-            step = tuple(a.copy() for a in (calibrated_probs, labels, student.flat, mm.params.flat))
-            for array in step:
-                array.flags.writeable = False
-            self.steps.append(step)
-            calibrated = applied
-            for (sm_to_lt, st_to_lt), forward in self.states.items():
-                flows = FlowConfig(True, sm_to_lt, st_to_lt, False, False, False)
-                calibrated |= memory.bimem_step(forward, *state.sensory.rows.columns, flows)[1]
-            if calibrated:
-                self.states, self.steps = {}, []
-        if hook is not None:
-            hook(t, state, calibrated_probs, applied, labels, student, mm)
-
-    def restore(self, state: memory.BiMemState, flows: FlowConfig) -> None:
-        """Give ``state`` copies of the memories of a run of ``flows`` at the warm-up's end."""
-        some = next(iter(self.states.values()))
-        state.sensory = copy.deepcopy(some.sensory)
-        if flows.sm_to_st:
-            state.short_term = copy.deepcopy(some.short_term)
-        if (key := _long_term_key(flows)) in self.states:
-            state.long_term = copy.deepcopy(self.states[key].long_term)
-        state.steps = some.steps
+    def append(self, t: int, state: memory.BiMemState, calibrated_probs: np.ndarray,
+               applied: bool, labels: np.ndarray, student: model.ClassifierParams,
+               mm: model.MomentumModel) -> None:
+        """The warm-up run's step hook: keep the step and step the SM->LT memories."""
+        step = tuple(a.copy() for a in (calibrated_probs, labels, student.flat, mm.params.flat))
+        for array in step:
+            array.flags.writeable = False
+        self.steps.append(step)
+        if applied | memory.bimem_step(self.sm_to_lt, *state.sensory.rows.columns,
+                                       self.SM_TO_LT)[1]:
+            self.sm_to_lt, self.steps = None, []
 
 
 class Run:
@@ -402,16 +392,10 @@ def _adapt(target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig, metho
     if cfg.method != method:
         raise InvalidArgumentError(
             f"config method is {cfg.method!r}, this runner expects {method!r}")
-    if warmup_record is None:
-        run, making = Run(target, preds, cfg, step_hook), False
-    else:
-        run, making = warmup_record.start(target, preds, cfg, step_hook)
+    run = (Run(target, preds, cfg, step_hook) if warmup_record is None
+           else warmup_record.start(target, preds, cfg, step_hook))
     while run.t < cfg.iterations:
         run.step()
-        if making and run.t == run.warmup:
-            run.step_hook = None  # in the copy, the record's hook would make a reference cycle
-            warmup_record.run = copy.deepcopy(run) if warmup_record.states else None
-            run.step_hook = step_hook
     return run.student, RunTrace(run.rows)
 
 
@@ -470,11 +454,11 @@ def run_bimem(
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
     ``warmup_record`` shares the warm-up with the other runs of its config
-    that differ only in their flows: the first run records it, and a later one
-    resumes at its end, its hook called with each recorded step's arguments.
-    On those steps ``state`` is the restored memories, and ``calibrated_probs``
-    and ``labels`` are the record's read-only copies, shared with the other
-    resumed runs.
+    that differ only in their flows: the run resumes at the end of the
+    record's warm-up run, its hook called with each recorded step's
+    arguments. On those steps ``state`` is the restored memories, and
+    ``calibrated_probs`` and ``labels`` are the record's read-only copies,
+    shared with the other resumed runs.
     """
     return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 
@@ -568,9 +552,9 @@ def run_ablation_suite(
     population std (``np.std``, ddof 0).
 
     Runs go seed by seed through the module's ``run_bimem``, one warm-up
-    record alive at a time. The rows of one seed share its warm-up: the first
-    row records it with the memories of the later rows' forward flows, and the
-    later rows resume from a copy of the first row's run at the warm-up's end,
+    record alive at a time. The rows of one seed share its warm-up: the
+    record runs it once with every forward flow on, and each row resumes from
+    a copy of that run at the warm-up's end with its own flows' memories,
     exact since no flow acts on the labels before the first calibration.
     """
     if len(seeds) == 0:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import pickle
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -751,11 +752,11 @@ def _assert_runs_independent(target, preds, runs, memory_at=()):
 
 
 class TestWarmupReplay:
-    """The later rows of one seed resume from a copy of the first row's run at
-    the warm-up's end; what each run computes is that of an independent run,
-    and so is what a step hook sees, but for its ``state`` on a replayed
-    warm-up step: that is the restored memories, which equal the independent
-    run's at the last warm-up step."""
+    """Every row of one seed resumes from a copy of the record's warm-up run
+    at its end; what each run computes is that of an independent run, and so
+    is what a step hook sees, but for its ``state`` on a replayed warm-up
+    step: that is the restored memories, which equal the independent run's
+    at the last warm-up step."""
 
     def test_rows_equal_independent_runs(self, monkeypatch):
         target, preds = tiny_instance()
@@ -811,8 +812,9 @@ class TestWarmupReplay:
         assert alive == [1] * 21
 
     def test_later_rows_replay_the_warmup(self, monkeypatch):
-        """Six rows of two seeds skip five warm-up steps each, SGD and EMA
-        alike, and a record holds the warm-up only."""
+        """Seven rows of two seeds skip five warm-up steps each, SGD and EMA
+        alike, which each record's run takes once, and a record holds the
+        warm-up only."""
         target, preds = tiny_instance()
         calls = {"sgd_step": 0, "momentum_update": 0}
         for name in calls:
@@ -830,14 +832,14 @@ class TestWarmupReplay:
     def test_no_warmup_shares_nothing(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(warmup_iterations=0))
-        assert all(record.steps == [] and record.run is None for _, record, *_ in runs)
+        assert all(record.steps == [] and record.run.t == 0 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_iterations_below_the_warmup(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(iterations=3, eval_interval=2))
-        # The maker never reaches the warm-up's end, so the later rows run on their own.
-        assert all(len(record.steps) == 3 and record.run is None for _, record, *_ in runs)
+        # The record's run stops at the last iteration, and every row resumes there.
+        assert all(len(record.steps) == 3 and record.run.t == 3 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_a_calibrated_step_leaves_the_record(self, monkeypatch):
@@ -872,7 +874,7 @@ class TestWarmupReplay:
         vanilla = WarmupRecord(target, preds, tiny_cfg(method="vanilla_st", iterations=5))
         with pytest.raises(InvalidArgumentError, match="other inputs or config"):
             run_bimem(target, preds, cfg, warmup_record=vanilla)
-        assert record.steps == [] and record.states is None
+        assert record.steps == [] and record.run is None
         run_bimem(target, preds, replace(cfg, flows=FlowConfig.none()), warmup_record=record)
         assert len(record.steps) == 5 and record.run.t == 5
 
@@ -897,8 +899,8 @@ class TestWarmupReplay:
             assert (count, warnings) == (12, {})
 
     def test_a_maker_with_flows_leaves_later_rows_their_own_memories(self):
-        """The first run given a record may have any flows: a later row resumes
-        with fresh memories, restored for its own flows only."""
+        """Rows may come in any order, the first one with every flow on: each
+        resumes with the memories of its own flows only."""
         target, preds = tiny_instance()
         cfg, at = tiny_cfg(**self.FILLING), (12, 13)
         record, runs = WarmupRecord(target, preds, cfg), []
@@ -911,9 +913,9 @@ class TestWarmupReplay:
         _assert_runs_independent(target, preds, runs, memory_at=at)
 
     def test_later_rows_restore_their_memories(self, monkeypatch):
-        """Six rows of two seeds skip their labeller on twelve warm-up steps
-        and the evaluations at 0, 5 and 10, and each record steps one memory
-        per long-term key instead."""
+        """Seven rows of two seeds skip their labeller on twelve warm-up steps
+        and the evaluations at 0, 5 and 10, which each record's run takes once,
+        stepping the memories of SM->LT alone beside its labeller."""
         target, preds = tiny_instance()
         cfg = tiny_cfg(**self.FILLING)
         calls = {"bimem_step": 0, "forward_batch": 0}
@@ -933,11 +935,45 @@ class TestWarmupReplay:
                 run_bimem(target, preds, replace(cfg, flows=flows, seed=seed))
         alone, calls = calls, {"bimem_step": 0, "forward_batch": 0}
         runs = _suite_runs(monkeypatch, target, preds, cfg)
-        assert calls == {"bimem_step": alone["bimem_step"] - 6 * 2 * 12 + 2 * 2 * 12,
+        assert calls == {"bimem_step": alone["bimem_step"] - 7 * 2 * 12 + 2 * 2 * 12,
                          "forward_batch": alone["forward_batch"] - 6 * 2 * (12 + 3)}
         assert alone["bimem_step"] == 14 * 20
         records = {id(record): record for _, record, *_ in runs}.values()
-        assert [sorted(record.states) for record in records] == [[(True, False), (True, True)]] * 2
+        assert [(record.run.t, record.run.cfg.flows, record.sm_to_lt.steps) for record in records
+                ] == [(12, WarmupRecord.FORWARD, 12)] * 2
         assert [len(record.steps) for record in records] == [12, 12]
         assert not any(array.flags.writeable
                        for record in records for step in record.steps for array in step)
+
+    def test_a_row_no_memory_holds_runs_on_its_own(self, monkeypatch):
+        """ST->LT without SM->LT writes a long-term memory that the record does
+        not keep: that row takes every step itself."""
+        target, preds = tiny_instance()
+        cfg, at = tiny_cfg(**self.FILLING), (12, 13)
+        record = WarmupRecord(target, preds, cfg)
+        run_bimem(target, preds, cfg, warmup_record=record)
+        sgd_steps, real = [], model.sgd_step
+        monkeypatch.setattr(model, "sgd_step", lambda *args: sgd_steps.append(1) or real(*args))
+        steps, row_cfg = [], replace(cfg, flows=FlowConfig(True, False, True, True, True, True))
+        student, trace = run_bimem(target, preds, row_cfg, step_hook=_recording_hook(steps, at),
+                                   warmup_record=record)
+        assert len(sgd_steps) == 20 and record.run.t == 12
+        _assert_runs_independent(target, preds, [(row_cfg, record, student.flat.tobytes(),
+                                                  trace.rows, steps)], memory_at=at)
+
+    def test_a_pickled_record_resumes_every_row(self):
+        """A record sent by pickle after its warm-up resumes each row as the
+        record itself would."""
+        target, preds = tiny_instance()
+        cfg, at = tiny_cfg(**self.FILLING), (12, 13)
+        record = WarmupRecord(target, preds, cfg)
+        record.start(target, preds, cfg, None)
+        sent_target, sent_preds, sent = pickle.loads(pickle.dumps((target, preds, record)))
+        runs = []
+        for _, _, flows in ABLATION_ROWS:
+            steps, row_cfg = [], replace(cfg, flows=flows)
+            student, trace = run_bimem(sent_target, sent_preds, row_cfg,
+                                       step_hook=_recording_hook(steps, at), warmup_record=sent)
+            runs.append((row_cfg, sent, student.flat.tobytes(), trace.rows, steps))
+        assert sent.run.t == 12 and len(sent.steps) == 12
+        _assert_runs_independent(target, preds, runs, memory_at=at)

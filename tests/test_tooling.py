@@ -242,9 +242,10 @@ def test_one_forward_memorization_path():
 def test_the_run_loop_knows_no_warmup_record():
     """Only ``WarmupRecord`` and ``_adapt`` know the flow ablation's shared
     warm-up: no code in ``Run`` or ``_MemoryLabeller`` names the record or a
-    replay, and ``Run.__init__`` takes no record."""
-    classes = {node.name: node for node in ast.parse((SRC / "adapt.py").read_text()).body
-               if isinstance(node, ast.ClassDef)}
+    replay, ``Run.__init__`` takes no record, and ``_adapt`` uses nothing of
+    the record but its ``start``."""
+    body = ast.parse((SRC / "adapt.py").read_text()).body
+    classes = {node.name: node for node in body if isinstance(node, ast.ClassDef)}
     for owner in ("Run", "_MemoryLabeller"):
         names = set(_referenced_names(classes[owner]))
         for sub in ast.walk(classes[owner]):
@@ -259,6 +260,11 @@ def test_the_run_loop_knows_no_warmup_record():
     assert [arg.arg for arg in (*init.args.posonlyargs, *init.args.args, *init.args.kwonlyargs)
             ] == ["self", "target", "preds", "cfg", "step_hook"]
     assert init.args.vararg is None and init.args.kwarg is None
+    adapt_loop = next(node for node in body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_adapt")
+    used = {sub.attr for sub in ast.walk(adapt_loop) if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "warmup_record"}
+    assert used == {"start"}
 
 
 def test_one_config_pass_in_the_cli():

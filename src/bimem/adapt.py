@@ -282,10 +282,10 @@ class WarmupRecord:
     so until its end a run's models, sampler and trace do not depend on the
     flows, and its memories only on the forward ones. The first ``start``
     runs the warm-up once, as a ``Run`` of the config with every forward flow
-    on (``FORWARD``): its step hook, ``append``, keeps each step's arguments
-    and steps one more ``BiMemState`` with SM->LT alone. Every run then
-    resumes from a copy of that run at the warm-up's end. ``cfg`` is the
-    config with no flows.
+    on (``FORWARD``): its step hook, ``append``, keeps each step's calibrated
+    probabilities and labels and steps one more ``BiMemState`` with SM->LT
+    alone. Every run then resumes from a copy of that run at the warm-up's
+    end. ``cfg`` is the config with no flows.
     """
 
     FORWARD = FlowConfig(True, True, True, False, False, False)
@@ -294,8 +294,8 @@ class WarmupRecord:
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
         self.target, self.preds = target, preds
         self.cfg = replace(cfg, flows=FlowConfig.none())
-        # Per warm-up step, read-only copies of the hook's probabilities, labels and flats.
-        self.steps: list[tuple[np.ndarray, ...]] = []
+        # Per warm-up step, the hook's calibrated probabilities and labels, made read-only.
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
         # The warm-up run, at its end once ``start`` has run it.
         self.run: Run | None = None
         # The memories of SM->LT alone; None once a warm-up step calibrates.
@@ -303,9 +303,9 @@ class WarmupRecord:
 
     def start(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
               step_hook: Callable | None) -> "Run":
-        """The run of ``cfg``: a copy of the warm-up run at its end, with the
-        memories of ``cfg``'s flows and ``step_hook`` called on each warm-up
-        step, or a run on its own when no memory the record holds is its."""
+        """A copy of the warm-up run at its end with the memories of ``cfg``'s
+        flows, its hook called on each kept step with the copy's memories and
+        models, or a run on its own when no memory the record holds is its."""
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
@@ -325,21 +325,17 @@ class WarmupRecord:
             state.short_term = empty.short_term
         if key != (True, True):
             state.long_term = copy.deepcopy(self.sm_to_lt.long_term) if key[0] else empty.long_term
-        # The models take each recorded step's flats, ending on the warm-up's last: their own.
-        for t, (probs, labels, student, momentum) in enumerate(self.steps if step_hook else (), 1):
-            np.copyto(run.student.flat, student)
-            np.copyto(run.mm.params.flat, momentum)
+        for t, (probs, labels) in enumerate(self.steps if step_hook else (), 1):
             step_hook(t, state, probs, False, labels, run.student, run.mm)
         return run
 
     def append(self, t: int, state: memory.BiMemState, calibrated_probs: np.ndarray,
                applied: bool, labels: np.ndarray, student: model.ClassifierParams,
                mm: model.MomentumModel) -> None:
-        """The warm-up run's step hook: keep the step and step the SM->LT memories."""
-        step = tuple(a.copy() for a in (calibrated_probs, labels, student.flat, mm.params.flat))
-        for array in step:
-            array.flags.writeable = False
-        self.steps.append(step)
+        """The warm-up run's step hook: keep the step's fresh probabilities and
+        labels, made read-only, and step the SM->LT memories."""
+        calibrated_probs.flags.writeable = labels.flags.writeable = False
+        self.steps.append((calibrated_probs, labels))
         if applied | memory.bimem_step(self.sm_to_lt, *state.sensory.rows.columns,
                                        self.SM_TO_LT)[1]:
             self.sm_to_lt, self.steps = None, []
@@ -455,10 +451,10 @@ def run_bimem(
     is called after each iteration's SGD step (used by equivalence tests).
     ``warmup_record`` shares the warm-up with the other runs of its config
     that differ only in their flows: the run resumes at the end of the
-    record's warm-up run, its hook called with each recorded step's
-    arguments. On those steps ``state`` is the restored memories, and
-    ``calibrated_probs`` and ``labels`` are the record's read-only copies,
-    shared with the other resumed runs.
+    record's warm-up run, its hook called on each warm-up step with that
+    step's ``t``, ``applied`` (False), and ``calibrated_probs`` and ``labels``,
+    read-only and shared with the other resumed runs; ``state``, ``student``
+    and ``mm`` are the run's as it resumes.
     """
     return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 

@@ -33,6 +33,7 @@ from bimem.data import LabeledDataset
 from bimem.errors import DataError, InvalidArgumentError
 from bimem.memory import FlowConfig
 from bimem.model import EpochSampler
+from test_tooling import _load_bench
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -741,22 +742,30 @@ def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1), memory_at=(), hoo
 
 
 def _assert_runs_independent(target, preds, runs, memory_at=()):
-    """Every suite run equals, byte for byte, a run of its config on its own."""
-    for cfg, _, student_bytes, rows, steps in runs:
+    """Every suite run equals, byte for byte, a run of its config on its own,
+    but for the models its hook sees on the w warm-up steps a record replays:
+    those are the run's own at step w, where it resumes."""
+    for cfg, record, student_bytes, rows, steps in runs:
         alone = []
         hook = None if steps is None else _recording_hook(alone, memory_at)
         student, trace = run_bimem(target, preds, cfg, step_hook=hook)
         assert student.flat.tobytes() == student_bytes
         assert trace.rows == rows
-        assert steps is None or steps == alone
+        if steps is None:
+            continue
+        # Key (False, True), ST->LT without SM->LT, is the one row a record never resumes.
+        resumed = record is not None and adapt._long_term_key(cfg.flows) != (False, True)
+        w = len(record.steps) if resumed else 0
+        models = alone[w - 1][4:6] if w else ()
+        assert steps == [(*step[:4], *models, step[6]) for step in alone[:w]] + alone[w:]
 
 
 class TestWarmupReplay:
     """Every row of one seed resumes from a copy of the record's warm-up run
     at its end; what each run computes is that of an independent run, and so
-    is what a step hook sees, but for its ``state`` on a replayed warm-up
-    step: that is the restored memories, which equal the independent run's
-    at the last warm-up step."""
+    is what a step hook sees, but for its ``state``, ``student`` and ``mm`` on
+    a replayed warm-up step: those are the resumed run's, which equal the
+    independent run's at the last warm-up step."""
 
     def test_rows_equal_independent_runs(self, monkeypatch):
         target, preds = tiny_instance()
@@ -944,6 +953,41 @@ class TestWarmupReplay:
         assert [len(record.steps) for record in records] == [12, 12]
         assert not any(array.flags.writeable
                        for record in records for step in record.steps for array in step)
+
+    def test_the_record_keeps_the_hook_arrays_and_no_models(self):
+        """Each kept step is the probabilities and labels the warm-up run's hook
+        received, uncopied and read-only; no model parameters are kept."""
+        target, preds = tiny_instance()
+        cfg = tiny_cfg(**self.FILLING)
+        record, received = WarmupRecord(target, preds, cfg), []
+        append = record.append
+
+        def wrapped(t, state, calibrated_probs, applied, labels, student, mm):
+            received.append((calibrated_probs, labels))
+            append(t, state, calibrated_probs, applied, labels, student, mm)
+
+        record.append = wrapped
+        record.start(target, preds, cfg, None)
+        assert len(received) == 12
+        assert [tuple(map(id, step)) for step in record.steps] == [
+            tuple(map(id, arrays)) for arrays in received]
+        assert not any(array.flags.writeable for step in record.steps for array in step)
+        n_params = record.run.student.layout.n_params
+        assert all(array.size != n_params for step in record.steps for array in step)
+
+    def test_every_row_passes_the_bench_warmup_check(self, monkeypatch):
+        """The benchmark's ``check_warmup`` holds of every row of the suite: its
+        hook sees t = 1..iterations in order, none calibrated up to the warm-up."""
+        checks = _load_bench(monkeypatch, "checks")
+        target, preds = tiny_instance()
+        cfg = tiny_cfg(**self.FILLING)
+        runs, result = _suite_runs(monkeypatch, target, preds, cfg), checks.Checks()
+        for row_cfg, *_, steps in runs:
+            assert [t for t, *_ in steps] == list(range(1, cfg.iterations + 1))
+            assert not any(applied for _, applied, *_ in steps[:cfg.warmup_iterations])
+            checks.check_warmup(result, f"{row_cfg.flows}", [step[:2] for step in steps],
+                                cfg.iterations, cfg.warmup_iterations)
+        assert len(runs) == 14 and result.failures == [] and result.passed == 2 * 14
 
     def test_a_row_no_memory_holds_runs_on_its_own(self, monkeypatch):
         """ST->LT without SM->LT writes a long-term memory that the record does

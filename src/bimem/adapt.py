@@ -552,6 +552,10 @@ def run_ablation_suite(
     record runs it once with every forward flow on, and each row resumes from
     a copy of that run at the warm-up's end with its own flows' memories,
     exact since no flow acts on the labels before the first calibration.
+
+    ``base_cfg.eval_interval`` does not apply: the table reads only each
+    run's last evaluation, and evaluation never feeds back into training,
+    so every run evaluates at iteration 0 and at its last iteration only.
     """
     if len(seeds) == 0:
         raise InvalidArgumentError("ablation needs at least one seed")
@@ -564,7 +568,8 @@ def run_ablation_suite(
         # A repeated seed reruns the same deterministic run and shrinks the spread.
         raise InvalidArgumentError(f"ablation seeds must not repeat a seed, got {ints}")
     # Every config is built, and so checked, before the first run.
-    grid = [[replace(base_cfg, method="bimem", flows=flows, seed=seed)
+    grid = [[replace(base_cfg, method="bimem", flows=flows, seed=seed,
+                     eval_interval=max(base_cfg.iterations, 1))
              for _, _, flows in ABLATION_ROWS] for seed in ints]
     finals: list[list[float]] = [[] for _ in ABLATION_ROWS]
     for cfgs in grid:

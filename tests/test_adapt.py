@@ -701,6 +701,21 @@ class TestAblation:
         assert rows == run_ablation_suite(target, preds, cfg, [0, 1])
         assert all(row["n_seeds"] == 2 for row in rows)
 
+    @pytest.mark.parametrize("iterations", [40, 0])
+    def test_runs_evaluate_at_their_last_iteration_only(self, monkeypatch, iterations):
+        """The table reads each run's last evaluation, so every run the suite
+        makes evaluates at 0 and at its last iteration only, and the rows do
+        not depend on the base ``eval_interval``."""
+        target, preds = tiny_instance()
+        tables = []
+        for eval_interval in (1, 7, 50):
+            cfg = tiny_cfg(iterations=iterations, eval_interval=eval_interval)
+            runs = _suite_runs(monkeypatch, target, preds, cfg)
+            assert [[r.iteration for r in rows] for *_, rows, _ in runs] == (
+                [sorted({0, iterations})] * 14)
+            tables.append(run_ablation_suite(target, preds, cfg, [0, 1]))
+        assert tables[0] == tables[1] == tables[2]
+
 
 def _memory_bytes(state: memory.BiMemState) -> tuple:
     """What a step leaves in the memories: sensory and live queue rows,
@@ -923,10 +938,12 @@ class TestWarmupReplay:
 
     def test_later_rows_restore_their_memories(self, monkeypatch):
         """Seven rows of two seeds skip their labeller on twelve warm-up steps
-        and the evaluations at 0, 5 and 10, which each record's run takes once,
-        stepping the memories of SM->LT alone beside its labeller."""
+        and the evaluation at 0, which each record's run takes once, stepping
+        the memories of SM->LT alone beside its labeller. The runs on their own
+        take the configs the suite passes, which evaluate at 0 and 20 only."""
         target, preds = tiny_instance()
         cfg = tiny_cfg(**self.FILLING)
+        suite_cfg = replace(cfg, eval_interval=cfg.iterations)
         calls = {"bimem_step": 0, "forward_batch": 0}
 
         def counted(owner, name):
@@ -941,11 +958,14 @@ class TestWarmupReplay:
         counted(model, "forward_batch")
         for _, _, flows in ABLATION_ROWS:
             for seed in (0, 1):
-                run_bimem(target, preds, replace(cfg, flows=flows, seed=seed))
+                run_bimem(target, preds, replace(suite_cfg, flows=flows, seed=seed))
         alone, calls = calls, {"bimem_step": 0, "forward_batch": 0}
         runs = _suite_runs(monkeypatch, target, preds, cfg)
+        assert [row_cfg for row_cfg, *_ in runs] == [
+            replace(suite_cfg, flows=flows, seed=seed) for seed in (0, 1)
+            for _, _, flows in ABLATION_ROWS]
         assert calls == {"bimem_step": alone["bimem_step"] - 7 * 2 * 12 + 2 * 2 * 12,
-                         "forward_batch": alone["forward_batch"] - 6 * 2 * (12 + 3)}
+                         "forward_batch": alone["forward_batch"] - 6 * 2 * (12 + 1)}
         assert alone["bimem_step"] == 14 * 20
         records = {id(record): record for _, record, *_ in runs}.values()
         assert [(record.run.t, record.run.cfg.flows, record.sm_to_lt.steps) for record in records
@@ -988,6 +1008,26 @@ class TestWarmupReplay:
             checks.check_warmup(result, f"{row_cfg.flows}", [step[:2] for step in steps],
                                 cfg.iterations, cfg.warmup_iterations)
         assert len(runs) == 14 and result.failures == [] and result.passed == 2 * 14
+
+    def test_every_row_passes_the_bench_run_check(self, monkeypatch):
+        """The benchmark's ``check_run`` holds of every row of the suite, on
+        its trace of two rows: the student's own forward pass gives the final
+        accuracy, the black-box column is recomputed, and the partition
+        identity holds."""
+        checks = _load_bench(monkeypatch, "checks")
+        target, preds = tiny_instance()
+        runner, result, traces = adapt.run_bimem, checks.Checks(), []
+
+        def checked(target, preds, cfg, **kwargs):
+            student, trace = runner(target, preds, cfg, **kwargs)
+            checks.check_run(result, f"seed {cfg.seed} {cfg.flows}", target, preds, student, trace)
+            traces.append(trace)
+            return student, trace
+
+        monkeypatch.setattr(adapt, "run_bimem", checked)
+        run_ablation_suite(target, preds, tiny_cfg(**self.FILLING), [0, 1])
+        assert [len(trace.rows) for trace in traces] == [2] * 14
+        assert result.failures == [] and result.passed == 3 * 14
 
     def test_a_row_no_memory_holds_runs_on_its_own(self, monkeypatch):
         """ST->LT without SM->LT writes a long-term memory that the record does

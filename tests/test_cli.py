@@ -1,5 +1,6 @@
 """End-to-end CLI tests: pipeline, exit codes, and reproducibility."""
 
+import hashlib
 import json
 import math
 
@@ -175,6 +176,18 @@ class TestAblateCommand:
         assert len(lines) == 8
         assert lines[0].startswith("row,flows,")
         assert "SM->ST,SM<-ST" in lines[2]
+
+    def test_ablate_table_keeps_its_bytes(self, workdir):
+        """The seven rows over three seeds of ``TINY_CONFIG`` give a table
+        pinned byte for byte."""
+        tmp, cfg = workdir
+        out = prepared_run(tmp, cfg)
+        assert run_cli(
+            "ablate", str(out / "target.csv"), str(out / "preds.csv"),
+            "--config", cfg, "--seeds", "0,1,2", "--out", str(out / "table.csv"),
+        ) == 0
+        assert hashlib.sha256((out / "table.csv").read_bytes()).hexdigest() == (
+            "e9a8ec459ea1f7e8964a4932b1b09916628a462d9e024d9949f14cbd42320a5c")
 
     def test_bad_seeds_exit_1(self, workdir):
         tmp, cfg = workdir

@@ -280,12 +280,12 @@ class WarmupRecord:
 
     ``BiMemState.backward_ready`` keeps calibration off through the warm-up,
     so until its end a run's models, sampler and trace do not depend on the
-    flows, and its memories only on the forward ones. The first ``start``
+    flows, and its memories only on the forward ones. Building the record
     runs the warm-up once, as a ``Run`` of the config with every forward flow
     on (``FORWARD``): its step hook, ``append``, keeps each step's calibrated
     probabilities and labels and steps one more ``BiMemState`` with SM->LT
-    alone. Every run then resumes from a copy of that run at the warm-up's
-    end. ``cfg`` is the config with no flows.
+    alone. Each ``start`` then resumes a run from a copy of that run at the
+    warm-up's end. ``cfg`` is the config with no flows.
     """
 
     FORWARD = FlowConfig(True, True, True, False, False, False)
@@ -296,10 +296,13 @@ class WarmupRecord:
         self.cfg = replace(cfg, flows=FlowConfig.none())
         # Per warm-up step, the hook's calibrated probabilities and labels, made read-only.
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []
-        # The warm-up run, at its end once ``start`` has run it.
-        self.run: Run | None = None
+        # The warm-up run, at its end.
+        self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD), self.append)
         # The memories of SM->LT alone; None once a warm-up step calibrates.
-        self.sm_to_lt: memory.BiMemState | None = None
+        self.sm_to_lt: memory.BiMemState | None = run.labeller.new_state()
+        while self.sm_to_lt is not None and run.t < min(run.warmup, cfg.iterations):
+            run.step()
+        run.step_hook = None  # the record's hook would make a reference cycle
 
     def start(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
               step_hook: Callable | None) -> "Run":
@@ -309,12 +312,6 @@ class WarmupRecord:
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
-        if self.run is None:
-            self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD), self.append)
-            self.sm_to_lt = run.labeller.new_state()
-            while self.sm_to_lt is not None and run.t < min(run.warmup, cfg.iterations):
-                run.step()
-            run.step_hook = None  # the record's hook would make a reference cycle
         key = _long_term_key(cfg.flows)
         if self.sm_to_lt is None or key == (False, True):
             return Run(target, preds, cfg, step_hook)
@@ -449,8 +446,8 @@ def run_bimem(
 
     ``step_hook(t, state, calibrated_probs, applied, labels, student, mm)``
     is called after each iteration's SGD step (used by equivalence tests).
-    ``warmup_record`` shares the warm-up with the other runs of its config
-    that differ only in their flows: the run resumes at the end of the
+    ``warmup_record``, built for this config with any flows, shares its
+    warm-up with the config's other rows: the run resumes at the end of the
     record's warm-up run, its hook called on each warm-up step with that
     step's ``t``, ``applied`` (False), and ``calibrated_probs`` and ``labels``,
     read-only and shared with the other resumed runs; ``state``, ``student``
@@ -548,10 +545,11 @@ def run_ablation_suite(
     population std (``np.std``, ddof 0).
 
     Runs go seed by seed through the module's ``run_bimem``, one warm-up
-    record alive at a time. The rows of one seed share its warm-up: the
-    record runs it once with every forward flow on, and each row resumes from
-    a copy of that run at the warm-up's end with its own flows' memories,
-    exact since no flow acts on the labels before the first calibration.
+    record alive at a time. The rows of one seed share its warm-up: building
+    the seed's record runs it once with every forward flow on, and each row
+    resumes from a copy of that run at the warm-up's end with its own flows'
+    memories, exact since no flow acts on the labels before the first
+    calibration.
 
     ``base_cfg.eval_interval`` does not apply: the table reads only each
     run's last evaluation, and evaluation never feeds back into training,

@@ -215,19 +215,19 @@ def read_table(
     refuses it or skips a line.
     """
     text, undecodable = _decoded(Path(path).read_bytes(), path)
-    lines = io.StringIO(text, newline="\n")
-    first = lines.readline()
+    first, end, body = text.partition("\n")
+    first += end
     if not first:
         raise undecodable or DataError("missing header", line=1)
     header = _cells(first)
     if header != header_for(len(header)):
         raise DataError(f"unexpected header {header!r}", line=1)
-    body = lines.read()
     dtype = None if fields is None else fields(len(header))
     table = None
     if dtype is not None and (n_lines := plain_line_count(body)):
         try:
-            table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+            # A plain body's only line ends are CRLF and LF.
+            table = np.loadtxt(body.splitlines(), dtype=dtype, delimiter=",",
                                comments=None, quotechar=None, ndmin=1)
         except ValueError:
             pass  # the row pass words the fault

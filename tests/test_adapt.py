@@ -895,17 +895,30 @@ class TestWarmupReplay:
                 run_bimem(target, preds, bad, warmup_record=record)
         with pytest.raises(InvalidArgumentError, match="other inputs or config"):
             run_bimem(other_target, other_preds, cfg, warmup_record=record)
-        vanilla = WarmupRecord(target, preds, tiny_cfg(method="vanilla_st", iterations=5))
-        with pytest.raises(InvalidArgumentError, match="other inputs or config"):
-            run_bimem(target, preds, cfg, warmup_record=vanilla)
-        assert record.steps == [] and record.run is None
-        run_bimem(target, preds, replace(cfg, flows=FlowConfig.none()), warmup_record=record)
+        with pytest.raises(InvalidArgumentError, match="a step hook needs method 'bimem'"):
+            WarmupRecord(target, preds, tiny_cfg(method="vanilla_st", iterations=5))
         assert len(record.steps) == 5 and record.run.t == 5
 
     # Twelve warm-up steps push 48 rows into the 16-row queue: it evicts from
     # the fifth push on and moves back to the start of its 32-row window at
     # the ninth, so every memory is full when the record restores it.
     FILLING = dict(iterations=20, warmup_iterations=12, eval_interval=5)
+
+    @pytest.mark.parametrize("kw, warmup_steps", [
+        (FILLING, 12),
+        (dict(iterations=3, eval_interval=2), 3),
+    ])
+    def test_a_record_is_built_warm(self, monkeypatch, kw, warmup_steps):
+        """Building a record takes every SGD step of its warm-up, up to the
+        last iteration, and resuming a row from it takes none."""
+        target, preds = tiny_instance()
+        cfg, sgd_steps, real = tiny_cfg(**kw), [], model.sgd_step
+        monkeypatch.setattr(model, "sgd_step", lambda *args: sgd_steps.append(1) or real(*args))
+        record = WarmupRecord(target, preds, cfg)
+        assert len(sgd_steps) == warmup_steps and record.run.t == warmup_steps
+        for _, _, flows in ABLATION_ROWS:
+            record.start(target, preds, replace(cfg, flows=flows), None)
+        assert len(sgd_steps) == warmup_steps and len(record.steps) == warmup_steps
 
     def test_restored_memories_equal_independent_runs(self, monkeypatch):
         """Each row's memories at the warm-up's last step, the restored ones,
@@ -974,20 +987,19 @@ class TestWarmupReplay:
         assert not any(array.flags.writeable
                        for record in records for step in record.steps for array in step)
 
-    def test_the_record_keeps_the_hook_arrays_and_no_models(self):
+    def test_the_record_keeps_the_hook_arrays_and_no_models(self, monkeypatch):
         """Each kept step is the probabilities and labels the warm-up run's hook
         received, uncopied and read-only; no model parameters are kept."""
         target, preds = tiny_instance()
         cfg = tiny_cfg(**self.FILLING)
-        record, received = WarmupRecord(target, preds, cfg), []
-        append = record.append
+        received, append = [], WarmupRecord.append
 
-        def wrapped(t, state, calibrated_probs, applied, labels, student, mm):
+        def wrapped(self, t, state, calibrated_probs, applied, labels, student, mm):
             received.append((calibrated_probs, labels))
-            append(t, state, calibrated_probs, applied, labels, student, mm)
+            append(self, t, state, calibrated_probs, applied, labels, student, mm)
 
-        record.append = wrapped
-        record.start(target, preds, cfg, None)
+        monkeypatch.setattr(WarmupRecord, "append", wrapped)
+        record = WarmupRecord(target, preds, cfg)
         assert len(received) == 12
         assert [tuple(map(id, step)) for step in record.steps] == [
             tuple(map(id, arrays)) for arrays in received]
@@ -1046,12 +1058,11 @@ class TestWarmupReplay:
                                                   trace.rows, steps)], memory_at=at)
 
     def test_a_pickled_record_resumes_every_row(self):
-        """A record sent by pickle after its warm-up resumes each row as the
+        """A record sent by pickle as it is built resumes each row as the
         record itself would."""
         target, preds = tiny_instance()
         cfg, at = tiny_cfg(**self.FILLING), (12, 13)
         record = WarmupRecord(target, preds, cfg)
-        record.start(target, preds, cfg, None)
         sent_target, sent_preds, sent = pickle.loads(pickle.dumps((target, preds, record)))
         runs = []
         for _, _, flows in ABLATION_ROWS:

@@ -5,6 +5,7 @@ import io
 import locale
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,28 @@ def test_every_column_is_an_array_of_its_own(tmp_path, name):
     for f in dataclasses.fields(record):
         column = getattr(record, f.name)
         assert column.flags.c_contiguous and column.flags.owndata, f.name
+
+
+@pytest.mark.parametrize("name", ["dataset", "predictions"])
+def test_a_read_holds_a_few_copies_of_its_file(tmp_path, name):
+    """A 1000-row, 20-class file reads with a ``tracemalloc`` peak under five
+    times its size: the number-table pass copies the text only as lines."""
+    _, target = gen_shifted_gaussians(20, 16, 50, 4.0, np.zeros(16), 0.0, 1.0, seed=0)
+    path = tmp_path / "table.csv"
+    if name == "dataset":
+        write_dataset(target, path)
+    else:
+        probs = np.random.default_rng(0).dirichlet(np.ones(20), size=len(target.ids))
+        blackbox.write_predictions(
+            blackbox.PredictionSet(ids=target.ids, yhat=probs.argmax(axis=1), probs=probs), path)
+    TABLES[name][0](path)  # any first-call set-up is not the read's
+    tracemalloc.start()
+    try:
+        TABLES[name][0](path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("reader, text, line, message",

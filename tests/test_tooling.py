@@ -227,6 +227,14 @@ def test_one_loop_steps_the_models():
     assert sorted(steps) == ["Run.step: model.momentum_update", "Run.step: model.sgd_step"]
 
 
+def test_two_loops_step_a_run():
+    """In the package only ``_adapt`` and ``WarmupRecord.__init__`` call a
+    run's ``step()``: a built record is warm, and ``start`` only resumes."""
+    steppers = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+                for owner, call in _calls_by_owner(path) if _called(call) == "step"]
+    assert sorted(steppers) == ["adapt.WarmupRecord.__init__", "adapt._adapt"]
+
+
 def test_one_forward_memorization_path():
     """In ``adapt.py`` only the memory labeller's batch and the warm-up
     record's forward step call ``memory.bimem_step``, and nothing calls one of

@@ -284,8 +284,8 @@ class WarmupRecord:
     runs the warm-up once, as a ``Run`` of the config with every forward flow
     on (``FORWARD``): its step hook, ``append``, keeps each step's calibrated
     probabilities and labels and steps one more ``BiMemState`` with SM->LT
-    alone. Each ``start`` then resumes a run from a copy of that run at the
-    warm-up's end. ``cfg`` is the config with no flows.
+    alone; neither has a backward flow, so neither calibrates. ``start``
+    resumes a run from a copy of that run at its end. ``cfg`` has no flows.
     """
 
     FORWARD = FlowConfig(True, True, True, False, False, False)
@@ -298,9 +298,9 @@ class WarmupRecord:
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []
         # The warm-up run, at its end.
         self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD), self.append)
-        # The memories of SM->LT alone; None once a warm-up step calibrates.
-        self.sm_to_lt: memory.BiMemState | None = run.labeller.new_state()
-        while self.sm_to_lt is not None and run.t < min(run.warmup, cfg.iterations):
+        # The memories of SM->LT alone.
+        self.sm_to_lt = run.labeller.new_state()
+        while run.t < min(run.warmup, cfg.iterations):
             run.step()
         run.step_hook = None  # the record's hook would make a reference cycle
 
@@ -308,12 +308,12 @@ class WarmupRecord:
               step_hook: Callable | None) -> "Run":
         """A copy of the warm-up run at its end with the memories of ``cfg``'s
         flows, its hook called on each kept step with the copy's memories and
-        models, or a run on its own when no memory the record holds is its."""
+        models; a run on its own for ST->LT without SM->LT, whose memory the record lacks."""
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
         key = _long_term_key(cfg.flows)
-        if self.sm_to_lt is None or key == (False, True):
+        if key == (False, True):
             return Run(target, preds, cfg, step_hook)
         run = copy.deepcopy(self.run)
         run.cfg, run.labeller.cfg, run.step_hook = cfg, cfg, step_hook
@@ -330,12 +330,10 @@ class WarmupRecord:
                applied: bool, labels: np.ndarray, student: model.ClassifierParams,
                mm: model.MomentumModel) -> None:
         """The warm-up run's step hook: keep the step's fresh probabilities and
-        labels, made read-only, and step the SM->LT memories."""
+        labels, made read-only, and step the SM->LT memories, which never calibrate."""
         calibrated_probs.flags.writeable = labels.flags.writeable = False
         self.steps.append((calibrated_probs, labels))
-        if applied | memory.bimem_step(self.sm_to_lt, *state.sensory.rows.columns,
-                                       self.SM_TO_LT)[1]:
-            self.sm_to_lt, self.steps = None, []
+        memory.bimem_step(self.sm_to_lt, *state.sensory.rows.columns, self.SM_TO_LT)
 
 
 class Run:

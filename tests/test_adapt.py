@@ -793,7 +793,7 @@ class TestWarmupReplay:
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(**self.FILLING), hooked=False)
         assert len(runs) == 14 and all(steps is None for *_, steps in runs)
-        assert all(record.run is not None for _, record, *_ in runs)
+        assert all(record.run.t == 12 and len(record.steps) == 12 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_records_are_freed_with_the_suite(self, monkeypatch):
@@ -866,25 +866,6 @@ class TestWarmupReplay:
         assert all(len(record.steps) == 3 and record.run.t == 3 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
-    def test_a_calibrated_step_leaves_the_record(self, monkeypatch):
-        """A run whose labeller calibrates inside the warm-up trains on its own
-        labels from then on, so the replay follows ``applied``, not the step count."""
-        real = memory.bimem_step
-
-        def early(state, ids, features, probs, flows):
-            calibrated, applied = real(state, ids, features, probs, flows)
-            if flows.sm_to_st and state.steps == 3:
-                # One-hot on a class next to the momentum model's: the labels change.
-                n_categories = probs.shape[1]
-                return np.eye(n_categories)[(probs.argmax(axis=1) + 1) % n_categories], True
-            return calibrated, applied
-
-        monkeypatch.setattr(memory, "bimem_step", early)
-        target, preds = tiny_instance()
-        runs = _suite_runs(monkeypatch, target, preds, tiny_cfg())
-        assert any(steps[2][1] for *_, steps in runs)
-        _assert_runs_independent(target, preds, runs)
-
     def test_a_record_for_other_runs_is_refused(self):
         target, preds = tiny_instance()
         other_target, other_preds = tiny_instance(seed=1)
@@ -920,6 +901,31 @@ class TestWarmupReplay:
             record.start(target, preds, replace(cfg, flows=flows), None)
         assert len(sgd_steps) == warmup_steps and len(record.steps) == warmup_steps
 
+    def test_the_record_flows_have_no_backward_flow(self):
+        """The record's run and its side memory only memorize, so no step of
+        theirs can calibrate, whatever the warm-up."""
+        for flows in (WarmupRecord.FORWARD, WarmupRecord.SM_TO_LT):
+            assert not (flows.sm_from_st or flows.sm_from_lt or flows.st_from_lt)
+
+    @pytest.mark.parametrize("kw, warmup_steps", [
+        (FILLING, 12),
+        (dict(warmup_iterations=0), 0),
+        (dict(iterations=3, eval_interval=2), 3),
+    ])
+    def test_no_step_of_the_record_calibrates(self, monkeypatch, kw, warmup_steps):
+        """Every step the record's hook sees while the record is built, and
+        every step of its SM->LT memory, has no source and applies nothing."""
+        target, preds = tiny_instance()
+        seen, append = [], WarmupRecord.append
+
+        def wrapped(self, t, state, calibrated_probs, applied, labels, student, mm):
+            append(self, t, state, calibrated_probs, applied, labels, student, mm)
+            seen.append((applied, len(state.sources), len(self.sm_to_lt.sources)))
+
+        monkeypatch.setattr(WarmupRecord, "append", wrapped)
+        record = WarmupRecord(target, preds, tiny_cfg(**kw))
+        assert seen == [(False, 0, 0)] * warmup_steps and record.sm_to_lt.steps == warmup_steps
+
     def test_restored_memories_equal_independent_runs(self, monkeypatch):
         """Each row's memories at the warm-up's last step, the restored ones,
         and at the step after equal those of the row run on its own."""
@@ -946,7 +952,7 @@ class TestWarmupReplay:
             student, trace = run_bimem(target, preds, row_cfg, step_hook=_recording_hook(steps, at),
                                        warmup_record=record)
             runs.append((row_cfg, record, student.flat.tobytes(), trace.rows, steps))
-        assert record.run is not None
+        assert record.run.t == 12 and len(record.steps) == 12
         _assert_runs_independent(target, preds, runs, memory_at=at)
 
     def test_later_rows_restore_their_memories(self, monkeypatch):
@@ -1047,7 +1053,6 @@ class TestWarmupReplay:
         target, preds = tiny_instance()
         cfg, at = tiny_cfg(**self.FILLING), (12, 13)
         record = WarmupRecord(target, preds, cfg)
-        run_bimem(target, preds, cfg, warmup_record=record)
         sgd_steps, real = [], model.sgd_step
         monkeypatch.setattr(model, "sgd_step", lambda *args: sgd_steps.append(1) or real(*args))
         steps, row_cfg = [], replace(cfg, flows=FlowConfig(True, False, True, True, True, True))

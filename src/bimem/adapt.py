@@ -282,33 +282,34 @@ class WarmupRecord:
     so until its end a run's models, sampler and trace do not depend on the
     flows, and its memories only on the forward ones. Building the record
     runs the warm-up once, as a ``Run`` of the config with every forward flow
-    on (``FORWARD``): its step hook, ``append``, keeps each step's calibrated
-    probabilities and labels and steps one more ``BiMemState`` with SM->LT
-    alone; neither has a backward flow, so neither calibrates. ``start``
-    resumes a run from a copy of that run at its end. ``cfg`` has no flows.
+    on (``FORWARD``) and no step hook; after each of that run's steps it
+    steps one more ``BiMemState`` with SM->LT alone. Neither has a backward
+    flow, so neither calibrates. ``start`` resumes a run from a copy of that
+    run at its end. ``cfg`` has no flows, and the record keeps nothing per step.
     """
 
     FORWARD = FlowConfig(True, True, True, False, False, False)
     SM_TO_LT = FlowConfig(False, True, False, False, False, False)
 
     def __init__(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig):
+        if cfg.method != "bimem":
+            raise InvalidArgumentError(f"a warm-up record needs method 'bimem', got {cfg.method!r}")
         self.target, self.preds = target, preds
         self.cfg = replace(cfg, flows=FlowConfig.none())
-        # Per warm-up step, the hook's calibrated probabilities and labels, made read-only.
-        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
         # The warm-up run, at its end.
-        self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD), self.append)
+        self.run = run = Run(target, preds, replace(cfg, flows=self.FORWARD))
         # The memories of SM->LT alone.
         self.sm_to_lt = run.labeller.new_state()
         while run.t < min(run.warmup, cfg.iterations):
             run.step()
-        run.step_hook = None  # the record's hook would make a reference cycle
+            memory.bimem_step(self.sm_to_lt, *run.labeller.state.sensory.rows.columns, self.SM_TO_LT)
 
     def start(self, target: LabeledDataset, preds: PredictionSet, cfg: AdaptConfig,
               step_hook: Callable | None) -> "Run":
         """A copy of the warm-up run at its end with the memories of ``cfg``'s
-        flows, its hook called on each kept step with the copy's memories and
-        models; a run on its own for ST->LT without SM->LT, whose memory the record lacks."""
+        flows, its hook called on each warm-up step t with the copy's memories
+        and models, ``applied`` False and no probabilities or labels; a run on
+        its own for ST->LT without SM->LT, whose memory the record lacks."""
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
@@ -322,18 +323,10 @@ class WarmupRecord:
             state.short_term = empty.short_term
         if key != (True, True):
             state.long_term = copy.deepcopy(self.sm_to_lt.long_term) if key[0] else empty.long_term
-        for t, (probs, labels) in enumerate(self.steps if step_hook else (), 1):
-            step_hook(t, state, probs, False, labels, run.student, run.mm)
+        if step_hook is not None:
+            for t in range(1, run.t + 1):
+                step_hook(t, state, None, False, None, run.student, run.mm)
         return run
-
-    def append(self, t: int, state: memory.BiMemState, calibrated_probs: np.ndarray,
-               applied: bool, labels: np.ndarray, student: model.ClassifierParams,
-               mm: model.MomentumModel) -> None:
-        """The warm-up run's step hook: keep the step's fresh probabilities and
-        labels, made read-only, and step the SM->LT memories, which never calibrate."""
-        calibrated_probs.flags.writeable = labels.flags.writeable = False
-        self.steps.append((calibrated_probs, labels))
-        memory.bimem_step(self.sm_to_lt, *state.sensory.rows.columns, self.SM_TO_LT)
 
 
 class Run:
@@ -447,9 +440,8 @@ def run_bimem(
     ``warmup_record``, built for this config with any flows, shares its
     warm-up with the config's other rows: the run resumes at the end of the
     record's warm-up run, its hook called on each warm-up step with that
-    step's ``t``, ``applied`` (False), and ``calibrated_probs`` and ``labels``,
-    read-only and shared with the other resumed runs; ``state``, ``student``
-    and ``mm`` are the run's as it resumes.
+    step's ``t`` and ``applied`` (False), ``calibrated_probs`` and ``labels``
+    None, and ``state``, ``student`` and ``mm`` the run's as it resumes.
     """
     return _adapt(target, preds, cfg, "bimem", step_hook, warmup_record)
 

@@ -726,10 +726,10 @@ def _memory_bytes(state: memory.BiMemState) -> tuple:
 
 
 def _recording_hook(steps: list, memory_at=()):
-    """A step hook that keeps every argument a test compares, as raw bytes, and
-    the memories at the steps ``memory_at``."""
+    """A step hook that keeps every argument a test compares, as raw bytes or
+    None, and the memories at the steps ``memory_at``."""
     def hook(t, state, calibrated_probs, applied, labels, student, mm):
-        steps.append((t, applied, labels.tobytes(),
+        steps.append((t, applied, None if labels is None else labels.tobytes(),
                       None if calibrated_probs is None else calibrated_probs.tobytes(),
                       student.flat.tobytes(), mm.params.flat.tobytes(),
                       _memory_bytes(state) if t in memory_at else None))
@@ -758,29 +758,33 @@ def _suite_runs(monkeypatch, target, preds, cfg, seeds=(0, 1), memory_at=(), hoo
 
 def _assert_runs_independent(target, preds, runs, memory_at=()):
     """Every suite run equals, byte for byte, a run of its config on its own,
-    but for the models its hook sees on the w warm-up steps a record replays:
-    those are the run's own at step w, where it resumes."""
+    but for what its hook sees on the w warm-up steps a record replays: each
+    is its ``t`` and ``applied``, no probabilities or labels, and the models
+    and memories of the run at step w, where it resumes."""
     for cfg, record, student_bytes, rows, steps in runs:
+        # Key (False, True), ST->LT without SM->LT, is the one row a record never resumes.
+        resumed = record is not None and adapt._long_term_key(cfg.flows) != (False, True)
+        w = record.run.t if resumed else 0
         alone = []
-        hook = None if steps is None else _recording_hook(alone, memory_at)
+        hook = None if steps is None else _recording_hook(alone, (*memory_at, w))
         student, trace = run_bimem(target, preds, cfg, step_hook=hook)
         assert student.flat.tobytes() == student_bytes
         assert trace.rows == rows
         if steps is None:
             continue
-        # Key (False, True), ST->LT without SM->LT, is the one row a record never resumes.
-        resumed = record is not None and adapt._long_term_key(cfg.flows) != (False, True)
-        w = len(record.steps) if resumed else 0
-        models = alone[w - 1][4:6] if w else ()
-        assert steps == [(*step[:4], *models, step[6]) for step in alone[:w]] + alone[w:]
+        *models, memories = alone[w - 1][4:] if w else (None, None, None)
+        replayed = [(t, applied, None, None, *models, memories if t in memory_at else None)
+                    for t, applied, *_ in alone[:w]]
+        assert steps == replayed + alone[w:]
 
 
 class TestWarmupReplay:
     """Every row of one seed resumes from a copy of the record's warm-up run
     at its end; what each run computes is that of an independent run, and so
-    is what a step hook sees, but for its ``state``, ``student`` and ``mm`` on
-    a replayed warm-up step: those are the resumed run's, which equal the
-    independent run's at the last warm-up step."""
+    is what a step hook sees, but on a replayed warm-up step: its
+    ``calibrated_probs`` and ``labels`` are None, and its ``state``,
+    ``student`` and ``mm`` are the resumed run's, which equal the independent
+    run's at the last warm-up step."""
 
     def test_rows_equal_independent_runs(self, monkeypatch):
         target, preds = tiny_instance()
@@ -793,13 +797,13 @@ class TestWarmupReplay:
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(**self.FILLING), hooked=False)
         assert len(runs) == 14 and all(steps is None for *_, steps in runs)
-        assert all(record.run.t == 12 and len(record.steps) == 12 for _, record, *_ in runs)
+        assert all(record.run.t == 12 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_records_are_freed_with_the_suite(self, monkeypatch):
-        """No reference cycle keeps a record, its steps and its run alive once
-        the suite returns; the next suite call would otherwise hold them
-        until a full collection."""
+        """No reference cycle keeps a record and its run alive once the suite
+        returns; the next suite call would otherwise hold them until a full
+        collection."""
         target, preds = tiny_instance()
         runner, records = adapt.run_bimem, []
 
@@ -817,8 +821,8 @@ class TestWarmupReplay:
         assert freed == [True] * 14
 
     def test_one_record_is_alive_at_a_time(self, monkeypatch):
-        """Seeds are the outer loop: a seed's record, its steps and its run are
-        freed before the next seed's first row runs, with no collection."""
+        """Seeds are the outer loop: a seed's record and its run are freed
+        before the next seed's first row runs, with no collection."""
         target, preds = tiny_instance()
         runner, records, alive = adapt.run_bimem, [], []
 
@@ -850,20 +854,19 @@ class TestWarmupReplay:
         assert calls == {"sgd_step": 14 * 40 - 6 * 2 * 5, "momentum_update": 14 * 40 - 6 * 2 * 5}
         records = {id(record): record for _, record, *_ in runs}
         assert len(records) == 2
-        assert [len(record.steps) for record in records.values()] == [5, 5]
         assert [record.run.t for record in records.values()] == [5, 5]
 
     def test_no_warmup_shares_nothing(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(warmup_iterations=0))
-        assert all(record.steps == [] and record.run.t == 0 for _, record, *_ in runs)
+        assert all(record.run.t == 0 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_iterations_below_the_warmup(self, monkeypatch):
         target, preds = tiny_instance()
         runs = _suite_runs(monkeypatch, target, preds, tiny_cfg(iterations=3, eval_interval=2))
         # The record's run stops at the last iteration, and every row resumes there.
-        assert all(len(record.steps) == 3 and record.run.t == 3 for _, record, *_ in runs)
+        assert all(record.run.t == 3 for _, record, *_ in runs)
         _assert_runs_independent(target, preds, runs)
 
     def test_a_record_for_other_runs_is_refused(self):
@@ -876,9 +879,10 @@ class TestWarmupReplay:
                 run_bimem(target, preds, bad, warmup_record=record)
         with pytest.raises(InvalidArgumentError, match="other inputs or config"):
             run_bimem(other_target, other_preds, cfg, warmup_record=record)
-        with pytest.raises(InvalidArgumentError, match="a step hook needs method 'bimem'"):
+        with pytest.raises(InvalidArgumentError,
+                           match="a warm-up record needs method 'bimem', got 'vanilla_st'"):
             WarmupRecord(target, preds, tiny_cfg(method="vanilla_st", iterations=5))
-        assert len(record.steps) == 5 and record.run.t == 5
+        assert record.run.t == 5
 
     # Twelve warm-up steps push 48 rows into the 16-row queue: it evicts from
     # the fifth push on and moves back to the start of its 32-row window at
@@ -899,7 +903,7 @@ class TestWarmupReplay:
         assert len(sgd_steps) == warmup_steps and record.run.t == warmup_steps
         for _, _, flows in ABLATION_ROWS:
             record.start(target, preds, replace(cfg, flows=flows), None)
-        assert len(sgd_steps) == warmup_steps and len(record.steps) == warmup_steps
+        assert len(sgd_steps) == warmup_steps and record.run.t == warmup_steps
 
     def test_the_record_flows_have_no_backward_flow(self):
         """The record's run and its side memory only memorize, so no step of
@@ -913,18 +917,20 @@ class TestWarmupReplay:
         (dict(iterations=3, eval_interval=2), 3),
     ])
     def test_no_step_of_the_record_calibrates(self, monkeypatch, kw, warmup_steps):
-        """Every step the record's hook sees while the record is built, and
-        every step of its SM->LT memory, has no source and applies nothing."""
+        """Every memory step taken while the record is built, one of its run's
+        and one of its SM->LT memory per warm-up step, has no source and
+        applies nothing."""
         target, preds = tiny_instance()
-        seen, append = [], WarmupRecord.append
+        seen, real = [], memory.bimem_step
 
-        def wrapped(self, t, state, calibrated_probs, applied, labels, student, mm):
-            append(self, t, state, calibrated_probs, applied, labels, student, mm)
-            seen.append((applied, len(state.sources), len(self.sm_to_lt.sources)))
+        def wrapped(state, *args):
+            calibrated, applied = real(state, *args)
+            seen.append((applied, len(state.sources)))
+            return calibrated, applied
 
-        monkeypatch.setattr(WarmupRecord, "append", wrapped)
+        monkeypatch.setattr(memory, "bimem_step", wrapped)
         record = WarmupRecord(target, preds, tiny_cfg(**kw))
-        assert seen == [(False, 0, 0)] * warmup_steps and record.sm_to_lt.steps == warmup_steps
+        assert seen == [(False, 0)] * (2 * warmup_steps) and record.sm_to_lt.steps == warmup_steps
 
     def test_restored_memories_equal_independent_runs(self, monkeypatch):
         """Each row's memories at the warm-up's last step, the restored ones,
@@ -952,7 +958,7 @@ class TestWarmupReplay:
             student, trace = run_bimem(target, preds, row_cfg, step_hook=_recording_hook(steps, at),
                                        warmup_record=record)
             runs.append((row_cfg, record, student.flat.tobytes(), trace.rows, steps))
-        assert record.run.t == 12 and len(record.steps) == 12
+        assert record.run.t == 12
         _assert_runs_independent(target, preds, runs, memory_at=at)
 
     def test_later_rows_restore_their_memories(self, monkeypatch):
@@ -989,29 +995,14 @@ class TestWarmupReplay:
         records = {id(record): record for _, record, *_ in runs}.values()
         assert [(record.run.t, record.run.cfg.flows, record.sm_to_lt.steps) for record in records
                 ] == [(12, WarmupRecord.FORWARD, 12)] * 2
-        assert [len(record.steps) for record in records] == [12, 12]
-        assert not any(array.flags.writeable
-                       for record in records for step in record.steps for array in step)
 
-    def test_the_record_keeps_the_hook_arrays_and_no_models(self, monkeypatch):
-        """Each kept step is the probabilities and labels the warm-up run's hook
-        received, uncopied and read-only; no model parameters are kept."""
+    def test_the_record_keeps_no_steps(self):
+        """A record holds its inputs, its config, its warm-up run, which takes
+        no step hook, and the SM->LT memories, and nothing per warm-up step."""
         target, preds = tiny_instance()
-        cfg = tiny_cfg(**self.FILLING)
-        received, append = [], WarmupRecord.append
-
-        def wrapped(self, t, state, calibrated_probs, applied, labels, student, mm):
-            received.append((calibrated_probs, labels))
-            append(self, t, state, calibrated_probs, applied, labels, student, mm)
-
-        monkeypatch.setattr(WarmupRecord, "append", wrapped)
-        record = WarmupRecord(target, preds, cfg)
-        assert len(received) == 12
-        assert [tuple(map(id, step)) for step in record.steps] == [
-            tuple(map(id, arrays)) for arrays in received]
-        assert not any(array.flags.writeable for step in record.steps for array in step)
-        n_params = record.run.student.layout.n_params
-        assert all(array.size != n_params for step in record.steps for array in step)
+        record = WarmupRecord(target, preds, tiny_cfg(**self.FILLING))
+        assert set(vars(record)) == {"target", "preds", "cfg", "run", "sm_to_lt"}
+        assert record.run.step_hook is None and record.run.t == 12
 
     def test_every_row_passes_the_bench_warmup_check(self, monkeypatch):
         """The benchmark's ``check_warmup`` holds of every row of the suite: its
@@ -1075,5 +1066,5 @@ class TestWarmupReplay:
             student, trace = run_bimem(sent_target, sent_preds, row_cfg,
                                        step_hook=_recording_hook(steps, at), warmup_record=sent)
             runs.append((row_cfg, sent, student.flat.tobytes(), trace.rows, steps))
-        assert sent.run.t == 12 and len(sent.steps) == 12
+        assert sent.run.t == 12
         _assert_runs_independent(target, preds, runs, memory_at=at)

@@ -237,14 +237,14 @@ def test_two_loops_step_a_run():
 
 def test_one_forward_memorization_path():
     """In ``adapt.py`` only the memory labeller's batch and the warm-up
-    record's forward step call ``memory.bimem_step``, and nothing calls one of
+    record's constructor call ``memory.bimem_step``, and nothing calls one of
     its phases on its own, so the bench's ``memory.bimem_step`` span sees
     every memory step."""
     phases = ("bimem_step", "refresh", "select_hard", "push", "long_term_consolidate",
               "calibrate_short_term")
     calls = [f"{owner}: {_called(call)}" for owner, call in _calls_by_owner(SRC / "adapt.py")
              if _called(call) in phases]
-    assert sorted(calls) == ["WarmupRecord.append: bimem_step", "_MemoryLabeller.batch: bimem_step"]
+    assert sorted(calls) == ["WarmupRecord.__init__: bimem_step", "_MemoryLabeller.batch: bimem_step"]
 
 
 def test_the_run_loop_knows_no_warmup_record():

@@ -155,32 +155,47 @@ def forward_batch(params: ClassifierParams, x: np.ndarray) -> tuple[np.ndarray, 
     x = _checked_inputs(layout, x)
     n = len(x)
     hidden = np.empty((n, layout.hidden_dim)) if layout.hidden_dim > 0 else None
-    return _forward(params, x, hidden, np.empty((n, layout.n_categories)), np.empty((n, 1)))
+    return _forward(params, x, hidden, np.empty((n, layout.n_categories)), np.empty((n, 1)), None)
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` of two 2-D operands, with its bits.
+
+    ``np.dot`` reaches the same BLAS routine with less dispatch, for operands
+    with a unit stride along one axis, as every caller's are. The one shape
+    where the two differ is 1x1 by 1x1: ``np.dot`` multiplies the pair and
+    keeps a -0.0, where ``np.matmul`` adds the product to +0.0.
+    """
+    if a.size == 1 and b.size == 1:
+        return np.matmul(a, b, out=out)
+    return np.dot(a, b, out=out)
 
 
 def _forward(
     params: ClassifierParams, x: np.ndarray, hidden: np.ndarray | None,
-    logits: np.ndarray, row: np.ndarray,
+    logits: np.ndarray, row: np.ndarray, starts: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass of a checked batch into the given buffers: (features, probabilities).
 
     ``hidden`` (n, H) receives the features, or is None for a linear model,
     whose features are ``x``. ``logits`` (n, C) receives the probabilities,
-    and ``row`` (n, 1) the row softmax's row maximum, then its row sum; past
+    and ``row`` (n, 1) the row softmax's row maximum, then its row sum;
+    ``starts`` (n,) holds the index of each row's start in
+    ``logits.reshape(-1)``, or is None for the softmax to make its own. Past
     ``SLAB_SOFTMAX_ROWS`` rows the softmax runs over category slabs instead.
     """
     if hidden is None:
         features = x
     else:
-        np.matmul(x, params.hidden_w.T, out=hidden)
+        _product(x, params.hidden_w.T, hidden)
         hidden += params.hidden_b
         features = np.tanh(hidden, out=hidden)
-    np.matmul(features, params.out_w.T, out=logits)
+    _product(features, params.out_w.T, logits)
     logits += params.out_b
     if len(logits) > SLAB_SOFTMAX_ROWS:
         np.copyto(logits, numerics.softmax_slabs(np.ascontiguousarray(logits.T)).T)
     else:
-        numerics.softmax_rows(logits, out=logits, row=row)
+        numerics.softmax_rows(logits, out=logits, row=row, starts=starts)
     return features, logits
 
 
@@ -205,8 +220,9 @@ def _checked_batch(layout: Layout, x: np.ndarray, labels: np.ndarray
     if len(x) == 0:
         raise InvalidArgumentError("empty batch")
     labels = labels.astype(np.intp, copy=False)
-    # Viewed as unsigned, a negative label exceeds every class index.
-    if np.maximum.reduce(labels.view(np.uintp)) >= layout.n_categories:
+    # Viewed as unsigned, a negative label exceeds every class index. Counting
+    # the labels past the last class costs less than a maximum reduce.
+    if np.count_nonzero(labels.view(np.uintp) >= layout.n_categories):
         raise InvalidArgumentError("labels out of range")
     return x, labels
 
@@ -291,7 +307,7 @@ def loss_gradients(
     s = layout._step_scratch
     rows = s.rows(n)
     hidden = rows.hidden if layout.hidden_dim > 0 else None
-    features, dlogits = _forward(params, x, hidden, rows.logits, rows.row)
+    features, dlogits = _forward(params, x, hidden, rows.logits, rows.row, rows.offsets)
     # The probabilities, made dL/dlogits in place.
     picked = np.add(rows.offsets, labels, out=rows.picked)
     dlogits.reshape(-1)[picked] -= 1.0
@@ -301,14 +317,14 @@ def loss_gradients(
     *g_hidden, g_out_w, g_out_b = (
         s.grad_views if grad is s.grad else ClassifierParams(layout, grad).arrays()
     )
-    np.matmul(dlogits.T, features, out=g_out_w)
+    _product(dlogits.T, features, g_out_w)
     np.add.reduce(dlogits, axis=0, out=g_out_b)
     if g_hidden:
-        dpre = np.matmul(dlogits, params.out_w, out=rows.dpre)
+        dpre = _product(dlogits, params.out_w, rows.dpre)
         slope = np.multiply(features, features, out=rows.slope)
         np.subtract(1.0, slope, out=slope)
         dpre *= slope
-        np.matmul(dpre.T, x, out=g_hidden[0])
+        _product(dpre.T, x, g_hidden[0])
         np.add.reduce(dpre, axis=0, out=g_hidden[1])
     return grad
 
@@ -350,7 +366,8 @@ def sgd_step(
         raise InvalidArgumentError(f"learning rate must be finite and >= 0, got {lr}")
     s = params.layout._step_scratch
     grad = loss_gradients(params, x, labels, out=s.grad)
-    if not np.logical_and.reduce(np.isfinite(grad, out=s.finite)):
+    # Counting the finite entries costs less than a logical-and reduce.
+    if np.count_nonzero(np.isfinite(grad, out=s.finite)) != grad.size:
         raise NumericFailureError("non-finite gradient")
     grad *= lr
     params.flat -= grad

@@ -105,13 +105,27 @@ def prob_rows_valid(probs: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(scores: np.ndarray, out: np.ndarray | None = None,
-                 row: np.ndarray | None = None) -> np.ndarray:
+                 row: np.ndarray | None = None, starts: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax of a 2-D score matrix, stabilized by max subtraction.
 
     Written into ``out`` when given, which may be ``scores`` itself; an
     ``(n, 1)`` buffer ``row`` takes the row maximum, then the row sum.
+    ``starts`` holds each row's start in ``scores.reshape(-1)``, by default
+    ``k * np.arange(n)`` for ``n`` rows of ``k`` scores.
+
+    The row maximum is one segmented reduce over the row starts, where a
+    reduce along the rows runs one inner loop per row. The maximum is exact
+    in any order; a tie of -0.0 with +0.0 can only flip the sign of a zero
+    that ``exp`` maps to 1. The row sum stays a reduce along the rows:
+    ``np.add.reduceat`` adds a segment's first term to the pairwise sum of
+    the rest, which rounds differently.
     """
-    row = np.maximum.reduce(scores, axis=1, keepdims=True, out=row)
+    n, k = scores.shape
+    if starts is None:
+        starts = k * np.arange(n)
+    if row is None:
+        row = np.empty((n, 1), dtype=scores.dtype)
+    np.maximum.reduceat(scores.reshape(-1), starts, out=row.reshape(-1))
     exps = np.subtract(scores, row, out=out)
     np.exp(exps, out=exps)
     exps /= np.add.reduce(exps, axis=1, keepdims=True, out=row)

@@ -14,8 +14,12 @@ queue stores, so its reference is the same computation written out of place;
 it guards the in-place write and the degenerate rows. Every output must equal
 its reference bit for bit, signs of zeros included, so traces keep their bytes.
 Stacked ``matmul``, which would run several seeds as one array, is pinned to
-its 2-D products the same way.
+its 2-D products the same way, and the model's 2-D product helper, which calls
+``np.dot``, to ``np.matmul``. ``softmax_rows`` takes its row maximum in one
+segmented reduce; its reference takes it per row.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -450,6 +454,89 @@ def test_stacked_matmul_slices_match_their_2d_products(seeds, rows, input_dim, h
             assert_bitwise_equal(stacked[s], np.matmul(a[s], b[s]))
 
 
+# The sweep of the product pin below: M, K and N of an (M, K) by (K, N) product.
+PRODUCT_SIZES = ((1, 2, 3, 5, 9), (1, 2, 3, 8, 33), (1, 2, 3, 5, 9))
+PRODUCT_LAYOUTS = ("NN", "TN", "NT", "PT")
+
+
+def product_operands(rng, m, k, n, layout):
+    """An (m, k) and a (k, n) operand with exact -0.0 and +0.0 entries, each
+    row-major ("N"), a transposed view ("T") or row-major with padded rows
+    ("P"), as a CSV read leaves the features."""
+    def operand(rows, cols, kind):
+        if kind == "T":
+            return mixed_values(rng, (cols, rows), 0.3, 1).T
+        if kind == "P":
+            return mixed_values(rng, (rows, cols + 2), 0.3, 1)[:, 1:-1]
+        return mixed_values(rng, (rows, cols), 0.3, 1)
+    return operand(m, k, layout[0]), operand(k, n, layout[1])
+
+
+def test_product_helper_matches_matmul():
+    """``model._product``, the model's one 2-D product, gives ``np.matmul``'s
+    bits, signs of zeros included, over every shape and layout of the sweep.
+    Bare ``np.dot`` differs only at 1x1 by 1x1, where it keeps a -0.0 that
+    ``np.matmul`` sums onto +0.0. With the stacked pin above, a stacked
+    ``matmul`` gives the model's products too."""
+    rng = np.random.default_rng(0)
+    dot_differs = set()
+    for m, k, n in itertools.product(*PRODUCT_SIZES):
+        for layout in PRODUCT_LAYOUTS:
+            for _ in range(40):
+                a, b = product_operands(rng, m, k, n, layout)
+                expected = np.matmul(a, b)
+                out = np.empty((m, n))
+                assert model._product(a, b, out) is out
+                assert_bitwise_equal(out, expected)
+                dot = np.dot(a, b)
+                if not (np.array_equal(dot, expected)
+                        and np.array_equal(np.signbit(dot), np.signbit(expected))):
+                    dot_differs.add((m, k, n, layout))
+    assert dot_differs == {(1, 1, 1, layout) for layout in PRODUCT_LAYOUTS}
+
+
+def assert_bitwise_equal_or_nan(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert_bitwise_equal(actual[~nan], expected[~nan])
+
+
+def softmax_cases():
+    rng = np.random.default_rng(7)
+    strided = mixed_values(rng, (32, 10), 0.3, 3)
+    return {
+        "zero-ties": np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -2.0], [-0.0, -0.0, -3.0],
+                               [0.0, 0.0, -0.0], [-5.0, 0.0, -0.0]]),
+        "nan": np.array([[np.nan, 1.0, 2.0], [1.0, np.nan, 0.5], [0.0, -0.0, np.nan],
+                         [np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]]),
+        "one-column": np.array([[3.0], [-0.0], [0.0], [np.nan], [-1e300]]),
+        "column-strided": strided[:, ::2],
+        "transposed": mixed_values(rng, (5, 32), 0.3, 3).T,
+        "empty": np.empty((0, 5)),
+        "batch": mixed_values(rng, (32, 5), 0.3, 12),
+        "wide": mixed_values(rng, (7, 130), 0.3, 12),
+    }
+
+
+@pytest.mark.parametrize("case", list(softmax_cases()))
+def test_softmax_rows_segmented_maximum_matches_row_reduce(case):
+    """The row maximum taken as one segmented reduce over the row starts gives
+    the per-row reduce's bits: on +0.0/-0.0 ties, rows holding NaN, one
+    column, non-contiguous scores and no rows at all. Both the allocating
+    call and the model's in-place call with its own buffers are checked."""
+    scores = softmax_cases()[case]
+    n, k = scores.shape
+    with np.errstate(invalid="ignore"):
+        expected = reference_softmax_rows(scores.copy())
+        assert_bitwise_equal_or_nan(numerics.softmax_rows(scores), expected)
+        buffer = np.ascontiguousarray(scores)
+        row = np.empty((n, 1))
+        got = numerics.softmax_rows(buffer, out=buffer, row=row, starts=np.arange(0, n * k, k))
+    assert got is buffer
+    assert_bitwise_equal_or_nan(got, expected)
+
+
 SLAB_ROWS = model.SLAB_SOFTMAX_ROWS
 
 
@@ -467,6 +554,8 @@ SLAB_ROWS = model.SLAB_SOFTMAX_ROWS
          zeros=0.0, spread=0)
 @example(input_dim=8, hidden_dim=32, n_categories=20, rows=1000, weight_scale=1, seed=1,
          zeros=0.0, spread=0)
+@example(input_dim=1, hidden_dim=1, n_categories=1, rows=1, weight_scale=0, seed=0, zeros=0.0,
+         spread=0)
 @with_examples(dict(input_dim=3, hidden_dim=h, n_categories=c, rows=rows, weight_scale=2,
                     seed=2 + c, zeros=0.1, spread=3)
                for h in (0, 1, 32) for c in (1, 7, 8, 9, 20)

@@ -202,6 +202,19 @@ def test_one_forward_body_runs_the_softmax():
     assert callers == ["model._forward"]
 
 
+def test_model_products_go_through_one_helper():
+    """In ``model.py`` only ``_product`` calls ``np.matmul`` or ``np.dot``,
+    and no code uses ``@``: every 2-D product takes ``np.dot``'s shorter
+    dispatch and keeps ``np.matmul``'s bits where the two differ."""
+    callers = sorted({owner for owner, call in _calls_by_owner(SRC / "model.py")
+                      if _called(call) in ("matmul", "dot")})
+    operators = [node.lineno for node in ast.walk(ast.parse((SRC / "model.py").read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+    assert callers == ["_product"]
+    assert operators == []
+
+
 def _calls_by_owner(path: Path) -> list[tuple[str, ast.Call]]:
     """``(owner, call)`` for every call in the module at ``path``; the owner is
     the dotted name of the innermost function or class around it."""

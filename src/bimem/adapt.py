@@ -69,6 +69,8 @@ class AdaptConfig:
         if self.method not in METHODS:
             raise InvalidArgumentError(f"unknown method {self.method!r}, 'method' is one of {METHODS}")
         numerics.check_field_types(self)
+        if not isinstance(self.flows, FlowConfig):
+            raise InvalidArgumentError(f"flows must be a FlowConfig, got {self.flows!r}")
         if self.iterations < 0:
             raise InvalidArgumentError(f"iterations must be >= 0, got {self.iterations}")
         if not (1 <= _resolve_top_n(self) <= self.batch_size <= self.queue_capacity):
@@ -268,12 +270,6 @@ def denoise_labels(
     return (calibrated_probs * pred_probs).argmax(axis=1)
 
 
-def _long_term_key(flows: FlowConfig) -> tuple[bool, bool]:
-    """The forward flows that write a run's long-term memory: SM->LT, and
-    ST->LT once the queue is filled."""
-    return flows.sm_to_lt, flows.sm_to_st and flows.st_to_lt
-
-
 class WarmupRecord:
     """The warm-up of a memory run, shared by the runs of its config that
     differ in nothing but their flows.
@@ -313,7 +309,7 @@ class WarmupRecord:
         if (target is not self.target or preds is not self.preds
                 or replace(cfg, flows=FlowConfig.none()) != self.cfg):
             raise InvalidArgumentError("the warm-up record was made for other inputs or config")
-        key = _long_term_key(cfg.flows)
+        key = cfg.flows.long_term_writers
         if key == (False, True):
             return Run(target, preds, cfg, step_hook)
         run = copy.deepcopy(self.run)

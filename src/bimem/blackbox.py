@@ -101,6 +101,8 @@ def training_faults(epochs: int, lr: float, batch_size: int) -> Iterator[tuple[s
         yield "epochs", f"must be >= 0, got {epochs}"
     if not math.isfinite(lr):
         yield "lr", f"must be finite, got {lr}"
+    elif lr < 0:
+        yield "lr", f"must be >= 0, got {lr}"
     if batch_size < 1:
         yield "batch_size", f"must be >= 1, got {batch_size}"
 

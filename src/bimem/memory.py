@@ -83,6 +83,9 @@ class FlowConfig:
     sm_from_lt: bool = True
     st_from_lt: bool = True
 
+    def __post_init__(self) -> None:
+        numerics.check_field_types(self)
+
     @classmethod
     def all_enabled(cls) -> "FlowConfig":
         return cls()
@@ -93,6 +96,12 @@ class FlowConfig:
 
     def as_dict(self) -> dict[str, bool]:
         return asdict(self)
+
+    @property
+    def long_term_writers(self) -> tuple[bool, bool]:
+        """Whether the sensory and the queue's evictions reach long-term memory:
+        SM->LT, and ST->LT only while SM->ST fills the queue."""
+        return self.sm_to_lt, self.sm_to_st and self.st_to_lt
 
 
 @dataclass
@@ -220,8 +229,6 @@ def compute_centroids(
     category pairwise along the rows instead, so there, and for larger
     categories, each category is summed on its own.
     """
-    if len(features) == 0:
-        raise InvalidArgumentError("cannot compute centroids of an empty row set")
     labels = probs.argmax(axis=1)
     counts = np.bincount(labels, minlength=n_categories)
     order = np.argsort(labels, kind="stable")
@@ -270,8 +277,6 @@ class LongTermCentroids:
 
     def consolidate(self, features: np.ndarray, probs: np.ndarray) -> None:
         """Fold contributor centroids in; no-op on an empty contributor set."""
-        if len(features) == 0:
-            return
         fresh, counts = compute_centroids(features, probs, self.n_categories)
         present, m = counts > 0, self.momentum
         # Blend every category as (1-m)·fresh + m·old, write first
@@ -286,11 +291,12 @@ class LongTermCentroids:
 def long_term_consolidate(
     lt: LongTermCentroids,
     evicted_sensory: Rows,
-    evicted_short: Rows,
+    evicted_short: Rows | None,
     flows: FlowConfig,
 ) -> LongTermCentroids:
-    """Consolidate the step's evictions, gated by the two forward flows into LT."""
-    flowing = ((evicted_sensory, flows.sm_to_lt), (evicted_short, flows.st_to_lt))
+    """Consolidate the step's evictions that ``flows.long_term_writers`` names;
+    ``evicted_short`` is None while SM->ST is off."""
+    flowing = zip((evicted_sensory, evicted_short), flows.long_term_writers)
     parts = [rows for rows, enabled in flowing if enabled]
     if parts:
         lt.consolidate(np.concatenate([p.features for p in parts]),
@@ -348,8 +354,6 @@ def calibrate_short_term(
     if lt_centroids is None:
         _count(warnings, "short_term_calibration_skipped")
         return mem
-    if len(mem.rows) == 0:
-        return mem
     weights = centroid_weights(mem.rows.features, lt_centroids)
     _, n_degenerate = _reweight_rows(mem.rows.probs, weights, out=mem.rows.probs)
     if n_degenerate:
@@ -367,11 +371,9 @@ def sensory_calibration_probs(
     return centroid_weights(features, *sources), True
 
 
-def short_term_summary(mem: ShortTermMemory, n_categories: int) -> np.ndarray | None:
+def short_term_summary(mem: ShortTermMemory) -> np.ndarray | None:
     """Queue centroids, or None while the queue does not hold every category."""
-    if len(mem.rows) == 0:
-        return None
-    centroids, counts = compute_centroids(mem.rows.features, mem.rows.probs, n_categories)
+    centroids, counts = compute_centroids(mem.rows.features, mem.rows.probs, mem.n_categories)
     return centroids if counts.all() else None
 
 
@@ -425,14 +427,6 @@ class BiMemState:
         )
 
     @property
-    def n_categories(self) -> int:
-        return self.long_term.n_categories
-
-    @property
-    def feature_dim(self) -> int:
-        return self.long_term.feature_dim
-
-    @property
     def backward_ready(self) -> bool:
         return self.steps > self.warmup
 
@@ -460,7 +454,7 @@ class BiMemState:
             calibrate_short_term(self.short_term, lt_centroids, self.warnings)
         sources = [lt_centroids] if flows.sm_from_lt and lt_centroids is not None else []
         if flows.sm_from_st:
-            st_centroids = short_term_summary(self.short_term, self.n_categories)
+            st_centroids = short_term_summary(self.short_term)
             if st_centroids is not None:
                 sources.append(st_centroids)
         if not sources and (flows.sm_from_lt or flows.sm_from_st):
@@ -486,11 +480,10 @@ def bimem_step(
     state.steps += 1
     evicted_sensory = state.sensory.refresh(ids, features, probs)
     batch = state.sensory.rows
+    evicted_short = None
     if flows.sm_to_st:
         selected = select_hard(state.sensory, min(state.top_n, len(batch)))
         evicted_short = state.short_term.push(selected)
-    else:
-        evicted_short = Rows.empty(state.feature_dim, state.n_categories)
     long_term_consolidate(state.long_term, evicted_sensory, evicted_short, flows)
     state.sources = state.backward_sources(flows)
     calibrated, applied = sensory_calibration_probs(batch.features, batch.probs, state.sources)

@@ -134,6 +134,18 @@ class TestAdaptConfigValidation:
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be a number, got "):
             AdaptConfig(**{name: value})
 
+    @pytest.mark.parametrize("flows", [{"sm_to_st": True}, None, (True,) * 6])
+    def test_flows_refuse_other_types(self, flows):
+        """Anything but a FlowConfig once built and failed in ``run_bimem``."""
+        with pytest.raises(InvalidArgumentError, match="^flows must be a FlowConfig, got "):
+            AdaptConfig(flows=flows)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FlowConfig)])
+    def test_flow_switches_refuse_other_types(self, name):
+        """An integer switch once built and printed as 1 or 0 in the ablation table."""
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a boolean, got 1$"):
+            AdaptConfig(flows=FlowConfig(**{name: 1}))
+
     def test_float_fields_take_integers_and_numpy_floats(self):
         assert AdaptConfig(lr=1, gamma=0, gamma_prime=0, confidence_quantile=1) == AdaptConfig(
             lr=1.0, gamma=0.0, gamma_prime=0.0, confidence_quantile=1.0)
@@ -763,7 +775,7 @@ def _assert_runs_independent(target, preds, runs, memory_at=()):
     and memories of the run at step w, where it resumes."""
     for cfg, record, student_bytes, rows, steps in runs:
         # Key (False, True), ST->LT without SM->LT, is the one row a record never resumes.
-        resumed = record is not None and adapt._long_term_key(cfg.flows) != (False, True)
+        resumed = record is not None and cfg.flows.long_term_writers != (False, True)
         w = record.run.t if resumed else 0
         alone = []
         hook = None if steps is None else _recording_hook(alone, (*memory_at, w))

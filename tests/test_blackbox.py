@@ -137,6 +137,7 @@ class TestScenario:
         (dict(target_shift=(np.nan,) * 8), "target_shift must be finite"),
         (dict(source_epochs=-1), "source_epochs must be >= 0"),
         (dict(source_lr=np.nan), "source_lr must be finite"),
+        (dict(source_lr=-0.05), "source_lr must be >= 0"),
         (dict(source_batch_size=0), "source_batch_size must be >= 1"),
         (dict(source_hidden_dim=-1), "invalid layout"),
         (dict(seed=-1), "seed must be >= 0"),

@@ -438,6 +438,16 @@ class TestExitCodes:
         assert str(checkpoint) in err and str(out / "target.csv") in err
         assert not written.exists()
 
+    def test_negative_source_lr_refused_before_reading_the_source(self, tmp_path, capsys):
+        """Once refused only inside the SGD step, after the source set was read."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"source_lr": -0.05}))
+        assert run_cli("train-source", str(tmp_path / "missing.csv"), "--out",
+                       str(tmp_path / "m.json"), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "source_lr must be >= 0" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_negative_seed_gen_data_exit_1(self, workdir, capsys):
         tmp, _ = workdir
         bad = tmp / "bad.json"

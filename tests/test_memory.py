@@ -1,6 +1,7 @@
 """Unit, example, and property tests for the three memories and their flows."""
 
 import copy
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -262,9 +263,14 @@ class TestComputeCentroids:
         assert counts[2] == 0
         np.testing.assert_array_equal(centroids[2], [0.0])
 
-    def test_empty_slots_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            compute_centroids(np.zeros((0, 1)), np.zeros((0, 2)), 2)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1, 3], ids=["per-category", "padded"])
+    def test_no_rows_have_no_contributors(self, d):
+        """No rows give every category a zero centroid and count 0, through
+        the per-category loop at D = 1 and the padded sum past it."""
+        centroids, counts = compute_centroids(np.zeros((0, d)), np.zeros((0, 2)), 2)
+        assert counts.tolist() == [0, 0]
+        assert centroids.tobytes() == np.zeros((2, d)).tobytes()
 
     def test_permutation_invariance_and_convex_hull(self):
         rng = np.random.default_rng(1)
@@ -327,6 +333,31 @@ class TestLongTermConsolidate:
         long_term_consolidate(lt, Rows.empty(1, 2), Rows.empty(1, 2), FlowConfig.all_enabled())
         assert not lt.initialized.any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_each_flow_config_consolidates_the_evictions_its_rule_names(self):
+        """Through a warm-up of 2 and past it, every step's long-term centroids
+        equal a copy consolidated by hand from the evicted sensory batch under
+        SM->LT and the queue's evicted front under ST->LT while SM->ST fills
+        the queue."""
+        capacity, top_n = 5, 2
+        for bits in itertools.product((False, True), repeat=6):
+            flows = FlowConfig(*bits)
+            rng = np.random.default_rng(11)
+            state = make_state(c=3, d=2, capacity=capacity, top_n=top_n, warmup=2)
+            for step in range(10):
+                batch = random_rows(rng, 4, c=3, d=2, start_id=4 * step)
+                queued = state.short_term.rows.copy()
+                parts = [state.sensory.rows.copy()] if flows.sm_to_lt else []
+                if flows.sm_to_st and flows.st_to_lt:
+                    parts.append(queued[:max(len(queued) + top_n - capacity, 0)])
+                expected = copy.deepcopy(state.long_term)
+                if parts:
+                    expected.consolidate(np.concatenate([p.features for p in parts]),
+                                         np.concatenate([p.probs for p in parts]))
+                run_step(state, batch, flows)
+                assert state.long_term.centroids.tobytes() == expected.centroids.tobytes(), (flows, step)
+                assert state.long_term.initialized.tolist() == expected.initialized.tolist()
+
     def test_update_is_componentwise_convex_combination(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -380,6 +411,14 @@ class TestCalibrateShortTerm:
         assert state.backward_sources(flows) == []
         np.testing.assert_array_equal(state.short_term.queue[0].prob, [0.4, 0.6])
         assert state.warnings["short_term_calibration_skipped"] == 2
+
+    def test_empty_queue_changes_nothing(self):
+        st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
+        window = [column.tobytes() for column in st._window.columns]
+        warnings = {"degenerate_reweight": 2}
+        calibrate_short_term(st, np.array([[0.0], [3.0]]), warnings)
+        assert len(st.rows) == 0 and [column.tobytes() for column in st._window.columns] == window
+        assert warnings == {"degenerate_reweight": 2}
 
     def test_degenerate_product_falls_back_to_uniform(self):
         st = ShortTermMemory(capacity=4, feature_dim=1, n_categories=2)
@@ -585,7 +624,7 @@ class TestBimemStep:
         before = memory_state_bytes(state)
         again, applied = sensory_calibration_probs(batch.features, batch.probs, state.sources)
         assert applied and again.tobytes() == probs.tobytes()
-        assert state.sources[-1].tobytes() == short_term_summary(state.short_term, 3).tobytes()
+        assert state.sources[-1].tobytes() == short_term_summary(state.short_term).tobytes()
         assert memory_state_bytes(state) == before
 
     def test_prob_validity_preserved_after_every_flow(self):
@@ -690,11 +729,11 @@ def _straight_line_two_steps():
 class TestShortTermSummary:
     def test_empty_queue_all_absent(self):
         st = ShortTermMemory(capacity=3, feature_dim=2, n_categories=3)
-        assert short_term_summary(st, 3) is None
+        assert short_term_summary(st) is None
 
     def test_partial_queue_is_none_full_queue_gives_centroids(self):
         st = ShortTermMemory(capacity=3, feature_dim=1, n_categories=2)
         st.push(rows([(0, [1.0], [0.9, 0.1]), (1, [3.0], [0.8, 0.2])]))
-        assert short_term_summary(st, 2) is None
+        assert short_term_summary(st) is None
         st.push(rows([(2, [5.0], [0.1, 0.9])]))
-        np.testing.assert_array_equal(short_term_summary(st, 2), [[2.0], [5.0]])
+        np.testing.assert_array_equal(short_term_summary(st), [[2.0], [5.0]])

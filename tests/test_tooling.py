@@ -260,6 +260,16 @@ def test_one_forward_memorization_path():
     assert sorted(calls) == ["WarmupRecord.__init__: bimem_step", "_MemoryLabeller.batch: bimem_step"]
 
 
+def test_one_rule_names_the_long_term_writers():
+    """``adapt.py`` reads no flow config's ``sm_to_lt`` or ``st_to_lt``: which
+    evictions reach long-term memory is ``FlowConfig.long_term_writers``
+    alone. The warm-up record's own ``sm_to_lt`` is a memory state, not a switch."""
+    reads = [node.lineno for node in ast.walk(ast.parse((SRC / "adapt.py").read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("sm_to_lt", "st_to_lt")
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert reads == []
+
+
 def test_the_run_loop_knows_no_warmup_record():
     """Only ``WarmupRecord`` and ``_adapt`` know the flow ablation's shared
     warm-up: no code in ``Run`` or ``_MemoryLabeller`` names the record or a
